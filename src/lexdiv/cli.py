@@ -35,6 +35,7 @@ from .sampling import (
     SamplingError,
     ScoreMatrix,
     parameter_sweep,
+    rng_stream,
     run_method,
 )
 from .stats import StatsError, compare_correlations, icc_2_1, pearson, rm_anova
@@ -159,7 +160,8 @@ def cmd_index(args):
     spec = _spec_from(args)
     rows = []
     for text in corpus:
-        score, flags = evaluate(text, spec)
+        rng = rng_stream(spec.seed, text.id, "index", spec.label())
+        score, flags = evaluate(text, spec, rng=rng)
         rows.append({
             "text_id": text.id,
             "index": spec.kind.value,
@@ -472,6 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser, argv):
     """--config key=value files provide defaults, flags still win."""
+    argv = [part for arg in argv  # --config=path is --config path
+            for part in (arg.split("=", 1) if arg.startswith("--config=") else (arg,))]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

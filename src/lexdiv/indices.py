@@ -12,7 +12,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -43,6 +43,9 @@ GLOBAL_KINDS = frozenset(
     {IndexKind.TTR, IndexKind.GUIRAUD_R, IndexKind.HERDAN_C, IndexKind.MAAS_A,
      IndexKind.HDD}
 )
+
+# Indices that draw from a random stream while scoring.
+STOCHASTIC_KINDS = frozenset({IndexKind.MTTRRS, IndexKind.MTTRSS})
 
 # Indices whose parameter n bounds the usable text length.
 LENGTH_BOUND_KINDS = frozenset(
@@ -130,42 +133,54 @@ def _n_types(toks) -> int:
     return len(set(toks))
 
 
-def ttr(text) -> float:
-    toks = tokens_of(text)
-    if len(toks) < 1:
+def _ttr(v: int, n: int) -> float:
+    if n < 1:
         raise IndexError_("empty token sequence")
-    return _n_types(toks) / len(toks)
+    return v / n
 
 
-def guiraud_r(text) -> float:
-    toks = tokens_of(text)
-    if len(toks) < 1:
+def _guiraud_r(v: int, n: int) -> float:
+    if n < 1:
         raise IndexError_("empty token sequence")
-    return _n_types(toks) / math.sqrt(len(toks))
+    return v / math.sqrt(n)
 
 
-def herdan_c(text) -> float:
-    toks = tokens_of(text)
-    n = len(toks)
+def _herdan_c(v: int, n: int) -> float:
     if n < 2:
         raise IndexError_("undefined for single token")
-    v = _n_types(toks)
     if v == 1:
         return 0.0
     return math.log(v) / math.log(n)
 
 
-def maas_a(text, variant: str = "natural_log_a") -> float:
-    toks = tokens_of(text)
-    n = len(toks)
+def _maas_a(v: int, n: int, variant: str = "natural_log_a") -> float:
     if n < 2:
         raise IndexError_("undefined for single token")
-    v = _n_types(toks)
     if variant == "natural_log_a":
         return math.sqrt((math.log(n) - math.log(v)) / math.log(n) ** 2)
     if variant == "base10_a_squared":
         return (math.log10(n) - math.log10(v)) / math.log10(n) ** 2
     raise IndexError_(f"unknown maas variant {variant!r}")
+
+
+def ttr(text) -> float:
+    toks = tokens_of(text)
+    return _ttr(_n_types(toks), len(toks))
+
+
+def guiraud_r(text) -> float:
+    toks = tokens_of(text)
+    return _guiraud_r(_n_types(toks), len(toks))
+
+
+def herdan_c(text) -> float:
+    toks = tokens_of(text)
+    return _herdan_c(_n_types(toks), len(toks))
+
+
+def maas_a(text, variant: str = "natural_log_a") -> float:
+    toks = tokens_of(text)
+    return _maas_a(_n_types(toks), len(toks), variant)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -223,54 +238,69 @@ def mttrrs(text, n: int = 50, s: int = 10, seed=None) -> float:
     return total / (s * n)
 
 
-def mattr(text, n: int) -> float:
-    """Mean TTR over all length-n windows advancing one token at a time."""
-    toks = tokens_of(text)
-    big_n = len(toks)
+def _encode(tokens) -> np.ndarray:
+    """Map tokens to small ints; index values only depend on the pattern."""
+    mapping: dict = {}
+    return np.array([mapping.setdefault(tok, len(mapping)) for tok in tokens],
+                    dtype=np.int64)
+
+
+def _prev_occurrence(codes: np.ndarray) -> np.ndarray:
+    """For each row of a code matrix, the position of the previous
+    occurrence of each position's code in that row, or -1."""
+    order = np.argsort(codes, axis=1, kind="stable")
+    ranked = np.take_along_axis(codes, order, axis=1)
+    repeat = ranked[:, 1:] == ranked[:, :-1]
+    prev_ranked = np.full(codes.shape, -1, dtype=np.int64)
+    prev_ranked[:, 1:][repeat] = order[:, :-1][repeat]
+    prev = np.empty_like(prev_ranked)
+    np.put_along_axis(prev, order, prev_ranked, axis=1)
+    return prev
+
+
+def _mattr_rows(codes: np.ndarray, n: int) -> np.ndarray:
+    """MATTR of each row, counting types per window exactly: position i is
+    the first occurrence of its type in the windows starting from
+    max(i-n+1, prev[i]+1) to min(i, N-n) (Covington & McFall 2010)."""
+    big_n = codes.shape[1]
     if n < 1:
         raise IndexError_(f"n must be >= 1, got {n}")
     if n > big_n:
         raise IndexError_(f"window exceeds text length ({n} > {big_n})")
-    if isinstance(toks, np.ndarray):
-        toks = toks.tolist()
-    counts = Counter(toks[:n])
-    distinct = len(counts)
-    total = float(distinct)
-    comp = 0.0  # Kahan compensation: window order must not matter
-    for i in range(big_n - n):
-        out_tok, in_tok = toks[i], toks[i + n]
-        if out_tok != in_tok:
-            c = counts[out_tok] - 1
-            if c == 0:
-                del counts[out_tok]
-                distinct -= 1
-            else:
-                counts[out_tok] = c
-            if in_tok in counts:
-                counts[in_tok] += 1
-            else:
-                counts[in_tok] = 1
-                distinct += 1
-        y = distinct - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    pos = np.arange(big_n)
+    first = np.maximum(pos - n + 1, _prev_occurrence(codes) + 1)
+    last = np.minimum(pos, big_n - n)
+    total = np.maximum(last - first + 1, 0).sum(axis=1)
     return total / (n * (big_n - n + 1))
 
 
-def msttr(text, n: int) -> float:
-    """Mean TTR over disjoint consecutive length-n segments, remainder dropped."""
-    toks = tokens_of(text)
-    big_n = len(toks)
+def _msttr_rows(codes: np.ndarray, n: int) -> np.ndarray:
+    """MSTTR of each row: a position counts when no earlier position of its
+    complete segment holds its type."""
+    big_n = codes.shape[1]
     if n < 1:
         raise IndexError_(f"n must be >= 1, got {n}")
     if n > big_n:
         raise IndexError_(f"no complete segment ({n} > {big_n})")
-    n_segments = big_n // n
-    total = math.fsum(
-        _n_types(toks[i * n:(i + 1) * n]) for i in range(n_segments)
-    )
-    return total / (n_segments * n)
+    used = big_n // n * n
+    pos = np.arange(used)
+    first = _prev_occurrence(codes[:, :used]) < pos - pos % n
+    return first.sum(axis=1) / used
+
+
+def _codes_row(text) -> np.ndarray:
+    toks = tokens_of(text)
+    return (toks if isinstance(toks, np.ndarray) else _encode(toks))[None, :]
+
+
+def mattr(text, n: int) -> float:
+    """Mean TTR over all length-n windows advancing one token at a time."""
+    return float(_mattr_rows(_codes_row(text), n)[0])
+
+
+def msttr(text, n: int) -> float:
+    """Mean TTR over disjoint consecutive length-n segments, remainder dropped."""
+    return float(_msttr_rows(_codes_row(text), n)[0])
 
 
 def mttrss(text, n: int = 50, s: int = 10, seed=None) -> float:
@@ -406,6 +436,60 @@ def evaluate(text, spec: IndexSpec, rng=None):
     if kind is IndexKind.MTTRSS:
         return mttrss(text, spec.n, spec.s, rng if rng is not None else spec.seed), ()
     raise IndexError_(f"unknown index kind {kind!r}")
+
+
+def _count_matrix(codes: np.ndarray) -> np.ndarray:
+    """counts[b, c]: occurrences of code c in row b."""
+    rows, width = codes.shape[0], int(codes.max(initial=-1)) + 1
+    offsets = np.arange(rows)[:, None] * width
+    return np.bincount((codes + offsets).ravel(),
+                       minlength=rows * width).reshape(rows, width)
+
+
+def _hdd_rows(codes: np.ndarray, n: int) -> list:
+    """HD-D of each row, summing the same terms as hdd(): for each
+    frequency f present, (types with frequency f) x presence(f)."""
+    big_n = codes.shape[1]
+    if n > big_n:
+        raise IndexError_(f"sample exceeds text length ({n} > {big_n})")
+    coc = _count_matrix(_count_matrix(codes))
+    freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
+    presence = np.array([_presence(big_n, int(f), n) for f in freqs])
+    terms = coc[:, freqs] * presence
+    return [math.fsum(row) / n for row in terms.tolist()]
+
+
+def evaluate_rows(codes: np.ndarray, spec: IndexSpec) -> list:
+    """Score every row of a matrix of small non-negative token codes, each
+    row one text; equal to ``evaluate`` row by row, bit for bit.
+
+    Not for the stochastic indices, which draw from a stream per score.
+    """
+    spec = spec.with_defaults()
+    spec.validate()
+    kind = spec.kind
+    width = codes.shape[1]
+    type_count_formulas = {
+        IndexKind.TTR: _ttr,
+        IndexKind.GUIRAUD_R: _guiraud_r,
+        IndexKind.HERDAN_C: _herdan_c,
+        IndexKind.MAAS_A: partial(_maas_a, variant=spec.maas_variant),
+    }
+    if kind in type_count_formulas:
+        formula = type_count_formulas[kind]
+        n_types = np.count_nonzero(_count_matrix(codes), axis=1)
+        values, row_value = np.unique(n_types, return_inverse=True)
+        scores = np.array([formula(int(v), width) for v in values])
+        return scores[row_value].tolist()
+    if kind is IndexKind.HDD:
+        return _hdd_rows(codes, spec.n)
+    if kind is IndexKind.MATTR:
+        return _mattr_rows(codes, spec.n).tolist()
+    if kind is IndexKind.MSTTR:
+        return _msttr_rows(codes, spec.n).tolist()
+    if kind is IndexKind.MTLD:
+        return [mtld_detailed(row, spec.factor)[0] for row in codes.tolist()]
+    raise IndexError_(f"{kind.value} draws from a stream; score it with evaluate")
 
 
 def min_tokens_required(spec: IndexSpec) -> int:

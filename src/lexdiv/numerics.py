@@ -93,25 +93,31 @@ def _betacf(x: float, a: float, b: float) -> float:
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
+    return _reg_inc_beta(x, 1.0 - x, a, b)
+
+
+def _reg_inc_beta(x: float, y: float, a: float, b: float) -> float:
+    """I_x(a, b) given y = 1 - x as well, so that a caller that can form
+    1 - x without cancellation keeps its accuracy where x rounds to 1."""
     if not (0.0 <= x <= 1.0):
         raise NumericsError(f"x must be in [0, 1], got {x}")
     if a <= 0 or b <= 0:
         raise NumericsError(f"a, b must be positive, got a={a}, b={b}")
     if x == 0.0:
         return 0.0
-    if x == 1.0:
+    if y == 0.0:
         return 1.0
     ln_front = (
         math.lgamma(a + b)
         - math.lgamma(a)
         - math.lgamma(b)
         + a * math.log(x)
-        + b * math.log1p(-x)
+        + b * math.log(y)
     )
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(x, a, b) / a
-    return 1.0 - front * _betacf(1.0 - x, b, a) / b
+    return 1.0 - front * _betacf(y, b, a) / b
 
 
 def t_sf_two_sided(t: float, df: float) -> float:
@@ -120,8 +126,8 @@ def t_sf_two_sided(t: float, df: float) -> float:
         raise NumericsError(f"df must be positive, got {df}")
     if t == 0.0:
         return 1.0
-    x = df / (df + t * t)
-    return reg_inc_beta(x, df / 2.0, 0.5)
+    t2 = t * t
+    return _reg_inc_beta(df / (df + t2), t2 / (df + t2), df / 2.0, 0.5)
 
 
 def f_sf(f: float, df1: float, df2: float) -> float:
@@ -132,8 +138,9 @@ def f_sf(f: float, df1: float, df2: float) -> float:
         raise NumericsError(f"F must be nonnegative, got {f}")
     if f == 0.0:
         return 1.0
-    x = df2 / (df2 + df1 * f)
-    return reg_inc_beta(x, df2 / 2.0, df1 / 2.0)
+    scaled = df1 * f
+    return _reg_inc_beta(df2 / (df2 + scaled), scaled / (df2 + scaled),
+                         df2 / 2.0, df1 / 2.0)
 
 
 def f_isf(p: float, df1: float, df2: float) -> float:

@@ -6,6 +6,15 @@ seed, so results are independent of evaluation order and thread count.  The
 random and ordered-random methods deliberately share one stream per
 (text, length): they must analyze identical token samples, differing only in
 whether the sample keeps the permuted order or the original text order.
+
+Draws are batched per cell: one ``Generator.permuted`` call shuffles a block
+of up to ``_BLOCK`` rows, and the index scores the whole block at once
+(``evaluate_rows``).  The stream layout is the one of one draw per sample,
+because numpy fills ``permuted`` rows in order with the same draws as
+successive ``permutation`` calls; ``tests/test_sampling.py`` pins this.  The
+stochastic indices (MTTRRS, MTTRSS) draw from the same stream while
+scoring, so they get one draw per block and are scored sample by sample.
+The cell mean is a Kahan sum in sample order.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -22,16 +32,21 @@ import numpy as np
 
 from .corpus import Corpus, Text, tokens_of
 from .indices import (
-    GLOBAL_KINDS,
+    STOCHASTIC_KINDS,
     IndexKind,
     IndexSpec,
+    _encode,
     evaluate,
+    evaluate_rows,
     min_tokens_required,
 )
 
 METHODS = ("parallel", "random", "ordered_random", "alternating")
 
 DEFAULT_ITERATIONS = 10_000
+
+# Samples per draw; bounds the draw's memory to about this many rows of L.
+_BLOCK = 1024
 
 
 class SamplingError(Exception):
@@ -94,7 +109,10 @@ class ScoreMatrix:
             for rid, col, score in reader:
                 if col not in cols:
                     cols.append(col)
-                rows.setdefault(rid, {})[col] = float(score)
+                cells = rows.setdefault(rid, {})
+                if col in cells:
+                    raise SamplingError(f"{path}: duplicate cell ({rid}, {col})")
+                cells[col] = float(score)
         row_ids = list(rows)
         values = np.full((len(row_ids), len(cols)), np.nan)
         for i, rid in enumerate(row_ids):
@@ -113,15 +131,6 @@ def rng_stream(master_seed: int, *key) -> np.random.Generator:
     """
     digest = hashlib.sha256(repr((master_seed,) + key).encode("utf-8")).digest()
     return np.random.default_rng(int.from_bytes(digest[:16], "big"))
-
-
-def _encode(tokens: Sequence[str]) -> np.ndarray:
-    """Map tokens to small ints; index values only depend on the pattern."""
-    mapping: dict = {}
-    out = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        out[i] = mapping.setdefault(tok, len(mapping))
-    return out
 
 
 def _score(sample, spec, rng=None) -> float:
@@ -156,6 +165,41 @@ def parallel_sampling(text, truncate_to: int, divisors, spec: IndexSpec,
     return scores
 
 
+def _kahan_mean(values: list) -> float:
+    total = 0.0
+    comp = 0.0
+    for value in values:
+        y = value - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total / len(values)
+
+
+def _sample_mean(arr: np.ndarray, draw, iterations: int, spec: IndexSpec,
+                 rng) -> float:
+    """Mean score of ``arr[positions]`` over every row that ``draw(b)``
+    returns for b iterations, drawn block by block.  The indices that draw
+    from the stream while scoring get one iteration per draw, so their
+    draws stay interleaved with their scoring as in one draw per sample."""
+    stochastic = spec.kind in STOCHASTIC_KINDS
+    step = 1 if stochastic else _BLOCK
+    scores = []
+    for start in range(0, iterations, step):
+        samples = arr[draw(min(step, iterations - start))]
+        if stochastic:
+            scores.extend(_score(sample, spec, rng=rng) for sample in samples)
+        else:
+            scores.extend(evaluate_rows(samples, spec))
+    return _kahan_mean(scores)
+
+
+def _random_positions(rng, truncate_to: int, m: int, b: int, ordered: bool):
+    """The first m positions of b fresh permutations, one row each."""
+    positions = rng.permuted(np.tile(np.arange(truncate_to), (b, 1)), axis=1)[:, :m]
+    return np.sort(positions, axis=1) if ordered else positions
+
+
 def _random_family_row(
     text, truncate_to, lengths, iterations, spec, master_seed, ordered: bool
 ):
@@ -178,18 +222,8 @@ def _random_family_row(
             continue
         # one stream per (text, length), shared by random and ordered random
         rng = rng_stream(master_seed, text_id, "random", m)
-        total = 0.0
-        comp = 0.0
-        for _ in range(iterations):
-            idx = rng.permutation(truncate_to)[:m]
-            if ordered:
-                idx = np.sort(idx)
-            value = _score(arr[idx], spec, rng=rng)
-            y = value - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        out.append(total / iterations)
+        draw = partial(_random_positions, rng, truncate_to, m, ordered=ordered)
+        out.append(_sample_mean(arr, draw, iterations, spec, rng))
     return out
 
 
@@ -207,14 +241,13 @@ def ordered_random_sampling(text, truncate_to, lengths, iterations, master_seed,
     )
 
 
-def _alternating_samples(arr: np.ndarray, k: int, rng) -> list:
-    """Split into k-token snippets, permute within each, deal out k samples."""
-    n_snippets = len(arr) // k
-    grid = arr[: n_snippets * k].reshape(n_snippets, k)
-    perm = rng.permuted(np.tile(np.arange(k), (n_snippets, 1)), axis=1)
-    rows = np.arange(n_snippets)[:, None]
-    shuffled = grid[rows, perm]
-    return [shuffled[:, j] for j in range(k)]
+def _alternating_positions(rng, k: int, n_snippets: int, b: int):
+    """The positions of the k samples of each of b iterations, iteration by
+    iteration: the k-token snippets are permuted within, and sample j takes
+    the j-th token of every permuted snippet."""
+    perm = rng.permuted(np.tile(np.arange(k), (b * n_snippets, 1)), axis=1)
+    positions = perm.reshape(b, n_snippets, k) + np.arange(n_snippets)[:, None] * k
+    return positions.transpose(0, 2, 1).reshape(b * k, n_snippets)
 
 
 def alternating_sampling(text, truncate_to, k_values, iterations, master_seed, spec):
@@ -245,18 +278,9 @@ def alternating_sampling(text, truncate_to, k_values, iterations, master_seed, s
             rng = rng_stream(master_seed, text_id, "alternating", k, "full")
             out.append(_score(arr, spec, rng=rng))
             continue
-        used = arr[: sample_len * k]
         rng = rng_stream(master_seed, text_id, "alternating", k)
-        total = 0.0
-        comp = 0.0
-        for _ in range(iterations):
-            for sample in _alternating_samples(used, k, rng):
-                value = _score(sample, spec, rng=rng)
-                y = value - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-        out.append(total / (iterations * k))
+        draw = partial(_alternating_positions, rng, k, sample_len)
+        out.append(_sample_mean(arr, draw, iterations, spec, rng))
     return out
 
 

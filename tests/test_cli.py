@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from lexdiv.cli import DEFAULT_SEED, main
+from lexdiv.indices import IndexKind, IndexSpec, evaluate
+from lexdiv.sampling import rng_stream
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
 
@@ -72,6 +74,24 @@ def test_index_stochastic_uses_default_seed(corpus_dir, tmp_path):
         assert main(["index", "--corpus", str(corpus_dir), "--index",
                      "mttrss", "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_index_stochastic_stream_per_text(tmp_path, capsys):
+    """Texts with identical tokens still get their own (seed, text) streams."""
+    d = tmp_path / "twins"
+    d.mkdir()
+    toks = "a b c a b d a e b c".split()
+    for name in ("one", "two"):
+        (d / f"{name}.txt").write_text(" ".join(toks))
+    rc = main(["index", "--corpus", str(d), "--index", "mttrss", "--n", "4",
+               "--s", "3", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    spec = IndexSpec(IndexKind.MTTRSS, n=4, s=3)
+    for row in payload:
+        rng = rng_stream(DEFAULT_SEED, row["text_id"], "index", spec.label())
+        assert row["score"] == evaluate(toks, spec, rng=rng)[0]
+    assert payload[0]["score"] != payload[1]["score"]
 
 
 def test_seed_env_override(corpus_dir, tmp_path, monkeypatch):
@@ -237,10 +257,11 @@ def test_weights_subcommand(capsys):
 def test_config_file_provides_defaults(corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# defaults\ncorpus = {corpus_dir}\nindex = ttr\n")
-    rc = main(["--config", str(cfg), "index", "--format", "json"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload) == 6
+    for flag in (["--config", str(cfg)], [f"--config={cfg}"]):
+        rc = main(flag + ["index", "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload) == 6
 
 
 def test_config_file_flag_wins(corpus_dir, tmp_path, capsys):

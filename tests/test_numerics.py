@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -86,6 +86,7 @@ def test_reg_inc_beta_domain():
 
 @given(st.floats(-30.0, 30.0), st.floats(1.0, 500.0))
 @settings(max_examples=300)
+@example(t=1.4e-7, df=256.0)
 def test_t_tail_matches_scipy(t, df):
     assert t_sf_two_sided(t, df) == pytest.approx(
         float(2.0 * stats.t.sf(abs(t), df)), rel=1e-7, abs=1e-9
@@ -94,6 +95,7 @@ def test_t_tail_matches_scipy(t, df):
 
 @given(st.floats(0.0, 100.0), st.floats(1.0, 200.0), st.floats(1.0, 200.0))
 @settings(max_examples=300)
+@example(f=1e-12, df1=1.0, df2=5.0)
 def test_f_tail_matches_scipy(f, df1, df2):
     assert f_sf(f, df1, df2) == pytest.approx(
         float(stats.f.sf(f, df1, df2)), abs=1e-10

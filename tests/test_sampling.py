@@ -3,10 +3,12 @@ ordered-random, alternating partitions, and convergence to closed forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lexdiv.sampling as sampling_mod
 from lexdiv.corpus import Corpus, Text
-from lexdiv.indices import IndexKind, IndexSpec, hdd
+from lexdiv.indices import IndexKind, IndexSpec, _encode, evaluate, hdd
 from lexdiv.sampling import (
     MTLD_FACTOR_SWEEP,
     SamplingConfig,
@@ -27,15 +29,22 @@ MATTR_SPEC = IndexSpec(kind=IndexKind.MATTR, n=25)
 
 
 def capture_samples(monkeypatch):
-    """Record every token sample handed to the scorer."""
+    """Record every token sample handed to a scorer: one at a time through
+    `_score`, or as the rows of a block through `evaluate_rows`."""
     seen = []
     original = sampling_mod._score
+    original_rows = sampling_mod.evaluate_rows
 
     def spy(sample, spec, rng=None):
         seen.append(np.asarray(sample).copy())
         return original(sample, spec, rng=rng)
 
+    def spy_rows(samples, spec):
+        seen.extend(np.array(sample) for sample in samples)
+        return original_rows(samples, spec)
+
     monkeypatch.setattr(sampling_mod, "_score", spy)
+    monkeypatch.setattr(sampling_mod, "evaluate_rows", spy_rows)
     return seen
 
 
@@ -49,6 +58,32 @@ def test_rng_stream_deterministic_and_keyed():
     assert not np.array_equal(a, c)
     d = rng_stream(2, "t", "random", 50).random(4)
     assert not np.array_equal(a, d)
+
+
+def test_block_draw_is_the_sequential_stream():
+    """The batched draw relies on numpy filling the rows of one `permuted`
+    call with the draws of successive `permutation` calls (and, for
+    alternating, of successive `permuted` calls of fewer rows), leaving the
+    generator in the same state.  A numpy release that changes this changes
+    every sampled score, so it must fail here."""
+    for size, blocks in ((300, (40,)), (300, (1024, 1024, 952)), (7, (1, 2, 3))):
+        seq, blk = np.random.default_rng(5), np.random.default_rng(5)
+        want = [seq.permutation(size)[:size - 1] for _ in range(sum(blocks))]
+        got = [sampling_mod._random_positions(blk, size, size - 1, b, ordered=False)
+               for b in blocks]
+        assert np.array_equal(np.concatenate(got), want)
+        assert blk.bit_generator.state == seq.bit_generator.state
+
+    k, n_snippets, blocks = 3, 100, (5, 2)
+    seq, blk = np.random.default_rng(7), np.random.default_rng(7)
+    want = []
+    for _ in range(sum(blocks)):
+        perm = seq.permuted(np.tile(np.arange(k), (n_snippets, 1)), axis=1)
+        positions = perm + np.arange(n_snippets)[:, None] * k
+        want += [positions[:, j] for j in range(k)]
+    got = [sampling_mod._alternating_positions(blk, k, n_snippets, b) for b in blocks]
+    assert np.array_equal(np.concatenate(got), want)
+    assert blk.bit_generator.state == seq.bit_generator.state
 
 
 # ----------------------------------------------------------------- parallel
@@ -234,6 +269,95 @@ def test_config_validation():
         SamplingConfig(method="random", truncate_to=100, iterations=0)
 
 
+ALL_KIND_SPECS = (
+    IndexSpec(IndexKind.TTR),
+    IndexSpec(IndexKind.GUIRAUD_R),
+    IndexSpec(IndexKind.HERDAN_C),
+    IndexSpec(IndexKind.MAAS_A),
+    IndexSpec(IndexKind.MAAS_A, maas_variant="base10_a_squared"),
+    IndexSpec(IndexKind.HDD, n=3),
+    IndexSpec(IndexKind.MATTR, n=3),
+    IndexSpec(IndexKind.MSTTR, n=3),
+    IndexSpec(IndexKind.MTLD),
+    IndexSpec(IndexKind.MTTRRS, n=3, s=2),
+    IndexSpec(IndexKind.MTTRSS, n=3, s=2),
+)
+
+
+def reference_row(text, config, spec):
+    """The engine before batching: one draw per sample (per iteration for
+    alternating), each sample scored by `evaluate` before the next draw,
+    and a Kahan sum in sample order."""
+    arr = _encode(text.tokens[:config.truncate_to])
+    out = []
+    for c in config.conditions:
+        if config.method == "alternating":
+            full = c == 1
+            rng = rng_stream(config.master_seed, text.id, "alternating", c,
+                             *(("full",) if full else ()))
+        else:
+            full = c == config.truncate_to
+            rng = rng_stream(config.master_seed, text.id, "random", c,
+                             *(("full",) if full else ()))
+        if full:
+            out.append(evaluate(arr, spec, rng=rng)[0])
+            continue
+        total = comp = 0.0
+        count = 0
+        for _ in range(config.iterations):
+            if config.method == "alternating":
+                n_snippets = config.truncate_to // c
+                grid = arr[: n_snippets * c].reshape(n_snippets, c)
+                perm = rng.permuted(np.tile(np.arange(c), (n_snippets, 1)), axis=1)
+                shuffled = grid[np.arange(n_snippets)[:, None], perm]
+                samples = [shuffled[:, j] for j in range(c)]
+            else:
+                idx = rng.permutation(config.truncate_to)[:c]
+                if config.method == "ordered_random":
+                    idx = np.sort(idx)
+                samples = [arr[idx]]
+            for sample in samples:
+                y = evaluate(sample, spec, rng=rng)[0] - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+                count += 1
+        out.append(total / count)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_run_method_matches_per_sample_loop(data):
+    """Every index under every sampling method scores bit for bit as the
+    per-sample loop, with blocks small enough that cells span several."""
+    size = data.draw(st.integers(6, 30), label="truncate_to")
+    token = st.sampled_from("abcdefg")
+    corpus = Corpus(texts=tuple(
+        Text(id=f"t{i}", tokens=tuple(data.draw(
+            st.lists(token, min_size=size, max_size=size + 5))))
+        for i in range(2)))
+    method = data.draw(st.sampled_from(["random", "ordered_random",
+                                        "alternating"]))
+    if method == "alternating":
+        condition = st.integers(1, size // 3)
+    else:
+        condition = st.integers(3, size)
+    config = SamplingConfig(
+        method=method,
+        truncate_to=size,
+        conditions=tuple(data.draw(st.lists(condition, min_size=2, max_size=3))),
+        iterations=data.draw(st.integers(1, 7)),
+        master_seed=data.draw(st.integers(0, 2**32)),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling_mod, "_BLOCK", 3)
+        for spec in ALL_KIND_SPECS:
+            got = run_method(corpus, config, spec).values
+            want = np.array([reference_row(text, config, spec) for text in corpus])
+            assert got.tobytes() == want.tobytes(), spec
+
+
 # -------------------------------------------------------------- ScoreMatrix
 
 def test_score_matrix_csv_round_trip(tmp_path, small_corpus):
@@ -260,6 +384,13 @@ def test_from_long_csv_rejects_missing_cells(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("text_id,condition,score\na,1,0.5\na,2,0.6\nb,1,0.4\n")
     with pytest.raises(SamplingError, match="missing cell"):
+        ScoreMatrix.from_long_csv(p)
+
+
+def test_from_long_csv_rejects_duplicate_cells(tmp_path):
+    p = tmp_path / "dup.csv"
+    p.write_text("text_id,condition,score\nt1,a,1.0\nt1,a,9.0\n")
+    with pytest.raises(SamplingError, match="duplicate cell"):
         ScoreMatrix.from_long_csv(p)
 
 
