@@ -20,7 +20,15 @@ from typing import Optional
 
 from . import __version__
 from .corpus import CorpusError, attach_scores, load_corpus
-from .indices import IndexKind, IndexSpec, evaluate, token_weights
+from .indices import (
+    INDEXES,
+    MAAS_VARIANTS,
+    IndexError_,
+    IndexKind,
+    IndexSpec,
+    evaluate,
+    token_weights,
+)
 from .numerics import NumericsError
 from .profiles import (
     ProfilesError,
@@ -31,6 +39,7 @@ from .profiles import (
     subset_rows,
 )
 from .sampling import (
+    METHODS,
     SamplingConfig,
     SamplingError,
     ScoreMatrix,
@@ -87,6 +96,14 @@ def _atomic_write(path, write_fn):
         raise
 
 
+def _write_or_print(path, text: str, end: str = "\n"):
+    """Write text atomically to path, or print it when there is no path."""
+    if path:
+        _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+    else:
+        print(text, end=end)
+
+
 def _write_sidecar(out_path, config: RunConfig, extra=None):
     meta = {"tool": "lexdiv", "version": __version__, "config": asdict(config)}
     if extra:
@@ -117,16 +134,20 @@ def _load_corpus(args):
     return corpus
 
 
-def _spec_from(args) -> IndexSpec:
+def _index_kind(name: str) -> IndexKind:
+    """The --index type; an unknown name is a run-time error."""
     try:
-        kind = IndexKind(args.index)
+        return IndexKind(name)
     except ValueError:
         raise CliError(
-            f"unknown index {args.index!r}; choose from "
+            f"unknown index {name!r}; choose from "
             f"{', '.join(k.value for k in IndexKind)}"
         ) from None
+
+
+def _spec_from(args) -> IndexSpec:
     spec = IndexSpec(
-        kind=kind,
+        kind=args.index,
         n=args.n,
         s=args.s,
         factor=args.factor,
@@ -146,6 +167,8 @@ def _parse_conditions(raw, cast=int):
         if len(parts) != 3:
             raise CliError(f"range must be start:stop:step, got {raw!r}")
         start, stop, step = (cast(p) for p in parts)
+        if step <= 0:
+            raise CliError(f"range step must be > 0, got {raw!r}")
         out = []
         value = start
         while value <= stop + 1e-9:
@@ -171,11 +194,7 @@ def cmd_index(args):
         })
 
     if args.format == "json":
-        payload = json.dumps(rows, indent=2)
-        if args.out:
-            _atomic_write(args.out, lambda tmp: Path(tmp).write_text(payload))
-        else:
-            print(payload)
+        _write_or_print(args.out, json.dumps(rows, indent=2))
         return 0
 
     buf = io.StringIO()
@@ -186,20 +205,12 @@ def cmd_index(args):
     for row in rows:
         row = dict(row, score=repr(row["score"]))
         writer.writerow(row)
-    if args.out:
-        _atomic_write(args.out, lambda tmp: Path(tmp).write_text(buf.getvalue()))
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write_or_print(args.out, buf.getvalue(), end="")
     return 0
 
 
-_METHOD_ALIASES = {
-    "parallel": "parallel",
-    "random": "random",
-    "ordered": "ordered_random",
-    "ordered_random": "ordered_random",
-    "alternating": "alternating",
-}
+_METHOD_ALIASES = {**{method: method for method in METHODS},
+                   "ordered": "ordered_random"}
 
 
 def cmd_evaluate_length(args):
@@ -209,16 +220,11 @@ def cmd_evaluate_length(args):
     method = _METHOD_ALIASES.get(args.method)
     if method is None:
         raise CliError(f"unknown method {args.method!r}")
-    if method in ("parallel", "alternating"):
-        conditions = tuple(_parse_conditions(args.conditions) or (1, 2, 3, 4))
-    else:
-        default = [args.truncate, args.truncate // 2, args.truncate // 3,
-                   args.truncate // 4]
-        conditions = tuple(_parse_conditions(args.conditions) or default)
+    conditions = _parse_conditions(args.conditions)
     config = SamplingConfig(
         method=method,
         truncate_to=args.truncate,
-        conditions=conditions,
+        conditions=None if conditions is None else tuple(conditions),
         iterations=args.iters,
         master_seed=seed,
     )
@@ -228,7 +234,8 @@ def cmd_evaluate_length(args):
         corpus_dir=args.corpus, case_policy=args.case,
         min_length=args.min_length, scores_csv=getattr(args, "scores", None),
         index=spec.kind.value, n=spec.n, s=spec.s, factor=spec.factor,
-        method=method, truncate_to=args.truncate, conditions=list(conditions),
+        maas_variant=spec.maas_variant, method=method,
+        truncate_to=args.truncate, conditions=list(config.conditions),
         iterations=args.iters, master_seed=seed, threads=args.threads,
         outputs={"scores": str(args.out)},
     )
@@ -238,15 +245,10 @@ def cmd_evaluate_length(args):
 
 def cmd_evaluate_parameter(args):
     corpus = _load_corpus(args)
-    try:
-        kind = IndexKind(args.index)
-    except ValueError:
-        raise CliError(f"unknown index {args.index!r}") from None
+    kind = args.index
     seed = _resolve_seed(args)
-    cast = float if kind is IndexKind.MTLD else int
-    params = _parse_conditions(args.params, cast=cast)
-    matrix = parameter_sweep(corpus, kind, params, master_seed=seed,
-                             s=args.s or 10)
+    params = _parse_conditions(args.params, cast=INDEXES[kind].sweep_type)
+    matrix = parameter_sweep(corpus, kind, params, master_seed=seed, s=args.s)
     run_config = RunConfig(
         subcommand="evaluate-parameter",
         corpus_dir=args.corpus, case_policy=args.case,
@@ -275,14 +277,8 @@ def _emit_experiment(matrix: ScoreMatrix, args, run_config: RunConfig,
                           lambda tmp: Path(tmp).write_text(payload))
             written.append(Path(args.icc_out))
         if getattr(args, "profiles_out", None):
-            selection = select_profiles(matrix, count=args.select)
-            sub = subset_rows(matrix, selection)
-            if icc_mode == "consistency":
-                sub = center_columns(sub)
-            _atomic_write(
-                args.profiles_out,
-                lambda tmp: emit_plot_data(sub, tmp, format="csv"),
-            )
+            _write_profiles(matrix, args.profiles_out, args.select,
+                            center=icc_mode == "consistency")
             written.append(Path(args.profiles_out))
     except BaseException:
         for path in written:
@@ -328,22 +324,22 @@ def cmd_stats(args):
         result["col_large_candidate"] = matrix.col_labels[ja]
         result["col_small_candidate"] = matrix.col_labels[jb]
 
-    payload = json.dumps(result, indent=2)
-    if args.out:
-        _atomic_write(args.out, lambda tmp: Path(tmp).write_text(payload))
-    else:
-        print(payload)
+    _write_or_print(args.out, json.dumps(result, indent=2))
     return 0
+
+
+def _write_profiles(matrix: ScoreMatrix, path, count: int, center: bool,
+                    fmt: str = "csv"):
+    """Plot data of the ``count`` most extreme texts' profiles."""
+    sub = subset_rows(matrix, select_profiles(matrix, count=count))
+    if center:
+        sub = center_columns(sub)
+    _atomic_write(path, lambda tmp: emit_plot_data(sub, tmp, format=fmt))
 
 
 def cmd_profiles(args):
     matrix = ScoreMatrix.from_long_csv(args.source)
-    selection = select_profiles(matrix, count=args.select)
-    sub = subset_rows(matrix, selection)
-    if args.center:
-        sub = center_columns(sub)
-    _atomic_write(args.out, lambda tmp: emit_plot_data(sub, tmp,
-                                                       format=args.format))
+    _write_profiles(matrix, args.out, args.select, args.center, args.format)
     return 0
 
 
@@ -359,11 +355,7 @@ def cmd_hdd_curve(args):
 
 
 def cmd_weights(args):
-    try:
-        kind = IndexKind(args.index)
-    except ValueError:
-        raise CliError(f"unknown index {args.index!r}") from None
-    weights = token_weights(kind, args.N, args.n)
+    weights = token_weights(args.index, args.N, args.n)
     print(",".join(format(w, "g") for w in weights))
     return 0
 
@@ -375,15 +367,18 @@ def _add_corpus_args(p):
     p.add_argument("--scores", help="CSV of text quality scores (id,score)")
 
 
+def _add_index_arg(p):
+    p.add_argument("--index", required=True, type=_index_kind,
+                   choices=[kind.value for kind in IndexKind])
+
+
 def _add_spec_args(p):
-    p.add_argument("--index", required=True,
-                   help="ttr|guiraud|herdan|maas|mttrrs|hdd|mattr|msttr|mttrss|mtld")
+    _add_index_arg(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--factor", type=float, default=None)
     p.add_argument("--maas-variant", dest="maas_variant",
-                   choices=["natural_log_a", "base10_a_squared"],
-                   default="natural_log_a")
+                   choices=MAAS_VARIANTS, default=MAAS_VARIANTS[0])
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (default {DEFAULT_SEED}, or LEXDIV_SEED)")
 
@@ -424,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate-parameter", help="parameter sweep")
     _add_corpus_args(p)
-    p.add_argument("--index", required=True)
+    _add_index_arg(p)
     p.add_argument("--params", help="e.g. 24:240:24 or 0.66,0.67,...")
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -464,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hdd_curve)
 
     p = sub.add_parser("weights", help="per-position token weights")
-    p.add_argument("--index", required=True)
+    _add_index_arg(p)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(fn=cmd_weights)
@@ -493,15 +488,22 @@ def _apply_config_file(parser, argv):
         key, value = line.split("=", 1)
         defaults[key.strip().replace("-", "_")] = value.strip()
     parser.set_defaults(**defaults)
-    # subparser defaults shadow the parent's, so push them down too
+    # subparser defaults shadow the parent's, so push them down too, each
+    # through its flag's own conversion; a config value satisfies
+    # "required" for that flag
     for action in parser._subparsers._group_actions:
         for sub in action.choices.values():
-            known = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-            # a config value satisfies "required" for that flag
             for a in sub._actions:
-                if a.dest in defaults:
-                    a.required = False
+                if a.dest not in defaults:
+                    continue
+                value = defaults[a.dest]
+                if a.type is not None:
+                    try:
+                        value = a.type(value)
+                    except (CliError, ValueError) as e:
+                        parser.error(f"{path}: {a.dest}: {e}")
+                a.default = value
+                a.required = False
     return argv[:i] + argv[i + 2:]
 
 
@@ -509,11 +511,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     argv = _apply_config_file(parser, argv)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
-    except (CliError, CorpusError, SamplingError, StatsError, NumericsError,
-            ProfilesError, FileNotFoundError) as e:
+    except (CliError, CorpusError, IndexError_, SamplingError, StatsError,
+            NumericsError, ProfilesError, FileNotFoundError) as e:
         print(f"lexdiv: error: {e}", file=sys.stderr)
         return 1
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -38,29 +38,7 @@ class IndexKind(str, enum.Enum):
     MTLD = "mtld"
 
 
-# Indices invariant under any permutation of the tokens.
-GLOBAL_KINDS = frozenset(
-    {IndexKind.TTR, IndexKind.GUIRAUD_R, IndexKind.HERDAN_C, IndexKind.MAAS_A,
-     IndexKind.HDD}
-)
-
-# Indices that draw from a random stream while scoring.
-STOCHASTIC_KINDS = frozenset({IndexKind.MTTRRS, IndexKind.MTTRSS})
-
-# Indices whose parameter n bounds the usable text length.
-LENGTH_BOUND_KINDS = frozenset(
-    {IndexKind.HDD, IndexKind.MATTR, IndexKind.MSTTR, IndexKind.MTTRSS}
-)
-
 MAAS_VARIANTS = ("natural_log_a", "base10_a_squared")
-
-_DEFAULT_N = {
-    IndexKind.HDD: 42,
-    IndexKind.MATTR: 50,
-    IndexKind.MSTTR: 50,
-    IndexKind.MTTRRS: 50,
-    IndexKind.MTTRSS: 50,
-}
 
 
 @dataclass(frozen=True)
@@ -76,14 +54,9 @@ class IndexSpec:
     seed: Optional[int] = None
 
     def with_defaults(self) -> "IndexSpec":
-        spec = self
-        if spec.kind in _DEFAULT_N and spec.n is None:
-            spec = replace(spec, n=_DEFAULT_N[spec.kind])
-        if spec.kind in (IndexKind.MTTRRS, IndexKind.MTTRSS) and spec.s is None:
-            spec = replace(spec, s=10)
-        if spec.kind is IndexKind.MTLD and spec.factor is None:
-            spec = replace(spec, factor=0.72)
-        return spec
+        missing = {name: value for name, value in INDEXES[self.kind].defaults.items()
+                   if getattr(self, name) is None}
+        return replace(self, **missing) if missing else self
 
     def validate(self):
         if self.n is not None and self.n < 1:
@@ -96,14 +69,13 @@ class IndexSpec:
             raise IndexError_(f"unknown maas variant {self.maas_variant!r}")
 
     def label(self) -> str:
-        kind = self.kind.value
-        if self.kind is IndexKind.MTLD:
-            return f"{kind}[factor={self.factor}]"
-        if self.kind in (IndexKind.MTTRRS, IndexKind.MTTRSS):
-            return f"{kind}[n={self.n},s={self.s}]"
-        if self.kind in _DEFAULT_N:
-            return f"{kind}[n={self.n}]"
-        return kind
+        spec = self.with_defaults()
+        # the default Maas variant goes unnamed, so default labels stay short
+        variant = ("" if spec.maas_variant == MAAS_VARIANTS[0]
+                   else f"[{spec.maas_variant}]")
+        return INDEXES[spec.kind].label.format(
+            kind=spec.kind.value, n=spec.n, s=spec.s, factor=spec.factor,
+            variant=variant)
 
 
 @dataclass(frozen=True)
@@ -374,76 +346,21 @@ def mtld_detailed(text, factor: float = 0.72, min_segment: int = 1):
     return (scores[0] + scores[1]) / 2.0, flags
 
 
-def token_weights(kind: IndexKind, n_tokens: int, n: Optional[int] = None):
-    """Per-position weight of each token in an index score.
-
-    MATTR weights are window-membership counts; MTTRSS weights are segment
-    selection probabilities; MSTTR is a 0/1 mask for the complete segments;
-    TTR is uniform.
-    """
-    kind = IndexKind(kind)
-    big_n = n_tokens
-    if kind is IndexKind.TTR:
-        return [1.0 / big_n] * big_n
-    if n is None:
-        raise IndexError_(f"{kind.value} weights need a segment length n")
-    if n > big_n:
-        raise IndexError_(f"n exceeds text length ({n} > {big_n})")
-    if kind is IndexKind.MATTR:
-        return [
-            float(min(i, n, big_n - i + 1, big_n - n + 1))
-            for i in range(1, big_n + 1)
-        ]
-    if kind is IndexKind.MTTRSS:
-        denom = big_n - n + 1
-        return [
-            min(i, n, big_n - n + 1, big_n - i + 1) / denom
-            for i in range(1, big_n + 1)
-        ]
-    if kind is IndexKind.MSTTR:
-        cutoff = (big_n // n) * n
-        return [1.0 if i <= cutoff else 0.0 for i in range(1, big_n + 1)]
-    raise IndexError_(f"no weight definition for {kind.value}")
-
-
-def evaluate(text, spec: IndexSpec, rng=None):
-    """Score a text under a spec.  Returns ``(score, flags)``.
-
-    ``rng`` overrides ``spec.seed`` for the stochastic indices, which lets
-    a sampling harness hand each evaluation its own derived stream.
-    """
-    spec = spec.with_defaults()
-    spec.validate()
-    kind = spec.kind
-    if kind is IndexKind.TTR:
-        return ttr(text), ()
-    if kind is IndexKind.GUIRAUD_R:
-        return guiraud_r(text), ()
-    if kind is IndexKind.HERDAN_C:
-        return herdan_c(text), ()
-    if kind is IndexKind.MAAS_A:
-        return maas_a(text, spec.maas_variant), ()
-    if kind is IndexKind.HDD:
-        return hdd(text, spec.n), ()
-    if kind is IndexKind.MATTR:
-        return mattr(text, spec.n), ()
-    if kind is IndexKind.MSTTR:
-        return msttr(text, spec.n), ()
-    if kind is IndexKind.MTLD:
-        return mtld_detailed(text, spec.factor)
-    if kind is IndexKind.MTTRRS:
-        return mttrrs(text, spec.n, spec.s, rng if rng is not None else spec.seed), ()
-    if kind is IndexKind.MTTRSS:
-        return mttrss(text, spec.n, spec.s, rng if rng is not None else spec.seed), ()
-    raise IndexError_(f"unknown index kind {kind!r}")
-
-
 def _count_matrix(codes: np.ndarray) -> np.ndarray:
     """counts[b, c]: occurrences of code c in row b."""
     rows, width = codes.shape[0], int(codes.max(initial=-1)) + 1
     offsets = np.arange(rows)[:, None] * width
     return np.bincount((codes + offsets).ravel(),
                        minlength=rows * width).reshape(rows, width)
+
+
+def _type_count_rows(formula, codes: np.ndarray) -> list:
+    """Score each row by its type count through the scalar formula, which
+    runs once per distinct count."""
+    n_types = np.count_nonzero(_count_matrix(codes), axis=1)
+    values, row_value = np.unique(n_types, return_inverse=True)
+    scores = np.array([formula(int(v), codes.shape[1]) for v in values])
+    return scores[row_value].tolist()
 
 
 def _hdd_rows(codes: np.ndarray, n: int) -> list:
@@ -459,6 +376,124 @@ def _hdd_rows(codes: np.ndarray, n: int) -> list:
     return [math.fsum(row) / n for row in terms.tolist()]
 
 
+@dataclass(frozen=True)
+class IndexDef:
+    """Everything the package knows about one index kind.
+
+    ``score(text, spec, rng)`` gives ``(score, flags)`` for a resolved spec;
+    ``rows(codes, spec)`` scores each row of a code matrix bit for bit as
+    ``score`` would, and is None for the indices that draw from a stream
+    while scoring.  ``label`` is formatted with the spec's kind, n, s,
+    factor and variant (the non-default Maas variant); ``min_tokens`` is a
+    count or "n"; ``weights(n_tokens, n)`` gives per-position weights.
+    """
+
+    score: Callable
+    rows: Optional[Callable]
+    label: str = "{kind}"
+    min_tokens: Union[int, str] = 1
+    order_free: bool = False
+    defaults: dict = field(default_factory=dict)
+    sweep: Optional[str] = None
+    sweep_values: tuple = ()
+    weights: Optional[Callable] = None
+
+    @property
+    def sweep_type(self) -> type:
+        return float if self.sweep == "factor" else int
+
+
+MTLD_FACTOR_SWEEP = tuple(round(0.66 + 0.01 * i, 2) for i in range(10))
+
+INDEXES = {
+    IndexKind.TTR: IndexDef(
+        score=lambda text, spec, rng: (ttr(text), ()),
+        rows=lambda codes, spec: _type_count_rows(_ttr, codes),
+        order_free=True, weights=lambda big_n, n: [1.0 / big_n] * big_n),
+    IndexKind.GUIRAUD_R: IndexDef(
+        score=lambda text, spec, rng: (guiraud_r(text), ()),
+        rows=lambda codes, spec: _type_count_rows(_guiraud_r, codes),
+        order_free=True),
+    IndexKind.HERDAN_C: IndexDef(
+        score=lambda text, spec, rng: (herdan_c(text), ()),
+        rows=lambda codes, spec: _type_count_rows(_herdan_c, codes),
+        min_tokens=2, order_free=True),
+    IndexKind.MAAS_A: IndexDef(
+        score=lambda text, spec, rng: (maas_a(text, spec.maas_variant), ()),
+        rows=lambda codes, spec: _type_count_rows(
+            partial(_maas_a, variant=spec.maas_variant), codes),
+        label="{kind}{variant}", min_tokens=2, order_free=True),
+    IndexKind.MTTRRS: IndexDef(
+        score=lambda text, spec, rng: (mttrrs(text, spec.n, spec.s, rng), ()),
+        rows=None,
+        label="{kind}[n={n},s={s}]", defaults={"n": 50, "s": 10}, sweep="n"),
+    IndexKind.HDD: IndexDef(
+        score=lambda text, spec, rng: (hdd(text, spec.n), ()),
+        rows=lambda codes, spec: _hdd_rows(codes, spec.n),
+        label="{kind}[n={n}]", min_tokens="n", order_free=True,
+        defaults={"n": 42}, sweep="n"),
+    IndexKind.MATTR: IndexDef(
+        score=lambda text, spec, rng: (mattr(text, spec.n), ()),
+        rows=lambda codes, spec: _mattr_rows(codes, spec.n).tolist(),
+        label="{kind}[n={n}]", min_tokens="n", defaults={"n": 50}, sweep="n",
+        weights=lambda big_n, n: [float(min(i, n, big_n - i + 1, big_n - n + 1))
+                                  for i in range(1, big_n + 1)]),
+    IndexKind.MSTTR: IndexDef(
+        score=lambda text, spec, rng: (msttr(text, spec.n), ()),
+        rows=lambda codes, spec: _msttr_rows(codes, spec.n).tolist(),
+        label="{kind}[n={n}]", min_tokens="n", defaults={"n": 50}, sweep="n",
+        weights=lambda big_n, n: [1.0 if i <= big_n // n * n else 0.0
+                                  for i in range(1, big_n + 1)]),
+    IndexKind.MTTRSS: IndexDef(
+        score=lambda text, spec, rng: (mttrss(text, spec.n, spec.s, rng), ()),
+        rows=None,
+        label="{kind}[n={n},s={s}]", min_tokens="n",
+        defaults={"n": 50, "s": 10}, sweep="n",
+        weights=lambda big_n, n: [min(i, n, big_n - n + 1, big_n - i + 1)
+                                  / (big_n - n + 1) for i in range(1, big_n + 1)]),
+    IndexKind.MTLD: IndexDef(
+        score=lambda text, spec, rng: mtld_detailed(text, spec.factor),
+        rows=lambda codes, spec: [mtld_detailed(row, spec.factor)[0]
+                                  for row in codes.tolist()],
+        label="{kind}[factor={factor}]", defaults={"factor": 0.72},
+        sweep="factor", sweep_values=MTLD_FACTOR_SWEEP),
+}
+
+# Indices invariant under any permutation of the tokens.
+GLOBAL_KINDS = frozenset(kind for kind, index in INDEXES.items()
+                         if index.order_free)
+
+
+def token_weights(kind: IndexKind, n_tokens: int, n: Optional[int] = None):
+    """Per-position weight of each token in an index score.
+
+    MATTR weights are window-membership counts; MTTRSS weights are segment
+    selection probabilities; MSTTR is a 0/1 mask for the complete segments;
+    TTR is uniform.
+    """
+    kind = IndexKind(kind)
+    index = INDEXES[kind]
+    if index.weights is None:
+        raise IndexError_(f"no weight definition for {kind.value}")
+    if index.min_tokens == "n":
+        if n is None:
+            raise IndexError_(f"{kind.value} weights need a segment length n")
+        if n > n_tokens:
+            raise IndexError_(f"n exceeds text length ({n} > {n_tokens})")
+    return index.weights(n_tokens, n)
+
+
+def evaluate(text, spec: IndexSpec, rng=None):
+    """Score a text under a spec.  Returns ``(score, flags)``.
+
+    ``rng`` overrides ``spec.seed`` for the stochastic indices, which lets
+    a sampling harness hand each evaluation its own derived stream.
+    """
+    spec = spec.with_defaults()
+    spec.validate()
+    return INDEXES[spec.kind].score(text, spec, spec.seed if rng is None else rng)
+
+
 def evaluate_rows(codes: np.ndarray, spec: IndexSpec) -> list:
     """Score every row of a matrix of small non-negative token codes, each
     row one text; equal to ``evaluate`` row by row, bit for bit.
@@ -467,36 +502,15 @@ def evaluate_rows(codes: np.ndarray, spec: IndexSpec) -> list:
     """
     spec = spec.with_defaults()
     spec.validate()
-    kind = spec.kind
-    width = codes.shape[1]
-    type_count_formulas = {
-        IndexKind.TTR: _ttr,
-        IndexKind.GUIRAUD_R: _guiraud_r,
-        IndexKind.HERDAN_C: _herdan_c,
-        IndexKind.MAAS_A: partial(_maas_a, variant=spec.maas_variant),
-    }
-    if kind in type_count_formulas:
-        formula = type_count_formulas[kind]
-        n_types = np.count_nonzero(_count_matrix(codes), axis=1)
-        values, row_value = np.unique(n_types, return_inverse=True)
-        scores = np.array([formula(int(v), width) for v in values])
-        return scores[row_value].tolist()
-    if kind is IndexKind.HDD:
-        return _hdd_rows(codes, spec.n)
-    if kind is IndexKind.MATTR:
-        return _mattr_rows(codes, spec.n).tolist()
-    if kind is IndexKind.MSTTR:
-        return _msttr_rows(codes, spec.n).tolist()
-    if kind is IndexKind.MTLD:
-        return [mtld_detailed(row, spec.factor)[0] for row in codes.tolist()]
-    raise IndexError_(f"{kind.value} draws from a stream; score it with evaluate")
+    rows = INDEXES[spec.kind].rows
+    if rows is None:
+        raise IndexError_(
+            f"{spec.kind.value} draws from a stream; score it with evaluate")
+    return rows(codes, spec)
 
 
 def min_tokens_required(spec: IndexSpec) -> int:
     """Smallest text length the index spec can score."""
     spec = spec.with_defaults()
-    if spec.kind in LENGTH_BOUND_KINDS:
-        return spec.n
-    if spec.kind in (IndexKind.HERDAN_C, IndexKind.MAAS_A):
-        return 2
-    return 1
+    need = INDEXES[spec.kind].min_tokens
+    return spec.n if need == "n" else need

@@ -25,14 +25,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Text, tokens_of
 from .indices import (
-    STOCHASTIC_KINDS,
+    INDEXES,
     IndexKind,
     IndexSpec,
     _encode,
@@ -40,8 +39,6 @@ from .indices import (
     evaluate_rows,
     min_tokens_required,
 )
-
-METHODS = ("parallel", "random", "ordered_random", "alternating")
 
 DEFAULT_ITERATIONS = 10_000
 
@@ -57,13 +54,16 @@ class SamplingError(Exception):
 class SamplingConfig:
     method: str
     truncate_to: int
-    conditions: tuple = (1, 2, 3, 4)  # divisors/k for parallel/alternating, lengths otherwise
+    conditions: Optional[tuple] = None  # None: the method's default_conditions
     iterations: int = DEFAULT_ITERATIONS
     master_seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise SamplingError(f"unknown method {self.method!r}")
+        if self.conditions is None:
+            defaults = METHODS[self.method].default_conditions(self.truncate_to)
+            object.__setattr__(self, "conditions", defaults)
         if self.iterations < 1:
             raise SamplingError("iterations must be >= 1")
         if len(self.conditions) < 2:
@@ -134,35 +134,8 @@ def rng_stream(master_seed: int, *key) -> np.random.Generator:
 
 
 def _score(sample, spec, rng=None) -> float:
-    value, _flags = evaluate(sample, spec, rng=rng)
+    value, _flags = INDEXES[spec.kind].score(sample, spec, rng)
     return value
-
-
-def parallel_sampling(text, truncate_to: int, divisors, spec: IndexSpec,
-                      master_seed: int = 0):
-    """Score the L-token truncation against means over its d-way contiguous
-    splits (segment length floor(L/d), trailing remainder dropped)."""
-    toks = tokens_of(text)
-    if truncate_to > len(toks):
-        raise SamplingError(
-            f"text shorter than truncation length ({len(toks)} < {truncate_to})"
-        )
-    toks = toks[:truncate_to]
-    spec = spec.with_defaults()
-    needed = min_tokens_required(spec)
-    text_id = text.id if isinstance(text, Text) else None
-    scores = []
-    for d in divisors:
-        seg_len = truncate_to // d
-        if seg_len < needed:
-            raise SamplingError(
-                f"condition d={d}: segment length {seg_len} below the "
-                f"{spec.kind.value} minimum of {needed}"
-            )
-        rng = rng_stream(master_seed, text_id, "parallel", d)
-        segs = [toks[i * seg_len:(i + 1) * seg_len] for i in range(d)]
-        scores.append(math.fsum(_score(s, spec, rng=rng) for s in segs) / d)
-    return scores
 
 
 def _kahan_mean(values: list) -> float:
@@ -182,7 +155,7 @@ def _sample_mean(arr: np.ndarray, draw, iterations: int, spec: IndexSpec,
     returns for b iterations, drawn block by block.  The indices that draw
     from the stream while scoring get one iteration per draw, so their
     draws stay interleaved with their scoring as in one draw per sample."""
-    stochastic = spec.kind in STOCHASTIC_KINDS
+    stochastic = INDEXES[spec.kind].rows is None
     step = 1 if stochastic else _BLOCK
     scores = []
     for start in range(0, iterations, step):
@@ -200,47 +173,6 @@ def _random_positions(rng, truncate_to: int, m: int, b: int, ordered: bool):
     return np.sort(positions, axis=1) if ordered else positions
 
 
-def _random_family_row(
-    text, truncate_to, lengths, iterations, spec, master_seed, ordered: bool
-):
-    toks = tokens_of(text)
-    if truncate_to > len(toks):
-        raise SamplingError(
-            f"text shorter than truncation length ({len(toks)} < {truncate_to})"
-        )
-    arr = _encode(toks[:truncate_to])
-    spec = spec.with_defaults()
-    text_id = text.id if isinstance(text, Text) else None
-    out = []
-    for m in lengths:
-        if m > truncate_to:
-            raise SamplingError(f"sample length {m} exceeds truncation {truncate_to}")
-        if m == truncate_to:
-            # full extract: a single deterministic score, no permutation
-            rng = rng_stream(master_seed, text_id, "random", m, "full")
-            out.append(_score(arr, spec, rng=rng))
-            continue
-        # one stream per (text, length), shared by random and ordered random
-        rng = rng_stream(master_seed, text_id, "random", m)
-        draw = partial(_random_positions, rng, truncate_to, m, ordered=ordered)
-        out.append(_sample_mean(arr, draw, iterations, spec, rng))
-    return out
-
-
-def random_sampling(text, truncate_to, lengths, iterations, master_seed, spec):
-    """Mean score of the first m tokens of fresh uniform permutations."""
-    return _random_family_row(
-        text, truncate_to, lengths, iterations, spec, master_seed, ordered=False
-    )
-
-
-def ordered_random_sampling(text, truncate_to, lengths, iterations, master_seed, spec):
-    """Same samples as random_sampling, restored to original text order."""
-    return _random_family_row(
-        text, truncate_to, lengths, iterations, spec, master_seed, ordered=True
-    )
-
-
 def _alternating_positions(rng, k: int, n_snippets: int, b: int):
     """The positions of the k samples of each of b iterations, iteration by
     iteration: the k-token snippets are permuted within, and sample j takes
@@ -250,6 +182,109 @@ def _alternating_positions(rng, k: int, n_snippets: int, b: int):
     return positions.transpose(0, 2, 1).reshape(b * k, n_snippets)
 
 
+def _parallel_cell(arr, d, seg_len, iterations, spec, stream):
+    rng = stream("parallel", d)
+    segs = [arr[i * seg_len:(i + 1) * seg_len] for i in range(d)]
+    return math.fsum(_score(s, spec, rng=rng) for s in segs) / d
+
+
+def _random_cell(arr, m, _m, iterations, spec, stream, ordered: bool):
+    if m == len(arr):
+        # full extract: a single deterministic score, no permutation
+        return _score(arr, spec, rng=stream("random", m, "full"))
+    # one stream per (text, length), shared by random and ordered random
+    rng = stream("random", m)
+    draw = partial(_random_positions, rng, len(arr), m, ordered=ordered)
+    return _sample_mean(arr, draw, iterations, spec, rng)
+
+
+def _alternating_cell(arr, k, sample_len, iterations, spec, stream):
+    if k == 1:
+        return _score(arr, spec, rng=stream("alternating", k, "full"))
+    rng = stream("alternating", k)
+    draw = partial(_alternating_positions, rng, k, sample_len)
+    return _sample_mean(arr, draw, iterations, spec, rng)
+
+
+@dataclass(frozen=True)
+class Method:
+    """One length-reduction method.  ``cell(arr, condition, sample_len,
+    iterations, spec, stream)`` scores one condition on an encoded
+    L-truncation, where ``stream(*key)`` is the text's RNG stream for that
+    key.  A condition d of a ``divides`` method names samples of floor(L/d)
+    tokens; otherwise the condition is the sample length itself."""
+
+    cell: Callable
+    divides: bool
+
+    def sample_length(self, truncate_to: int, condition: int) -> int:
+        return truncate_to // condition if self.divides else condition
+
+    def default_conditions(self, truncate_to: int) -> tuple:
+        """Samples of L, L/2, L/3 and L/4 tokens."""
+        return tuple(d if self.divides else truncate_to // d for d in (1, 2, 3, 4))
+
+
+METHODS = {
+    "parallel": Method(_parallel_cell, divides=True),
+    "random": Method(partial(_random_cell, ordered=False), divides=False),
+    "ordered_random": Method(partial(_random_cell, ordered=True), divides=False),
+    "alternating": Method(_alternating_cell, divides=True),
+}
+
+
+def _row(text, method: str, truncate_to: int, conditions, iterations: int,
+         master_seed: int, spec: IndexSpec) -> list:
+    """One text's score under each condition of a method.  Every condition
+    must be >= 1 and give samples between the index minimum and the
+    truncation in length."""
+    toks = tokens_of(text)
+    if truncate_to > len(toks):
+        raise SamplingError(
+            f"text shorter than truncation length ({len(toks)} < {truncate_to})"
+        )
+    spec = spec.with_defaults()
+    spec.validate()
+    needed = min_tokens_required(spec)
+    arr = _encode(toks[:truncate_to])
+    stream = partial(rng_stream, master_seed,
+                     text.id if isinstance(text, Text) else None)
+    scores = []
+    for c in conditions:
+        if c < 1:
+            raise SamplingError(f"condition {c} must be >= 1")
+        length = METHODS[method].sample_length(truncate_to, c)
+        if length > truncate_to:
+            raise SamplingError(
+                f"sample length {length} exceeds truncation {truncate_to}")
+        if length < needed:
+            raise SamplingError(
+                f"condition {c}: sample length {length} below the "
+                f"{spec.kind.value} minimum of {needed}"
+            )
+        scores.append(METHODS[method].cell(arr, c, length, iterations, spec, stream))
+    return scores
+
+
+def parallel_sampling(text, truncate_to: int, divisors, spec: IndexSpec,
+                      master_seed: int = 0):
+    """Score the L-token truncation against means over its d-way contiguous
+    splits (segment length floor(L/d), trailing remainder dropped)."""
+    return _row(text, "parallel", truncate_to, divisors, 1, master_seed, spec)
+
+
+def random_sampling(text, truncate_to, lengths, iterations, master_seed, spec):
+    """Mean score of the first m tokens of fresh uniform permutations."""
+    return _row(text, "random", truncate_to, lengths, iterations, master_seed,
+                spec)
+
+
+def ordered_random_sampling(text, truncate_to, lengths, iterations, master_seed, spec):
+    """Same samples as random_sampling, restored to original text order."""
+    return _row(text, "ordered_random", truncate_to, lengths, iterations,
+                master_seed, spec)
+
+
 def alternating_sampling(text, truncate_to, k_values, iterations, master_seed, spec):
     """Generalized split-half: distribute one token per k-snippet into k
     order-preserving samples; average over samples and iterations.
@@ -257,63 +292,14 @@ def alternating_sampling(text, truncate_to, k_values, iterations, master_seed, s
     Each condition k uses the first floor(L/k)*k tokens so that all its
     samples have exactly floor(L/k) tokens.
     """
-    toks = tokens_of(text)
-    if truncate_to > len(toks):
-        raise SamplingError(
-            f"text shorter than truncation length ({len(toks)} < {truncate_to})"
-        )
-    arr = _encode(toks[:truncate_to])
-    spec = spec.with_defaults()
-    needed = min_tokens_required(spec)
-    text_id = text.id if isinstance(text, Text) else None
-    out = []
-    for k in k_values:
-        sample_len = truncate_to // k
-        if sample_len < needed:
-            raise SamplingError(
-                f"condition k={k}: sample length {sample_len} below the "
-                f"{spec.kind.value} minimum of {needed}"
-            )
-        if k == 1:
-            rng = rng_stream(master_seed, text_id, "alternating", k, "full")
-            out.append(_score(arr, spec, rng=rng))
-            continue
-        rng = rng_stream(master_seed, text_id, "alternating", k)
-        draw = partial(_alternating_positions, rng, k, sample_len)
-        out.append(_sample_mean(arr, draw, iterations, spec, rng))
-    return out
+    return _row(text, "alternating", truncate_to, k_values, iterations,
+                master_seed, spec)
 
 
-def _condition_labels(config: SamplingConfig) -> list:
-    if config.method == "parallel":
-        return [str(config.truncate_to // d) for d in config.conditions]
-    if config.method == "alternating":
-        return [str(config.truncate_to // k) for k in config.conditions]
-    return [str(m) for m in config.conditions]
-
-
-def _row_for_text(args):
-    text, config, spec = args
+def _corpus_row(config: SamplingConfig, spec: IndexSpec, text) -> list:
     try:
-        if config.method == "parallel":
-            return parallel_sampling(
-                text, config.truncate_to, config.conditions, spec,
-                config.master_seed,
-            )
-        if config.method == "random":
-            return random_sampling(
-                text, config.truncate_to, config.conditions, config.iterations,
-                config.master_seed, spec,
-            )
-        if config.method == "ordered_random":
-            return ordered_random_sampling(
-                text, config.truncate_to, config.conditions, config.iterations,
-                config.master_seed, spec,
-            )
-        return alternating_sampling(
-            text, config.truncate_to, config.conditions, config.iterations,
-            config.master_seed, spec,
-        )
+        return _row(text, config.method, config.truncate_to, config.conditions,
+                    config.iterations, config.master_seed, spec)
     except Exception as e:
         raise SamplingError(f"text {text.id!r}: {e}") from e
 
@@ -324,15 +310,17 @@ def run_method(
     """Apply one evaluation method to every text: rows = texts,
     columns = conditions."""
     spec = spec.with_defaults()
-    jobs = [(text, config, spec) for text in corpus]
+    row = partial(_corpus_row, config, spec)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_row_for_text, jobs, chunksize=1))
+            rows = list(pool.map(row, corpus, chunksize=1))
     else:
-        rows = [_row_for_text(job) for job in jobs]
+        rows = [row(text) for text in corpus]
+    sample_length = METHODS[config.method].sample_length
     return ScoreMatrix(
         row_ids=[t.id for t in corpus],
-        col_labels=_condition_labels(config),
+        col_labels=[str(sample_length(config.truncate_to, c))
+                    for c in config.conditions],
         values=np.array(rows, dtype=float),
         meta={
             "method": config.method,
@@ -345,15 +333,12 @@ def run_method(
     )
 
 
-MTLD_FACTOR_SWEEP = tuple(round(0.66 + 0.01 * i, 2) for i in range(10))
-
-
 def parameter_sweep(
     corpus: Corpus,
     kind: IndexKind,
     param_values: Optional[Sequence] = None,
     master_seed: int = 0,
-    s: int = 10,
+    s: Optional[int] = None,
 ) -> ScoreMatrix:
     """Score untruncated texts for each parameter value (one column each).
 
@@ -361,30 +346,27 @@ def parameter_sweep(
     sweep the sample/segment/window length.
     """
     kind = IndexKind(kind)
-    if kind in (IndexKind.TTR, IndexKind.GUIRAUD_R, IndexKind.HERDAN_C,
-                IndexKind.MAAS_A):
+    index = INDEXES[kind]
+    if index.sweep is None:
         raise SamplingError(f"{kind.value} has no parameter to sweep")
     if param_values is None:
-        param_values = MTLD_FACTOR_SWEEP if kind is IndexKind.MTLD else None
+        param_values = index.sweep_values or None
     if param_values is None:
         raise SamplingError("param_values required for this index")
 
-    if kind is not IndexKind.MTLD:
-        shortest = corpus.min_text_length
-        too_big = [p for p in param_values if p > shortest]
-        if too_big and kind in (IndexKind.HDD, IndexKind.MATTR, IndexKind.MSTTR,
-                                IndexKind.MTTRSS):
-            bad = [t.id for t in corpus if len(t) < max(too_big)]
-            raise SamplingError(
-                f"parameter values {too_big} exceed the length of texts {bad}"
-            )
+    specs = [IndexSpec(kind, s=s, **{index.sweep: index.sweep_type(p)})
+             for p in param_values]
+    needed = [min_tokens_required(spec) for spec in specs]
+    too_big = [p for p, need in zip(param_values, needed)
+               if need > corpus.min_text_length]
+    if too_big:
+        bad = [t.id for t in corpus if len(t) < max(needed)]
+        raise SamplingError(
+            f"parameter values {too_big} exceed the length of texts {bad}"
+        )
 
     values = np.empty((len(corpus), len(param_values)))
-    for j, p in enumerate(param_values):
-        if kind is IndexKind.MTLD:
-            spec = IndexSpec(kind, factor=float(p))
-        else:
-            spec = IndexSpec(kind, n=int(p), s=s)
+    for j, (p, spec) in enumerate(zip(param_values, specs)):
         for i, text in enumerate(corpus):
             rng = rng_stream(master_seed, text.id, "sweep", str(p))
             values[i, j], _ = evaluate(text, spec, rng=rng)

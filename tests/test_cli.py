@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from lexdiv.cli import DEFAULT_SEED, main
+from lexdiv.cli import DEFAULT_SEED, CliError, _parse_conditions, main
 from lexdiv.indices import IndexKind, IndexSpec, evaluate
 from lexdiv.sampling import rng_stream
 
@@ -110,6 +110,36 @@ def test_unknown_index_is_runtime_error(corpus_dir, capsys):
     assert "unknown index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--index", "hdd", "--n", "50"],
+    ["index", "--index", "mattr", "--n", "0"],
+    ["weights", "--index", "hdd", "--N", "10", "--n", "4"],
+])
+def test_index_errors_are_one_line(tmp_path, capsys, argv):
+    (tmp_path / "six.txt").write_text("a b c a b d")
+    if argv[0] == "index":
+        argv = argv + ["--corpus", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lexdiv: error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_parse_conditions_rejects_non_positive_step():
+    calls = []
+
+    def cast(value):  # fails fast if the range loop ever starts
+        calls.append(value)
+        assert len(calls) <= 3, "range loop ran"
+        return int(value)
+
+    for raw in ("10:100:0", "100:10:-10"):
+        with pytest.raises(CliError, match="step must be > 0"):
+            _parse_conditions(raw, cast=cast)
+        calls.clear()
+
+
 def test_missing_corpus_dir(tmp_path, capsys):
     rc = main(["index", "--corpus", str(tmp_path / "nope"), "--index", "ttr"])
     assert rc == 1
@@ -147,6 +177,27 @@ def test_evaluate_length_outputs(corpus_dir, tmp_path):
     meta = json.loads((tmp_path / "scores.csv.meta.json").read_text())
     assert meta["config"]["method"] == "random"
     assert meta["config"]["master_seed"] == DEFAULT_SEED
+
+
+def test_evaluate_length_rejects_negative_condition(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "neg.csv"
+    rc = evaluate_length(corpus_dir, out, extra=["--conditions", "4,-1"])
+    assert rc == 1
+    assert "condition -1 must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_length_sidecar_records_maas_variant(corpus_dir, tmp_path):
+    for variant, label in (("natural_log_a", "maas"),
+                           ("base10_a_squared", "maas[base10_a_squared]")):
+        out = tmp_path / f"{variant}.csv"
+        rc = main(["evaluate-length", "--corpus", str(corpus_dir), "--index",
+                   "maas", "--maas-variant", variant, "--method", "parallel",
+                   "--truncate", "280", "--out", str(out)])
+        assert rc == 0
+        meta = json.loads((tmp_path / f"{variant}.csv.meta.json").read_text())
+        assert meta["config"]["maas_variant"] == variant
+        assert meta["matrix_meta"]["index"] == label
 
 
 def test_evaluate_length_thread_count_invariant(corpus_dir, tmp_path):
@@ -272,6 +323,14 @@ def test_config_file_flag_wins(corpus_dir, tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["index"] == "guiraud"
+
+
+def test_config_file_unknown_index_exits_2(corpus_dir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus = {corpus_dir}\nindex = bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "index"])
+    assert exc.value.code == 2
 
 
 def test_config_file_malformed(tmp_path):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from lexdiv.indices import (
     GLOBAL_KINDS,
+    INDEXES,
+    IndexDef,
     IndexError_,
     IndexKind,
     IndexSpec,
@@ -372,6 +374,25 @@ def test_min_tokens_required():
     assert min_tokens_required(IndexSpec(kind=IndexKind.MATTR, n=10)) == 10
     assert min_tokens_required(IndexSpec(kind=IndexKind.HERDAN_C)) == 2
     assert min_tokens_required(IndexSpec(kind=IndexKind.TTR)) == 1
+
+
+def test_registry_defines_every_kind_once():
+    assert len(INDEXES) == len(IndexKind)
+    assert set(INDEXES) == set(IndexKind)
+    assert all(isinstance(index, IndexDef) for index in INDEXES.values())
+    K = IndexKind
+    derived = {
+        "order-free": {k for k, index in INDEXES.items() if index.order_free},
+        "stochastic": {k for k, index in INDEXES.items() if index.rows is None},
+        "length-bound": {k for k, index in INDEXES.items()
+                         if index.min_tokens == "n"},
+    }
+    assert derived == {
+        "order-free": {K.TTR, K.GUIRAUD_R, K.HERDAN_C, K.MAAS_A, K.HDD},
+        "stochastic": {K.MTTRRS, K.MTTRSS},
+        "length-bound": {K.HDD, K.MATTR, K.MSTTR, K.MTTRSS},
+    }
+    assert GLOBAL_KINDS == derived["order-free"]
 
 
 def test_global_kinds_are_global(reference):

@@ -8,9 +8,15 @@ from hypothesis import strategies as st
 
 import lexdiv.sampling as sampling_mod
 from lexdiv.corpus import Corpus, Text
-from lexdiv.indices import IndexKind, IndexSpec, _encode, evaluate, hdd
-from lexdiv.sampling import (
+from lexdiv.indices import (
     MTLD_FACTOR_SWEEP,
+    IndexKind,
+    IndexSpec,
+    _encode,
+    evaluate,
+    hdd,
+)
+from lexdiv.sampling import (
     SamplingConfig,
     SamplingError,
     ScoreMatrix,
@@ -258,6 +264,24 @@ def test_run_method_error_names_text(small_corpus):
     config = small_config("random", truncate_to=10_000)
     with pytest.raises(SamplingError, match="text 'z000'"):
         run_method(small_corpus, config, TTR_SPEC)
+
+
+def test_conditions_validated_once_for_every_method(numbers_text, reference):
+    with pytest.raises(SamplingError, match=r"condition -5 must be >= 1"):
+        random_sampling(numbers_text, 300, (300, 295, -5), 5, 1, TTR_SPEC)
+    with pytest.raises(SamplingError, match=r"condition 0 must be >= 1"):
+        parallel_sampling(numbers_text, 300, (1, 0), TTR_SPEC)
+    with pytest.raises(SamplingError, match=r"condition -1 must be >= 1"):
+        alternating_sampling(numbers_text, 300, (2, -1), 5, 1, TTR_SPEC)
+    with pytest.raises(SamplingError, match="below the hdd minimum of 42"):
+        ordered_random_sampling(reference, 160, (160, 30), 5, 1, HDD_SPEC)
+
+
+def test_config_default_conditions():
+    assert SamplingConfig("random", 280).conditions == (280, 140, 93, 70)
+    assert SamplingConfig("ordered_random", 280).conditions == (280, 140, 93, 70)
+    assert SamplingConfig("parallel", 280).conditions == (1, 2, 3, 4)
+    assert SamplingConfig("alternating", 280).conditions == (1, 2, 3, 4)
 
 
 def test_config_validation():
