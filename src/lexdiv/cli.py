@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .corpus import CorpusError, attach_scores, load_corpus
+from .corpus import CorpusError, attach_scores, load_corpus, read_scores
 from .indices import (
     INDEXES,
     MAAS_VARIANTS,
@@ -162,11 +162,18 @@ def _parse_conditions(raw, cast=int):
     """Accept '60,80,120,240' or a '24:240:24' range expression."""
     if raw is None:
         return None
+
+    def number(part):
+        try:
+            return cast(part)
+        except ValueError:
+            raise CliError(f"not a number: {part!r} in {raw!r}") from None
+
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
             raise CliError(f"range must be start:stop:step, got {raw!r}")
-        start, stop, step = (cast(p) for p in parts)
+        start, stop, step = (number(p) for p in parts)
         if step <= 0:
             raise CliError(f"range step must be > 0, got {raw!r}")
         out = []
@@ -175,7 +182,7 @@ def _parse_conditions(raw, cast=int):
             out.append(cast(round(value, 10)))
             value += step
         return out
-    return [cast(p) for p in raw.split(",")]
+    return [number(p) for p in raw.split(",")]
 
 
 def cmd_index(args):
@@ -296,15 +303,7 @@ def cmd_stats(args):
     else:  # compare-corr
         if not args.criterion:
             raise CliError("compare-corr needs --criterion CSV (id,score)")
-        crit = {}
-        with open(args.criterion, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header[:2]] != ["id", "score"]:
-                raise CliError("criterion CSV must have header 'id,score'")
-            for row in reader:
-                if row:
-                    crit[row[0]] = float(row[1])
+        crit = read_scores(args.criterion)
         missing = [rid for rid in matrix.row_ids if rid not in crit]
         if missing:
             raise CliError(f"criterion missing for texts: {missing}")

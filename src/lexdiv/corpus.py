@@ -111,12 +111,9 @@ def load_corpus(dir_path, case_policy: str = "fold", min_length: int = 0) -> Cor
     return Corpus(texts=tuple(texts), case_policy=case_policy, min_length=min_length)
 
 
-def attach_scores(corpus: Corpus, csv_path) -> Corpus:
-    """Attach quality scores from a CSV with header ``id,score``.
-
-    Unmatched CSV rows are reported with a warning; texts without a row
-    keep ``score=None``.
-    """
+def read_scores(csv_path) -> dict:
+    """Scores by text id from a CSV with header ``id,score`` and one
+    ``id,score`` row per text; a malformed row is an error naming its line."""
     csv_path = Path(csv_path)
     scores = {}
     with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -136,7 +133,16 @@ def attach_scores(corpus: Corpus, csv_path) -> Corpus:
                 raise CorpusError(
                     f"{csv_path}:{lineno}: non-numeric score {raw!r}"
                 ) from None
+    return scores
 
+
+def attach_scores(corpus: Corpus, csv_path) -> Corpus:
+    """Attach quality scores from a CSV with header ``id,score``.
+
+    Unmatched CSV rows are reported with a warning; texts without a row
+    keep ``score=None``.
+    """
+    scores = read_scores(csv_path)
     known = {t.id for t in corpus.texts}
     unmatched = sorted(set(scores) - known)
     if unmatched:

@@ -1,9 +1,11 @@
 """The ten lexical-diversity indices, per-token weights, and the IndexSpec API.
 
 Index functions accept either a ``corpus.Text`` or any sequence of hashable
-tokens.  All of them are deterministic given their parameters; the two
-stochastic indices (MTTRRS, MTTRSS) additionally take a seed or an explicit
-numpy Generator.
+tokens (an integer numpy array is taken as token codes).  Every index is
+one row kernel that scores each row of a matrix of token codes; the
+functions below score a one-row matrix.  All of them are deterministic
+given their parameters; the two stochastic indices (MTTRRS, MTTRSS)
+additionally take a seed or an explicit numpy Generator.
 """
 
 from __future__ import annotations
@@ -93,18 +95,6 @@ def spectrum(text) -> FrequencySpectrum:
     return FrequencySpectrum(dict(counts), len(toks), len(counts))
 
 
-def _counts(toks):
-    if isinstance(toks, np.ndarray):
-        return Counter(toks.tolist())
-    return Counter(toks)
-
-
-def _n_types(toks) -> int:
-    if isinstance(toks, np.ndarray):
-        return int(np.unique(toks).size)
-    return len(set(toks))
-
-
 def _ttr(v: int, n: int) -> float:
     if n < 1:
         raise IndexError_("empty token sequence")
@@ -135,57 +125,11 @@ def _maas_a(v: int, n: int, variant: str = "natural_log_a") -> float:
     raise IndexError_(f"unknown maas variant {variant!r}")
 
 
-def ttr(text) -> float:
-    toks = tokens_of(text)
-    return _ttr(_n_types(toks), len(toks))
-
-
-def guiraud_r(text) -> float:
-    toks = tokens_of(text)
-    return _guiraud_r(_n_types(toks), len(toks))
-
-
-def herdan_c(text) -> float:
-    toks = tokens_of(text)
-    return _herdan_c(_n_types(toks), len(toks))
-
-
-def maas_a(text, variant: str = "natural_log_a") -> float:
-    toks = tokens_of(text)
-    return _maas_a(_n_types(toks), len(toks), variant)
-
-
 @lru_cache(maxsize=1 << 18)
 def _presence(n_tokens: int, freq: int, sample: int) -> float:
-    # hot path of hdd(); cached because sampling harnesses re-query the
+    # hot path of HD-D; cached because sampling harnesses re-query the
     # same (N, f, n) triples millions of times
     return hypergeom_presence(n_tokens, freq, sample)
-
-
-def hdd(text, n: int) -> float:
-    """Expected TTR of a size-n sample under without-replacement sampling."""
-    toks = tokens_of(text)
-    big_n = len(toks)
-    if n < 1:
-        raise IndexError_(f"n must be >= 1, got {n}")
-    if n > big_n:
-        raise IndexError_(f"sample exceeds text length ({n} > {big_n})")
-    # fsum keeps the result independent of token (hence summation) order
-    total = math.fsum(
-        n_with_freq * _presence(big_n, freq, n)
-        for freq, n_with_freq in Counter(_counts(toks).values()).items()
-    )
-    return total / n
-
-
-def gini_simpson(text) -> float:
-    """Probability that two tokens drawn without replacement differ in type."""
-    toks = tokens_of(text)
-    big_n = len(toks)
-    if big_n < 2:
-        raise IndexError_("needs at least two tokens")
-    same = sum(f * (f - 1) for f in _counts(toks).values())
-    return 1.0 - same / (big_n * (big_n - 1))
 
 
 def _as_generator(seed_or_rng) -> np.random.Generator:
@@ -196,25 +140,32 @@ def _as_generator(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-def mttrrs(text, n: int = 50, s: int = 10, seed=None) -> float:
-    """Mean TTR over s with-replacement samples of n tokens."""
-    toks = tokens_of(text)
-    if n < 1 or s < 1:
-        raise IndexError_("n and s must be >= 1")
-    rng = _as_generator(seed)
-    arr = np.asarray(toks)
-    total = 0
-    for _ in range(s):
-        draw = arr[rng.integers(0, len(arr), size=n)]
-        total += np.unique(draw).size
-    return total / (s * n)
-
-
 def _encode(tokens) -> np.ndarray:
     """Map tokens to small ints; index values only depend on the pattern."""
     mapping: dict = {}
     return np.array([mapping.setdefault(tok, len(mapping)) for tok in tokens],
                     dtype=np.int64)
+
+
+def _codes_row(text) -> np.ndarray:
+    """A text as a one-row code matrix; an integer array is taken as codes."""
+    toks = tokens_of(text)
+    if isinstance(toks, np.ndarray) and toks.dtype.kind in "iu":
+        return toks[None, :]
+    return _encode(toks)[None, :]
+
+
+def _count_matrix(codes: np.ndarray) -> np.ndarray:
+    """counts[b, c]: occurrences of code c in row b."""
+    rows, width = codes.shape[0], int(codes.max(initial=-1)) + 1
+    offsets = np.arange(rows)[:, None] * width
+    return np.bincount((codes + offsets).ravel(),
+                       minlength=rows * width).reshape(rows, width)
+
+
+def _n_types_total(codes: np.ndarray) -> int:
+    """The type counts of all rows of a code matrix, summed."""
+    return int(np.count_nonzero(_count_matrix(codes)))
 
 
 def _prev_occurrence(codes: np.ndarray) -> np.ndarray:
@@ -230,7 +181,35 @@ def _prev_occurrence(codes: np.ndarray) -> np.ndarray:
     return prev
 
 
-def _mattr_rows(codes: np.ndarray, n: int) -> np.ndarray:
+# ------------------------------------------------------------- row kernels
+# Each scores every row of a code matrix and returns a list of floats.
+
+def _type_count_rows(formula, codes: np.ndarray) -> list:
+    """Score each row by its type count through the scalar formula, which
+    runs once per distinct count."""
+    n_types = np.count_nonzero(_count_matrix(codes), axis=1)
+    values, row_value = np.unique(n_types, return_inverse=True)
+    scores = np.array([formula(int(v), codes.shape[1]) for v in values])
+    return scores[row_value].tolist()
+
+
+def _hdd_rows(codes: np.ndarray, n: int) -> list:
+    """HD-D of each row: for each frequency f present, (types with
+    frequency f) x presence(f), summed with fsum, which keeps the result
+    independent of token order."""
+    big_n = codes.shape[1]
+    if n < 1:
+        raise IndexError_(f"n must be >= 1, got {n}")
+    if n > big_n:
+        raise IndexError_(f"sample exceeds text length ({n} > {big_n})")
+    coc = _count_matrix(_count_matrix(codes))
+    freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
+    presence = np.array([_presence(big_n, int(f), n) for f in freqs])
+    terms = coc[:, freqs] * presence
+    return [math.fsum(row) / n for row in terms.tolist()]
+
+
+def _mattr_rows(codes: np.ndarray, n: int) -> list:
     """MATTR of each row, counting types per window exactly: position i is
     the first occurrence of its type in the windows starting from
     max(i-n+1, prev[i]+1) to min(i, N-n) (Covington & McFall 2010)."""
@@ -243,10 +222,10 @@ def _mattr_rows(codes: np.ndarray, n: int) -> np.ndarray:
     first = np.maximum(pos - n + 1, _prev_occurrence(codes) + 1)
     last = np.minimum(pos, big_n - n)
     total = np.maximum(last - first + 1, 0).sum(axis=1)
-    return total / (n * (big_n - n + 1))
+    return (total / (n * (big_n - n + 1))).tolist()
 
 
-def _msttr_rows(codes: np.ndarray, n: int) -> np.ndarray:
+def _msttr_rows(codes: np.ndarray, n: int) -> list:
     """MSTTR of each row: a position counts when no earlier position of its
     complete segment holds its type."""
     big_n = codes.shape[1]
@@ -257,39 +236,41 @@ def _msttr_rows(codes: np.ndarray, n: int) -> np.ndarray:
     used = big_n // n * n
     pos = np.arange(used)
     first = _prev_occurrence(codes[:, :used]) < pos - pos % n
-    return first.sum(axis=1) / used
+    return (first.sum(axis=1) / used).tolist()
 
 
-def _codes_row(text) -> np.ndarray:
-    toks = tokens_of(text)
-    return (toks if isinstance(toks, np.ndarray) else _encode(toks))[None, :]
+def _mttrrs_rows(codes: np.ndarray, n: int, s: int, rng) -> list:
+    """MTTRRS of each row in turn: s draws of n positions with replacement
+    from the stream, one draw at a time, then the mean type count."""
+    if n < 1 or s < 1:
+        raise IndexError_("n and s must be >= 1")
+    rng = _as_generator(rng)
+    big_n = codes.shape[1]
+    scores = []
+    for row in codes:
+        draws = np.stack([rng.integers(0, big_n, size=n) for _ in range(s)])
+        scores.append(_n_types_total(row[draws]) / (s * n))
+    return scores
 
 
-def mattr(text, n: int) -> float:
-    """Mean TTR over all length-n windows advancing one token at a time."""
-    return float(_mattr_rows(_codes_row(text), n)[0])
-
-
-def msttr(text, n: int) -> float:
-    """Mean TTR over disjoint consecutive length-n segments, remainder dropped."""
-    return float(_msttr_rows(_codes_row(text), n)[0])
-
-
-def mttrss(text, n: int = 50, s: int = 10, seed=None) -> float:
-    """Mean TTR over s contiguous segments with uniformly drawn starts."""
-    toks = tokens_of(text)
-    big_n = len(toks)
+def _mttrss_rows(codes: np.ndarray, n: int, s: int, rng) -> list:
+    """MTTRSS of each row in turn: s segment starts drawn from the stream,
+    then the mean type count of the s contiguous length-n segments."""
+    big_n = codes.shape[1]
     if n < 1 or s < 1:
         raise IndexError_("n and s must be >= 1")
     if n > big_n:
         raise IndexError_(f"segment exceeds text length ({n} > {big_n})")
-    rng = _as_generator(seed)
-    starts = rng.integers(0, big_n - n + 1, size=s)
-    total = sum(_n_types(toks[start:start + n]) for start in starts)
-    return total / (s * n)
+    rng = _as_generator(rng)
+    window = np.arange(n)
+    scores = []
+    for row in codes:
+        starts = rng.integers(0, big_n - n + 1, size=s)
+        scores.append(_n_types_total(row[starts[:, None] + window]) / (s * n))
+    return scores
 
 
-def _mtld_pass(toks, factor: float, min_segment: int) -> float:
+def _mtld_pass(toks, factor: float) -> float:
     factors = 0.0
     seen = set()
     count = 0
@@ -298,7 +279,7 @@ def _mtld_pass(toks, factor: float, min_segment: int) -> float:
         count += 1
         seen.add(tok)
         running_ttr = len(seen) / count
-        if count >= min_segment and running_ttr < factor:
+        if running_ttr < factor:
             factors += 1.0
             seen.clear()
             count = 0
@@ -308,12 +289,12 @@ def _mtld_pass(toks, factor: float, min_segment: int) -> float:
     return factors
 
 
-def mtld(text, factor: float = 0.72, min_segment: int = 1) -> float:
-    score, _ = mtld_detailed(text, factor, min_segment)
+def mtld(text, factor: float = 0.72) -> float:
+    score, _ = mtld_detailed(text, factor)
     return score
 
 
-def mtld_detailed(text, factor: float = 0.72, min_segment: int = 1):
+def mtld_detailed(text, factor: float = 0.72):
     """Bidirectional MTLD.  Returns ``(score, flags)``.
 
     The forward pass grows a segment token by token and counts a full
@@ -322,9 +303,6 @@ def mtld_detailed(text, factor: float = 0.72, min_segment: int = 1):
     done on the reversed sequence and the two lengths are averaged.  When
     the TTR never drops in either direction the score is the text length,
     flagged ``undefined_factors``.
-
-    ``min_segment`` > 1 delays the threshold check until a segment holds
-    that many tokens (block-start variant).
     """
     toks = tokens_of(text)
     if len(toks) < 1:
@@ -333,8 +311,8 @@ def mtld_detailed(text, factor: float = 0.72, min_segment: int = 1):
         raise IndexError_(f"factor must be in (0, 1), got {factor}")
     if isinstance(toks, np.ndarray):
         toks = toks.tolist()
-    fwd = _mtld_pass(toks, factor, min_segment)
-    bwd = _mtld_pass(toks[::-1], factor, min_segment)
+    fwd = _mtld_pass(toks, factor)
+    bwd = _mtld_pass(toks[::-1], factor)
     flags = ()
     scores = []
     for factors in (fwd, bwd):
@@ -346,50 +324,78 @@ def mtld_detailed(text, factor: float = 0.72, min_segment: int = 1):
     return (scores[0] + scores[1]) / 2.0, flags
 
 
-def _count_matrix(codes: np.ndarray) -> np.ndarray:
-    """counts[b, c]: occurrences of code c in row b."""
-    rows, width = codes.shape[0], int(codes.max(initial=-1)) + 1
-    offsets = np.arange(rows)[:, None] * width
-    return np.bincount((codes + offsets).ravel(),
-                       minlength=rows * width).reshape(rows, width)
+# ------------------------------------------------------- scalar functions
+
+def ttr(text) -> float:
+    return _type_count_rows(_ttr, _codes_row(text))[0]
 
 
-def _type_count_rows(formula, codes: np.ndarray) -> list:
-    """Score each row by its type count through the scalar formula, which
-    runs once per distinct count."""
-    n_types = np.count_nonzero(_count_matrix(codes), axis=1)
-    values, row_value = np.unique(n_types, return_inverse=True)
-    scores = np.array([formula(int(v), codes.shape[1]) for v in values])
-    return scores[row_value].tolist()
+def guiraud_r(text) -> float:
+    return _type_count_rows(_guiraud_r, _codes_row(text))[0]
 
 
-def _hdd_rows(codes: np.ndarray, n: int) -> list:
-    """HD-D of each row, summing the same terms as hdd(): for each
-    frequency f present, (types with frequency f) x presence(f)."""
+def herdan_c(text) -> float:
+    return _type_count_rows(_herdan_c, _codes_row(text))[0]
+
+
+def maas_a(text, variant: str = "natural_log_a") -> float:
+    return _type_count_rows(partial(_maas_a, variant=variant), _codes_row(text))[0]
+
+
+def hdd(text, n: int) -> float:
+    """Expected TTR of a size-n sample under without-replacement sampling."""
+    return _hdd_rows(_codes_row(text), n)[0]
+
+
+def mattr(text, n: int) -> float:
+    """Mean TTR over all length-n windows advancing one token at a time."""
+    return _mattr_rows(_codes_row(text), n)[0]
+
+
+def msttr(text, n: int) -> float:
+    """Mean TTR over disjoint consecutive length-n segments, remainder dropped."""
+    return _msttr_rows(_codes_row(text), n)[0]
+
+
+def mttrrs(text, n: int = 50, s: int = 10, seed=None) -> float:
+    """Mean TTR over s with-replacement samples of n tokens."""
+    return _mttrrs_rows(_codes_row(text), n, s, seed)[0]
+
+
+def mttrss(text, n: int = 50, s: int = 10, seed=None) -> float:
+    """Mean TTR over s contiguous segments with uniformly drawn starts."""
+    return _mttrss_rows(_codes_row(text), n, s, seed)[0]
+
+
+def gini_simpson(text) -> float:
+    """Probability that two tokens drawn without replacement differ in type."""
+    codes = _codes_row(text)
     big_n = codes.shape[1]
-    if n > big_n:
-        raise IndexError_(f"sample exceeds text length ({n} > {big_n})")
-    coc = _count_matrix(_count_matrix(codes))
-    freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
-    presence = np.array([_presence(big_n, int(f), n) for f in freqs])
-    terms = coc[:, freqs] * presence
-    return [math.fsum(row) / n for row in terms.tolist()]
+    if big_n < 2:
+        raise IndexError_("needs at least two tokens")
+    counts = _count_matrix(codes)
+    same = int((counts * (counts - 1)).sum())
+    return 1.0 - same / (big_n * (big_n - 1))
 
 
 @dataclass(frozen=True)
 class IndexDef:
     """Everything the package knows about one index kind.
 
-    ``score(text, spec, rng)`` gives ``(score, flags)`` for a resolved spec;
-    ``rows(codes, spec)`` scores each row of a code matrix bit for bit as
-    ``score`` would, and is None for the indices that draw from a stream
-    while scoring.  ``label`` is formatted with the spec's kind, n, s,
+    ``rows(codes, spec, rng)`` is the index: it scores each row of a matrix
+    of small non-negative token codes under a resolved spec, and every
+    scoring path (``evaluate``, ``evaluate_rows``, the scalar functions)
+    goes through it.  ``draws`` marks the kernels that draw from ``rng``
+    while scoring, row after row.  ``score(text, spec, rng)`` giving
+    ``(score, flags)`` is the one override, for MTLD, whose ``evaluate``
+    reports flags.  ``label`` is formatted with the spec's kind, n, s,
     factor and variant (the non-default Maas variant); ``min_tokens`` is a
     count or "n"; ``weights(n_tokens, n)`` gives per-position weights.
     """
 
-    score: Callable
-    rows: Optional[Callable]
+    rows: Callable
+    draws: bool = False
+    score: Optional[Callable] = None
     label: str = "{kind}"
     min_tokens: Union[int, str] = 1
     order_free: bool = False
@@ -407,54 +413,47 @@ MTLD_FACTOR_SWEEP = tuple(round(0.66 + 0.01 * i, 2) for i in range(10))
 
 INDEXES = {
     IndexKind.TTR: IndexDef(
-        score=lambda text, spec, rng: (ttr(text), ()),
-        rows=lambda codes, spec: _type_count_rows(_ttr, codes),
+        rows=lambda codes, spec, rng: _type_count_rows(_ttr, codes),
         order_free=True, weights=lambda big_n, n: [1.0 / big_n] * big_n),
     IndexKind.GUIRAUD_R: IndexDef(
-        score=lambda text, spec, rng: (guiraud_r(text), ()),
-        rows=lambda codes, spec: _type_count_rows(_guiraud_r, codes),
+        rows=lambda codes, spec, rng: _type_count_rows(_guiraud_r, codes),
         order_free=True),
     IndexKind.HERDAN_C: IndexDef(
-        score=lambda text, spec, rng: (herdan_c(text), ()),
-        rows=lambda codes, spec: _type_count_rows(_herdan_c, codes),
+        rows=lambda codes, spec, rng: _type_count_rows(_herdan_c, codes),
         min_tokens=2, order_free=True),
     IndexKind.MAAS_A: IndexDef(
-        score=lambda text, spec, rng: (maas_a(text, spec.maas_variant), ()),
-        rows=lambda codes, spec: _type_count_rows(
+        rows=lambda codes, spec, rng: _type_count_rows(
             partial(_maas_a, variant=spec.maas_variant), codes),
         label="{kind}{variant}", min_tokens=2, order_free=True),
     IndexKind.MTTRRS: IndexDef(
-        score=lambda text, spec, rng: (mttrrs(text, spec.n, spec.s, rng), ()),
-        rows=None,
+        rows=lambda codes, spec, rng: _mttrrs_rows(codes, spec.n, spec.s, rng),
+        draws=True,
         label="{kind}[n={n},s={s}]", defaults={"n": 50, "s": 10}, sweep="n"),
     IndexKind.HDD: IndexDef(
-        score=lambda text, spec, rng: (hdd(text, spec.n), ()),
-        rows=lambda codes, spec: _hdd_rows(codes, spec.n),
+        rows=lambda codes, spec, rng: _hdd_rows(codes, spec.n),
         label="{kind}[n={n}]", min_tokens="n", order_free=True,
         defaults={"n": 42}, sweep="n"),
     IndexKind.MATTR: IndexDef(
-        score=lambda text, spec, rng: (mattr(text, spec.n), ()),
-        rows=lambda codes, spec: _mattr_rows(codes, spec.n).tolist(),
+        rows=lambda codes, spec, rng: _mattr_rows(codes, spec.n),
         label="{kind}[n={n}]", min_tokens="n", defaults={"n": 50}, sweep="n",
         weights=lambda big_n, n: [float(min(i, n, big_n - i + 1, big_n - n + 1))
                                   for i in range(1, big_n + 1)]),
     IndexKind.MSTTR: IndexDef(
-        score=lambda text, spec, rng: (msttr(text, spec.n), ()),
-        rows=lambda codes, spec: _msttr_rows(codes, spec.n).tolist(),
+        rows=lambda codes, spec, rng: _msttr_rows(codes, spec.n),
         label="{kind}[n={n}]", min_tokens="n", defaults={"n": 50}, sweep="n",
         weights=lambda big_n, n: [1.0 if i <= big_n // n * n else 0.0
                                   for i in range(1, big_n + 1)]),
     IndexKind.MTTRSS: IndexDef(
-        score=lambda text, spec, rng: (mttrss(text, spec.n, spec.s, rng), ()),
-        rows=None,
+        rows=lambda codes, spec, rng: _mttrss_rows(codes, spec.n, spec.s, rng),
+        draws=True,
         label="{kind}[n={n},s={s}]", min_tokens="n",
         defaults={"n": 50, "s": 10}, sweep="n",
         weights=lambda big_n, n: [min(i, n, big_n - n + 1, big_n - i + 1)
                                   / (big_n - n + 1) for i in range(1, big_n + 1)]),
     IndexKind.MTLD: IndexDef(
+        rows=lambda codes, spec, rng: [mtld_detailed(row, spec.factor)[0]
+                                       for row in codes.tolist()],
         score=lambda text, spec, rng: mtld_detailed(text, spec.factor),
-        rows=lambda codes, spec: [mtld_detailed(row, spec.factor)[0]
-                                  for row in codes.tolist()],
         label="{kind}[factor={factor}]", defaults={"factor": 0.72},
         sweep="factor", sweep_values=MTLD_FACTOR_SWEEP),
 }
@@ -475,9 +474,13 @@ def token_weights(kind: IndexKind, n_tokens: int, n: Optional[int] = None):
     index = INDEXES[kind]
     if index.weights is None:
         raise IndexError_(f"no weight definition for {kind.value}")
+    if n_tokens < 1:
+        raise IndexError_(f"text length must be >= 1, got {n_tokens}")
     if index.min_tokens == "n":
         if n is None:
             raise IndexError_(f"{kind.value} weights need a segment length n")
+        if n < 1:
+            raise IndexError_(f"n must be >= 1, got {n}")
         if n > n_tokens:
             raise IndexError_(f"n exceeds text length ({n} > {n_tokens})")
     return index.weights(n_tokens, n)
@@ -491,22 +494,22 @@ def evaluate(text, spec: IndexSpec, rng=None):
     """
     spec = spec.with_defaults()
     spec.validate()
-    return INDEXES[spec.kind].score(text, spec, spec.seed if rng is None else rng)
+    index = INDEXES[spec.kind]
+    rng = spec.seed if rng is None else rng
+    if index.score is not None:
+        return index.score(text, spec, rng)
+    return index.rows(_codes_row(text), spec, rng)[0], ()
 
 
-def evaluate_rows(codes: np.ndarray, spec: IndexSpec) -> list:
+def evaluate_rows(codes: np.ndarray, spec: IndexSpec, rng=None) -> list:
     """Score every row of a matrix of small non-negative token codes, each
-    row one text; equal to ``evaluate`` row by row, bit for bit.
-
-    Not for the stochastic indices, which draw from a stream per score.
+    row one text.  The stochastic indices draw from ``rng`` (else
+    ``spec.seed``) row after row, so a row scores as ``evaluate`` would
+    with the stream in the state the rows before it left it.
     """
     spec = spec.with_defaults()
     spec.validate()
-    rows = INDEXES[spec.kind].rows
-    if rows is None:
-        raise IndexError_(
-            f"{spec.kind.value} draws from a stream; score it with evaluate")
-    return rows(codes, spec)
+    return INDEXES[spec.kind].rows(codes, spec, spec.seed if rng is None else rng)
 
 
 def min_tokens_required(spec: IndexSpec) -> int:

@@ -1,7 +1,7 @@
-"""Log-space combinatorics and distribution tails.
+"""Hypergeometric presence probabilities and distribution tails.
 
-Everything here is dependency-free on purpose: binomial coefficients go
-through log-gamma, and t/F tail probabilities go through a
+Everything here is dependency-free on purpose: binomial-coefficient ratios
+are running products, and t/F tail probabilities go through a
 continued-fraction regularized incomplete beta.
 """
 
@@ -17,20 +17,12 @@ class NumericsError(Exception):
     pass
 
 
-def log_binomial(n: int, k: int) -> float:
-    """Natural log of C(n, k) via log-gamma."""
-    if k < 0 or k > n:
-        raise NumericsError(f"log_binomial: need 0 <= k <= n, got n={n}, k={k}")
-    if k == 0 or k == n:
-        return 0.0
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def hypergeom_presence(n_tokens: int, freq: int, sample: int) -> float:
     """Probability that a type occurring ``freq`` times in ``n_tokens`` tokens
     appears at least once in a without-replacement sample of ``sample`` tokens.
 
-    1 - C(N-f, n) / C(N, n), evaluated in log space.
+    1 - C(N-f, n) / C(N, n), the ratio a running product of min(f, n)
+    factors, which is more accurate than exponentiated log-gammas.
     """
     if freq < 1 or freq > n_tokens:
         raise NumericsError(f"need 1 <= freq <= n_tokens, got freq={freq}, N={n_tokens}")
@@ -43,14 +35,14 @@ def hypergeom_presence(n_tokens: int, freq: int, sample: int) -> float:
     if freq == 1:
         # C(N-1, n) / C(N, n) = (N - n) / N, so presence is exactly n / N
         return sample / n_tokens
-    if freq <= 64:
-        # running product is more accurate than exponentiated log-gammas
-        absent = 1.0
+    absent = 1.0
+    if freq <= 64 or freq <= sample:
         for i in range(freq):
             absent *= (n_tokens - sample - i) / (n_tokens - i)
-        return 1.0 - absent
-    log_absent = log_binomial(n_tokens - freq, sample) - log_binomial(n_tokens, sample)
-    return 1.0 - math.exp(log_absent)
+    else:
+        for i in range(sample):
+            absent *= (n_tokens - freq - i) / (n_tokens - i)
+    return 1.0 - absent
 
 
 def _betacf(x: float, a: float, b: float) -> float:

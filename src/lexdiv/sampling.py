@@ -8,13 +8,14 @@ random and ordered-random methods deliberately share one stream per
 whether the sample keeps the permuted order or the original text order.
 
 Draws are batched per cell: one ``Generator.permuted`` call shuffles a block
-of up to ``_BLOCK`` rows, and the index scores the whole block at once
-(``evaluate_rows``).  The stream layout is the one of one draw per sample,
-because numpy fills ``permuted`` rows in order with the same draws as
-successive ``permutation`` calls; ``tests/test_sampling.py`` pins this.  The
-stochastic indices (MTTRRS, MTTRSS) draw from the same stream while
-scoring, so they get one draw per block and are scored sample by sample.
-The cell mean is a Kahan sum in sample order.
+of up to ``_BLOCK`` rows, and the index's row kernel scores the whole block
+at once (``evaluate_rows``), as it scores every sample, segment and full
+extract.  The stream layout is the one of one draw per sample, because
+numpy fills ``permuted`` rows in order with the same draws as successive
+``permutation`` calls; ``tests/test_sampling.py`` pins this.  The
+stochastic indices (MTTRRS, MTTRSS; ``IndexDef.draws``) draw from the same
+stream while scoring, so their blocks hold one iteration: each draw is
+scored before the next.  The cell mean is a Kahan sum in sample order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .indices import (
     IndexKind,
     IndexSpec,
     _encode,
-    evaluate,
     evaluate_rows,
     min_tokens_required,
 )
@@ -133,11 +133,6 @@ def rng_stream(master_seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:16], "big"))
 
 
-def _score(sample, spec, rng=None) -> float:
-    value, _flags = INDEXES[spec.kind].score(sample, spec, rng)
-    return value
-
-
 def _kahan_mean(values: list) -> float:
     total = 0.0
     comp = 0.0
@@ -155,15 +150,11 @@ def _sample_mean(arr: np.ndarray, draw, iterations: int, spec: IndexSpec,
     returns for b iterations, drawn block by block.  The indices that draw
     from the stream while scoring get one iteration per draw, so their
     draws stay interleaved with their scoring as in one draw per sample."""
-    stochastic = INDEXES[spec.kind].rows is None
-    step = 1 if stochastic else _BLOCK
+    step = 1 if INDEXES[spec.kind].draws else _BLOCK
     scores = []
     for start in range(0, iterations, step):
         samples = arr[draw(min(step, iterations - start))]
-        if stochastic:
-            scores.extend(_score(sample, spec, rng=rng) for sample in samples)
-        else:
-            scores.extend(evaluate_rows(samples, spec))
+        scores.extend(evaluate_rows(samples, spec, rng))
     return _kahan_mean(scores)
 
 
@@ -183,15 +174,14 @@ def _alternating_positions(rng, k: int, n_snippets: int, b: int):
 
 
 def _parallel_cell(arr, d, seg_len, iterations, spec, stream):
-    rng = stream("parallel", d)
-    segs = [arr[i * seg_len:(i + 1) * seg_len] for i in range(d)]
-    return math.fsum(_score(s, spec, rng=rng) for s in segs) / d
+    segs = arr[:d * seg_len].reshape(d, seg_len)
+    return math.fsum(evaluate_rows(segs, spec, stream("parallel", d))) / d
 
 
 def _random_cell(arr, m, _m, iterations, spec, stream, ordered: bool):
     if m == len(arr):
         # full extract: a single deterministic score, no permutation
-        return _score(arr, spec, rng=stream("random", m, "full"))
+        return evaluate_rows(arr[None], spec, stream("random", m, "full"))[0]
     # one stream per (text, length), shared by random and ordered random
     rng = stream("random", m)
     draw = partial(_random_positions, rng, len(arr), m, ordered=ordered)
@@ -200,7 +190,7 @@ def _random_cell(arr, m, _m, iterations, spec, stream, ordered: bool):
 
 def _alternating_cell(arr, k, sample_len, iterations, spec, stream):
     if k == 1:
-        return _score(arr, spec, rng=stream("alternating", k, "full"))
+        return evaluate_rows(arr[None], spec, stream("alternating", k, "full"))[0]
     rng = stream("alternating", k)
     draw = partial(_alternating_positions, rng, k, sample_len)
     return _sample_mean(arr, draw, iterations, spec, rng)
@@ -365,11 +355,12 @@ def parameter_sweep(
             f"parameter values {too_big} exceed the length of texts {bad}"
         )
 
+    codes = [_encode(text.tokens)[None] for text in corpus]
     values = np.empty((len(corpus), len(param_values)))
     for j, (p, spec) in enumerate(zip(param_values, specs)):
         for i, text in enumerate(corpus):
             rng = rng_stream(master_seed, text.id, "sweep", str(p))
-            values[i, j], _ = evaluate(text, spec, rng=rng)
+            values[i, j] = evaluate_rows(codes[i], spec, rng)[0]
     return ScoreMatrix(
         row_ids=[t.id for t in corpus],
         col_labels=[str(p) for p in param_values],

@@ -114,6 +114,8 @@ def test_unknown_index_is_runtime_error(corpus_dir, capsys):
     ["index", "--index", "hdd", "--n", "50"],
     ["index", "--index", "mattr", "--n", "0"],
     ["weights", "--index", "hdd", "--N", "10", "--n", "4"],
+    ["weights", "--index", "ttr", "--N", "0"],
+    ["weights", "--index", "msttr", "--N", "5", "--n", "0"],
 ])
 def test_index_errors_are_one_line(tmp_path, capsys, argv):
     (tmp_path / "six.txt").write_text("a b c a b d")
@@ -138,6 +140,21 @@ def test_parse_conditions_rejects_non_positive_step():
         with pytest.raises(CliError, match="step must be > 0"):
             _parse_conditions(raw, cast=cast)
         calls.clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate-length", "--index", "ttr", "--method", "random",
+     "--truncate", "280", "--conditions", "60,x"],
+    ["evaluate-parameter", "--index", "mattr", "--params", "10,y"],
+    ["evaluate-parameter", "--index", "mattr", "--params", "10:y:5"],
+])
+def test_non_numeric_conditions_are_one_line(corpus_dir, tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--corpus", str(corpus_dir), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lexdiv: error: not a number: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_corpus_dir(tmp_path, capsys):
@@ -270,6 +287,26 @@ def test_stats_compare_corr_requires_criterion(tmp_path, corpus_dir, capsys):
     rc = main(["stats", "compare-corr", "--from", str(out)])
     assert rc == 1
     assert "criterion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("text00,abc", "non-numeric score 'abc'"),
+    ("text00", "malformed row"),
+])
+def test_stats_compare_corr_checks_criterion_rows(tmp_path, corpus_dir, capsys,
+                                                  row, message):
+    out = tmp_path / "sweep.csv"
+    main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+          "mattr", "--params", "20,40", "--out", str(out)])
+    crit = tmp_path / "crit.csv"
+    crit.write_text(f"id,score\n{row}\n")
+    rc = main(["stats", "compare-corr", "--from", str(out),
+               "--criterion", str(crit)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lexdiv: error: ")
+    assert f"crit.csv:2: {message}" in err
+    assert err.count("\n") == 1
 
 
 # ------------------------------------------------------------------- others

@@ -17,7 +17,9 @@ from lexdiv.indices import (
     IndexError_,
     IndexKind,
     IndexSpec,
+    _encode,
     evaluate,
+    evaluate_rows,
     gini_simpson,
     guiraud_r,
     hdd,
@@ -85,6 +87,22 @@ def test_empty_rejected():
     for fn in (ttr, guiraud_r, spectrum):
         with pytest.raises(IndexError_):
             fn([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens_strategy)
+def test_type_count_indices_match_set_formulas(toks):
+    """The formulas over the type count V = len(set(tokens)), bit for bit."""
+    n, v = len(toks), len(set(toks))
+    assert ttr(toks) == v / n
+    assert guiraud_r(toks) == v / math.sqrt(n)
+    if n < 2:
+        return
+    assert herdan_c(toks) == (0.0 if v == 1 else math.log(v) / math.log(n))
+    assert maas_a(toks) == math.sqrt((math.log(n) - math.log(v))
+                                     / math.log(n) ** 2)
+    assert maas_a(toks, "base10_a_squared") == (
+        (math.log10(n) - math.log10(v)) / math.log10(n) ** 2)
 
 
 @given(tokens_strategy)
@@ -239,6 +257,43 @@ def test_mttrrs_deterministic_given_seed():
     assert mttrrs(toks, 20, 5, seed=3) == mttrrs(toks, 20, 5, seed=rng)
 
 
+def loop_mttrrs(toks, n, s, rng):
+    """s with-replacement draws of n positions, one draw at a time."""
+    total = 0
+    for _ in range(s):
+        total += len({toks[i] for i in rng.integers(0, len(toks), size=n)})
+    return total / (s * n)
+
+
+def loop_mttrss(toks, n, s, rng):
+    """s segment starts in one draw, then the segments' type counts."""
+    starts = rng.integers(0, len(toks) - n + 1, size=s)
+    return sum(len(set(toks[a:a + n])) for a in starts) / (s * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens_strategy, st.data())
+def test_stochastic_indices_match_segment_loops(toks, data):
+    """Same seed, same draws, same scores as a per-segment loop; rows of a
+    matrix are scored in order from one stream."""
+    n = data.draw(st.integers(1, len(toks)), label="n")
+    s = data.draw(st.integers(1, 6), label="s")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    loops = {IndexKind.MTTRRS: loop_mttrrs, IndexKind.MTTRSS: loop_mttrss}
+    assert mttrrs(toks, n, s, seed=seed) == loop_mttrrs(
+        toks, n, s, np.random.default_rng(seed))
+    assert mttrss(toks, n, s, seed=seed) == loop_mttrss(
+        toks, n, s, np.random.default_rng(seed))
+    codes = _encode(toks)
+    for kind, loop in loops.items():
+        rng = np.random.default_rng(seed)
+        want = [loop(list(row), n, s, rng) for row in (codes, codes[::-1])]
+        got = evaluate_rows(np.stack([codes, codes[::-1]]),
+                            IndexSpec(kind, n=n, s=s),
+                            rng=np.random.default_rng(seed))
+        assert got == want, kind
+
+
 def test_mttrrs_constant_text():
     # every sample of a one-type text has exactly one type
     assert mttrrs(["a"] * 30, 10, 4, seed=0) == pytest.approx(0.1)
@@ -383,7 +438,7 @@ def test_registry_defines_every_kind_once():
     K = IndexKind
     derived = {
         "order-free": {k for k, index in INDEXES.items() if index.order_free},
-        "stochastic": {k for k, index in INDEXES.items() if index.rows is None},
+        "stochastic": {k for k, index in INDEXES.items() if index.draws},
         "length-bound": {k for k, index in INDEXES.items()
                          if index.min_tokens == "n"},
     }

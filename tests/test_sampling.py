@@ -35,22 +35,16 @@ MATTR_SPEC = IndexSpec(kind=IndexKind.MATTR, n=25)
 
 
 def capture_samples(monkeypatch):
-    """Record every token sample handed to a scorer: one at a time through
-    `_score`, or as the rows of a block through `evaluate_rows`."""
+    """Record every token sample handed to the scorer, `evaluate_rows`,
+    one row of each block at a time."""
     seen = []
-    original = sampling_mod._score
-    original_rows = sampling_mod.evaluate_rows
+    original = sampling_mod.evaluate_rows
 
-    def spy(sample, spec, rng=None):
-        seen.append(np.asarray(sample).copy())
-        return original(sample, spec, rng=rng)
-
-    def spy_rows(samples, spec):
+    def spy(samples, spec, rng=None):
         seen.extend(np.array(sample) for sample in samples)
-        return original_rows(samples, spec)
+        return original(samples, spec, rng)
 
-    monkeypatch.setattr(sampling_mod, "_score", spy)
-    monkeypatch.setattr(sampling_mod, "evaluate_rows", spy_rows)
+    monkeypatch.setattr(sampling_mod, "evaluate_rows", spy)
     return seen
 
 
