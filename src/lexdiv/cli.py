@@ -18,6 +18,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .corpus import CorpusError, attach_scores, load_corpus, read_scores
 from .indices import (
@@ -105,7 +107,10 @@ def _write_or_print(path, text: str, end: str = "\n"):
 
 
 def _write_sidecar(out_path, config: RunConfig, extra=None):
-    meta = {"tool": "lexdiv", "version": __version__, "config": asdict(config)}
+    versions = {"lexdiv": __version__, "numpy": np.__version__,
+                "python": ".".join(map(str, sys.version_info[:3]))}
+    meta = {"tool": "lexdiv", "version": __version__, "versions": versions,
+            "config": asdict(config)}
     if extra:
         meta.update(extra)
     side = Path(str(out_path) + ".meta.json")
@@ -308,9 +313,15 @@ def cmd_stats(args):
         if missing:
             raise CliError(f"criterion missing for texts: {missing}")
         y = [crit[rid] for rid in matrix.row_ids]
-        if args.col_a and args.col_b:
-            ja = matrix.col_labels.index(args.col_a)
-            jb = matrix.col_labels.index(args.col_b)
+        picked = (args.col_a, args.col_b)
+        if picked.count(None) == 1:
+            raise CliError("--col-a and --col-b go together: give both or neither")
+        if None not in picked:
+            for label in picked:
+                if label not in matrix.col_labels:
+                    raise CliError(f"no column {label!r}; the columns are "
+                                   f"{', '.join(matrix.col_labels)}")
+            ja, jb = (matrix.col_labels.index(label) for label in picked)
         else:
             corrs = [pearson(matrix.values[:, j], y)
                      for j in range(len(matrix.col_labels))]

@@ -3,9 +3,11 @@
 Index functions accept either a ``corpus.Text`` or any sequence of hashable
 tokens (an integer numpy array is taken as token codes).  Every index is
 one row kernel that scores each row of a matrix of token codes; the
-functions below score a one-row matrix.  All of them are deterministic
-given their parameters; the two stochastic indices (MTTRRS, MTTRSS)
-additionally take a seed or an explicit numpy Generator.
+functions below score a one-row matrix.  The order-free indices (TTR,
+Guiraud, Herdan, Maas, HD-D) are a kernel over each row's type counts, so
+they can also score count rows drawn without any token order.  All of
+them are deterministic given their parameters; the two stochastic indices
+(MTTRRS, MTTRSS) additionally take a seed or an explicit numpy Generator.
 """
 
 from __future__ import annotations
@@ -184,27 +186,26 @@ def _prev_occurrence(codes: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------- row kernels
 # Each scores every row of a code matrix and returns a list of floats.
 
-def _type_count_rows(formula, codes: np.ndarray) -> list:
-    """Score each row by its type count through the scalar formula, which
-    runs once per distinct count."""
-    n_types = np.count_nonzero(_count_matrix(codes), axis=1)
+def _type_count_scores(formula, counts: np.ndarray, length: int) -> list:
+    """Score each row of a count matrix of length-token samples by its type
+    count through the scalar formula, which runs once per distinct count."""
+    n_types = np.count_nonzero(counts, axis=1)
     values, row_value = np.unique(n_types, return_inverse=True)
-    scores = np.array([formula(int(v), codes.shape[1]) for v in values])
+    scores = np.array([formula(int(v), length) for v in values])
     return scores[row_value].tolist()
 
 
-def _hdd_rows(codes: np.ndarray, n: int) -> list:
-    """HD-D of each row: for each frequency f present, (types with
-    frequency f) x presence(f), summed with fsum, which keeps the result
-    independent of token order."""
-    big_n = codes.shape[1]
+def _hdd_scores(counts: np.ndarray, length: int, n: int) -> list:
+    """HD-D of each row of a count matrix of length-token samples: for each
+    frequency f present, (types with frequency f) x presence(f), summed with
+    fsum, which keeps the result independent of token order."""
     if n < 1:
         raise IndexError_(f"n must be >= 1, got {n}")
-    if n > big_n:
-        raise IndexError_(f"sample exceeds text length ({n} > {big_n})")
-    coc = _count_matrix(_count_matrix(codes))
+    if n > length:
+        raise IndexError_(f"sample exceeds text length ({n} > {length})")
+    coc = _count_matrix(counts)
     freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
-    presence = np.array([_presence(big_n, int(f), n) for f in freqs])
+    presence = np.array([_presence(length, int(f), n) for f in freqs])
     terms = coc[:, freqs] * presence
     return [math.fsum(row) / n for row in terms.tolist()]
 
@@ -326,45 +327,50 @@ def mtld_detailed(text, factor: float = 0.72):
 
 # ------------------------------------------------------- scalar functions
 
+def _score(kind: IndexKind, text, rng=None, **params) -> float:
+    """A text's score under its kind's row kernel."""
+    return INDEXES[kind].rows(_codes_row(text), IndexSpec(kind, **params), rng)[0]
+
+
 def ttr(text) -> float:
-    return _type_count_rows(_ttr, _codes_row(text))[0]
+    return _score(IndexKind.TTR, text)
 
 
 def guiraud_r(text) -> float:
-    return _type_count_rows(_guiraud_r, _codes_row(text))[0]
+    return _score(IndexKind.GUIRAUD_R, text)
 
 
 def herdan_c(text) -> float:
-    return _type_count_rows(_herdan_c, _codes_row(text))[0]
+    return _score(IndexKind.HERDAN_C, text)
 
 
 def maas_a(text, variant: str = "natural_log_a") -> float:
-    return _type_count_rows(partial(_maas_a, variant=variant), _codes_row(text))[0]
+    return _score(IndexKind.MAAS_A, text, maas_variant=variant)
 
 
 def hdd(text, n: int) -> float:
     """Expected TTR of a size-n sample under without-replacement sampling."""
-    return _hdd_rows(_codes_row(text), n)[0]
+    return _score(IndexKind.HDD, text, n=n)
 
 
 def mattr(text, n: int) -> float:
     """Mean TTR over all length-n windows advancing one token at a time."""
-    return _mattr_rows(_codes_row(text), n)[0]
+    return _score(IndexKind.MATTR, text, n=n)
 
 
 def msttr(text, n: int) -> float:
     """Mean TTR over disjoint consecutive length-n segments, remainder dropped."""
-    return _msttr_rows(_codes_row(text), n)[0]
+    return _score(IndexKind.MSTTR, text, n=n)
 
 
 def mttrrs(text, n: int = 50, s: int = 10, seed=None) -> float:
     """Mean TTR over s with-replacement samples of n tokens."""
-    return _mttrrs_rows(_codes_row(text), n, s, seed)[0]
+    return _score(IndexKind.MTTRRS, text, seed, n=n, s=s)
 
 
 def mttrss(text, n: int = 50, s: int = 10, seed=None) -> float:
     """Mean TTR over s contiguous segments with uniformly drawn starts."""
-    return _mttrss_rows(_codes_row(text), n, s, seed)[0]
+    return _score(IndexKind.MTTRSS, text, seed, n=n, s=s)
 
 
 def gini_simpson(text) -> float:
@@ -385,24 +391,35 @@ class IndexDef:
     ``rows(codes, spec, rng)`` is the index: it scores each row of a matrix
     of small non-negative token codes under a resolved spec, and every
     scoring path (``evaluate``, ``evaluate_rows``, the scalar functions)
-    goes through it.  ``draws`` marks the kernels that draw from ``rng``
-    while scoring, row after row.  ``score(text, spec, rng)`` giving
-    ``(score, flags)`` is the one override, for MTLD, whose ``evaluate``
-    reports flags.  ``label`` is formatted with the spec's kind, n, s,
-    factor and variant (the non-default Maas variant); ``min_tokens`` is a
-    count or "n"; ``weights(n_tokens, n)`` gives per-position weights.
+    goes through it.  An order-free index is its ``counts(counts, length,
+    spec)`` kernel, which scores each row of a count matrix (``counts[b,
+    t]``: occurrences of type t in row b, a sample of ``length`` tokens);
+    its ``rows`` is derived here as that kernel applied to the count matrix
+    of the code rows, so random sampling can hand it drawn type counts
+    directly.  ``draws`` marks the kernels that draw from ``rng`` while
+    scoring, row after row.  ``score(text, spec, rng)`` giving ``(score,
+    flags)`` is the one override, for MTLD, whose ``evaluate`` reports
+    flags.  ``label`` is formatted with the spec's kind, n, s, factor and
+    variant (the non-default Maas variant); ``min_tokens`` is a count or
+    "n"; ``weights(n_tokens, n)`` gives per-position weights.
     """
 
-    rows: Callable
+    rows: Optional[Callable] = None
+    counts: Optional[Callable] = None
     draws: bool = False
     score: Optional[Callable] = None
     label: str = "{kind}"
     min_tokens: Union[int, str] = 1
-    order_free: bool = False
     defaults: dict = field(default_factory=dict)
     sweep: Optional[str] = None
     sweep_values: tuple = ()
     weights: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.counts is not None:
+            counts = self.counts
+            object.__setattr__(self, "rows", lambda codes, spec, rng: counts(
+                _count_matrix(codes), codes.shape[1], spec))
 
     @property
     def sweep_type(self) -> type:
@@ -413,25 +430,26 @@ MTLD_FACTOR_SWEEP = tuple(round(0.66 + 0.01 * i, 2) for i in range(10))
 
 INDEXES = {
     IndexKind.TTR: IndexDef(
-        rows=lambda codes, spec, rng: _type_count_rows(_ttr, codes),
-        order_free=True, weights=lambda big_n, n: [1.0 / big_n] * big_n),
+        counts=lambda counts, length, spec: _type_count_scores(_ttr, counts, length),
+        weights=lambda big_n, n: [1.0 / big_n] * big_n),
     IndexKind.GUIRAUD_R: IndexDef(
-        rows=lambda codes, spec, rng: _type_count_rows(_guiraud_r, codes),
-        order_free=True),
+        counts=lambda counts, length, spec: _type_count_scores(
+            _guiraud_r, counts, length)),
     IndexKind.HERDAN_C: IndexDef(
-        rows=lambda codes, spec, rng: _type_count_rows(_herdan_c, codes),
-        min_tokens=2, order_free=True),
+        counts=lambda counts, length, spec: _type_count_scores(
+            _herdan_c, counts, length),
+        min_tokens=2),
     IndexKind.MAAS_A: IndexDef(
-        rows=lambda codes, spec, rng: _type_count_rows(
-            partial(_maas_a, variant=spec.maas_variant), codes),
-        label="{kind}{variant}", min_tokens=2, order_free=True),
+        counts=lambda counts, length, spec: _type_count_scores(
+            partial(_maas_a, variant=spec.maas_variant), counts, length),
+        label="{kind}{variant}", min_tokens=2),
     IndexKind.MTTRRS: IndexDef(
         rows=lambda codes, spec, rng: _mttrrs_rows(codes, spec.n, spec.s, rng),
         draws=True,
         label="{kind}[n={n},s={s}]", defaults={"n": 50, "s": 10}, sweep="n"),
     IndexKind.HDD: IndexDef(
-        rows=lambda codes, spec, rng: _hdd_rows(codes, spec.n),
-        label="{kind}[n={n}]", min_tokens="n", order_free=True,
+        counts=lambda counts, length, spec: _hdd_scores(counts, length, spec.n),
+        label="{kind}[n={n}]", min_tokens="n",
         defaults={"n": 42}, sweep="n"),
     IndexKind.MATTR: IndexDef(
         rows=lambda codes, spec, rng: _mattr_rows(codes, spec.n),
@@ -458,9 +476,10 @@ INDEXES = {
         sweep="factor", sweep_values=MTLD_FACTOR_SWEEP),
 }
 
-# Indices invariant under any permutation of the tokens.
+# Indices invariant under any permutation of the tokens: those with a
+# count kernel.
 GLOBAL_KINDS = frozenset(kind for kind, index in INDEXES.items()
-                         if index.order_free)
+                         if index.counts is not None)
 
 
 def token_weights(kind: IndexKind, n_tokens: int, n: Optional[int] = None):

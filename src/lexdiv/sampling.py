@@ -7,15 +7,32 @@ random and ordered-random methods deliberately share one stream per
 (text, length): they must analyze identical token samples, differing only in
 whether the sample keeps the permuted order or the original text order.
 
-Draws are batched per cell: one ``Generator.permuted`` call shuffles a block
-of up to ``_BLOCK`` rows, and the index's row kernel scores the whole block
-at once (``evaluate_rows``), as it scores every sample, segment and full
-extract.  The stream layout is the one of one draw per sample, because
-numpy fills ``permuted`` rows in order with the same draws as successive
-``permutation`` calls; ``tests/test_sampling.py`` pins this.  The
-stochastic indices (MTTRRS, MTTRSS; ``IndexDef.draws``) draw from the same
-stream while scoring, so their blocks hold one iteration: each draw is
-scored before the next.  The cell mean is a Kahan sum in sample order.
+Draws are batched per cell: up to ``_BLOCK`` samples come from one draw,
+and the index scores the whole block at once, as its row kernel scores
+every segment and full extract.  The cell mean is a Kahan sum in sample
+order.  How a cell turns its stream into samples is the stream layout,
+recorded as ``STREAM_LAYOUT`` in ``run_method``'s ``ScoreMatrix.meta``:
+
+- Layout 1 (every output that records no layout): a random or
+  ordered-random sample is the first m positions of a fresh permutation of
+  the L-truncation.  One ``Generator.permuted`` call shuffles a block of
+  rows, which numpy fills with the draws of successive ``permutation``
+  calls, so the layout is that of one draw per sample.
+- Layout 2: as layout 1, except that a random or ordered-random cell of an
+  order-free index (``IndexDef.counts``) draws the samples' type counts
+  instead of their tokens: one ``multivariate_hypergeometric(...,
+  method="count")`` call per block, scored by the index's count kernel.
+  That call carries its partial shuffle of the population from one row to
+  the next, so a block of b rows is not b one-row calls: ``_BLOCK`` is
+  part of layout 2, and changing it changes these cells.  Random and
+  ordered random draw the same counts, so they still score the same
+  samples.
+
+In both layouts alternating sampling deals ``permuted`` snippets block by
+block, and the stochastic indices (MTTRRS, MTTRSS; ``IndexDef.draws``),
+which draw from the cell's stream while scoring, get blocks of one
+iteration: each draw is scored before the next.  ``tests/test_sampling.py``
+pins the layout against a per-sample loop.
 """
 
 from __future__ import annotations
@@ -23,7 +40,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -42,7 +58,11 @@ from .indices import (
 
 DEFAULT_ITERATIONS = 10_000
 
+# The layout of the sampling streams (see the module docstring).
+STREAM_LAYOUT = 2
+
 # Samples per draw; bounds the draw's memory to about this many rows of L.
+# Part of stream layout 2, whose count draws depend on the block size.
 _BLOCK = 1024
 
 
@@ -144,17 +164,15 @@ def _kahan_mean(values: list) -> float:
     return total / len(values)
 
 
-def _sample_mean(arr: np.ndarray, draw, iterations: int, spec: IndexSpec,
-                 rng) -> float:
-    """Mean score of ``arr[positions]`` over every row that ``draw(b)``
-    returns for b iterations, drawn block by block.  The indices that draw
-    from the stream while scoring get one iteration per draw, so their
-    draws stay interleaved with their scoring as in one draw per sample."""
+def _sample_mean(draw, score, iterations: int, spec: IndexSpec) -> float:
+    """Mean of ``score(rows)`` over every row that ``draw(b)`` returns for
+    b iterations, drawn block by block.  The indices that draw from the
+    stream while scoring get one iteration per draw, so their draws stay
+    interleaved with their scoring as in one draw per sample."""
     step = 1 if INDEXES[spec.kind].draws else _BLOCK
     scores = []
     for start in range(0, iterations, step):
-        samples = arr[draw(min(step, iterations - start))]
-        scores.extend(evaluate_rows(samples, spec, rng))
+        scores.extend(score(draw(min(step, iterations - start))))
     return _kahan_mean(scores)
 
 
@@ -184,16 +202,26 @@ def _random_cell(arr, m, _m, iterations, spec, stream, ordered: bool):
         return evaluate_rows(arr[None], spec, stream("random", m, "full"))[0]
     # one stream per (text, length), shared by random and ordered random
     rng = stream("random", m)
-    draw = partial(_random_positions, rng, len(arr), m, ordered=ordered)
-    return _sample_mean(arr, draw, iterations, spec, rng)
+    counts = INDEXES[spec.kind].counts
+    if counts is None:
+        draw = lambda b: arr[_random_positions(rng, len(arr), m, b, ordered)]
+        score = partial(evaluate_rows, spec=spec, rng=rng)
+    else:
+        # layout 2: an order-free score reads only the sample's type counts
+        population = np.bincount(arr)
+        draw = lambda b: rng.multivariate_hypergeometric(
+            population, m, size=b, method="count")
+        score = lambda rows: counts(rows, m, spec)
+    return _sample_mean(draw, score, iterations, spec)
 
 
 def _alternating_cell(arr, k, sample_len, iterations, spec, stream):
     if k == 1:
         return evaluate_rows(arr[None], spec, stream("alternating", k, "full"))[0]
     rng = stream("alternating", k)
-    draw = partial(_alternating_positions, rng, k, sample_len)
-    return _sample_mean(arr, draw, iterations, spec, rng)
+    draw = lambda b: arr[_alternating_positions(rng, k, sample_len, b)]
+    score = partial(evaluate_rows, spec=spec, rng=rng)
+    return _sample_mean(draw, score, iterations, spec)
 
 
 @dataclass(frozen=True)
@@ -302,6 +330,8 @@ def run_method(
     spec = spec.with_defaults()
     row = partial(_corpus_row, config, spec)
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(row, corpus, chunksize=1))
     else:
@@ -319,6 +349,7 @@ def run_method(
             "conditions": list(config.conditions),
             "iterations": config.iterations,
             "master_seed": config.master_seed,
+            "stream_layout": STREAM_LAYOUT,
         },
     )
 

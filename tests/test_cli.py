@@ -217,6 +217,16 @@ def test_evaluate_length_sidecar_records_maas_variant(corpus_dir, tmp_path):
         assert meta["matrix_meta"]["index"] == label
 
 
+def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_path):
+    out = tmp_path / "scores.csv"
+    assert evaluate_length(corpus_dir, out) == 0
+    meta = json.loads((tmp_path / "scores.csv.meta.json").read_text())
+    assert set(meta["versions"]) == {"lexdiv", "numpy", "python"}
+    assert meta["versions"]["numpy"] == np.__version__
+    assert meta["config"]["threads"] == 1
+    assert meta["matrix_meta"]["stream_layout"] == 2
+
+
 def test_evaluate_length_thread_count_invariant(corpus_dir, tmp_path):
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     assert evaluate_length(corpus_dir, out1, threads="1") == 0
@@ -306,6 +316,26 @@ def test_stats_compare_corr_checks_criterion_rows(tmp_path, corpus_dir, capsys,
     err = capsys.readouterr().err
     assert err.startswith("lexdiv: error: ")
     assert f"crit.csv:2: {message}" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cols, message", [
+    (["--col-a", "20", "--col-b", "nope"],
+     "no column 'nope'; the columns are 20, 40"),
+    (["--col-a", "20"], "--col-a and --col-b go together"),
+    (["--col-b", "40"], "--col-a and --col-b go together"),
+])
+def test_stats_compare_corr_checks_columns(tmp_path, corpus_dir, scores_csv,
+                                           capsys, cols, message):
+    out = tmp_path / "sweep.csv"
+    main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+          "mattr", "--params", "20,40", "--out", str(out)])
+    rc = main(["stats", "compare-corr", "--from", str(out),
+               "--criterion", str(scores_csv), *cols])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lexdiv: error: ")
+    assert message in err
     assert err.count("\n") == 1
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import lexdiv.sampling as sampling_mod
 from lexdiv.corpus import Corpus, Text
 from lexdiv.indices import (
+    INDEXES,
     MTLD_FACTOR_SWEEP,
     IndexKind,
     IndexSpec,
@@ -28,6 +29,8 @@ from lexdiv.sampling import (
     rng_stream,
     run_method,
 )
+
+from .conftest import make_zipf_corpus
 
 TTR_SPEC = IndexSpec(kind=IndexKind.TTR)
 HDD_SPEC = IndexSpec(kind=IndexKind.HDD, n=42)
@@ -65,7 +68,7 @@ def test_block_draw_is_the_sequential_stream():
     call with the draws of successive `permutation` calls (and, for
     alternating, of successive `permuted` calls of fewer rows), leaving the
     generator in the same state.  A numpy release that changes this changes
-    every sampled score, so it must fail here."""
+    every score sampled from positions, so it must fail here."""
     for size, blocks in ((300, (40,)), (300, (1024, 1024, 952)), (7, (1, 2, 3))):
         seq, blk = np.random.default_rng(5), np.random.default_rng(5)
         want = [seq.permutation(size)[:size - 1] for _ in range(sum(blocks))]
@@ -138,16 +141,18 @@ def test_sample_identity_sequence_index_differs(reference):
 
 def test_ordered_samples_restore_text_order(monkeypatch, numbers_text):
     """On the 1..303 pseudo-text, every ordered-random sample must be
-    strictly increasing, and the unordered sample must be its permutation."""
+    strictly increasing, and the unordered sample must be its permutation.
+    (Order-free indices draw type counts instead, so a sequence index is
+    the one that sees token samples.)"""
     seen = capture_samples(monkeypatch)
-    ordered_random_sampling(numbers_text, 303, (151,), 5, 9, TTR_SPEC)
+    ordered_random_sampling(numbers_text, 303, (151,), 5, 9, MATTR_SPEC)
     ordered = [s for s in seen if len(s) == 151]
     assert len(ordered) == 5
     for s in ordered:
         assert np.all(np.diff(s) > 0)
 
     seen.clear()
-    random_sampling(numbers_text, 303, (151,), 5, 9, TTR_SPEC)
+    random_sampling(numbers_text, 303, (151,), 5, 9, MATTR_SPEC)
     unordered = [s for s in seen if len(s) == 151]
     for r, o in zip(unordered, ordered):
         assert not np.all(np.diff(r) > 0)
@@ -166,6 +171,32 @@ def test_full_length_condition_scored_once(monkeypatch, reference):
 def test_random_rejects_oversized_sample(reference):
     with pytest.raises(SamplingError, match="exceeds truncation"):
         random_sampling(reference, 160, (161,), 5, 5, TTR_SPEC)
+
+
+@pytest.mark.parametrize("method", [random_sampling, ordered_random_sampling])
+def test_order_free_cells_match_exact_expectations(method):
+    """A random or ordered-random cell averages an order-free index over
+    without-replacement m-samples of the truncation, so its expectation is
+    exact: E[TTR_m] = HD-D(m), E[Guiraud_m] = sqrt(m)·HD-D(m) and
+    E[HD-D(n)_m] = HD-D(n).  Each cell must lie within 5 standard errors of
+    it, the SE estimated from this test's own permutation draws; this holds
+    under any stream layout."""
+    text = make_zipf_corpus(1, 300, 300, seed=23).texts[0]
+    trunc, iterations, lengths = 240, 2000, (200, 120, 60)
+    codes = _encode(text.tokens[:trunc])
+    own = np.random.default_rng(29)
+    kinds = (
+        (TTR_SPEC, lambda m: hdd(codes, m)),
+        (IndexSpec(IndexKind.GUIRAUD_R), lambda m: np.sqrt(m) * hdd(codes, m)),
+        (HDD_SPEC, lambda m: hdd(codes, 42)),
+    )
+    for spec, exact in kinds:
+        cells = method(text, trunc, lengths, iterations, 41, spec)
+        for m, got in zip(lengths, cells):
+            draws = [evaluate(codes[own.permutation(trunc)[:m]], spec)[0]
+                     for _ in range(300)]
+            se = np.std(draws, ddof=1) / np.sqrt(iterations)
+            assert abs(got - exact(m)) <= 5 * se, (spec.kind, m, got, exact(m), se)
 
 
 def test_random_ttr_converges_to_hdd(reference):
@@ -302,11 +333,26 @@ ALL_KIND_SPECS = (
 )
 
 
+def count_block_samples(rng, arr, m, iterations):
+    """Stream layout 2 of an order-free random cell: one multivariate
+    hypergeometric "count" draw per block of `_BLOCK` samples, each count
+    row turned back into a token sample (types in code order)."""
+    population = np.bincount(arr)
+    for start in range(0, iterations, sampling_mod._BLOCK):
+        b = min(sampling_mod._BLOCK, iterations - start)
+        rows = rng.multivariate_hypergeometric(population, m, size=b,
+                                               method="count")
+        for row in rows:
+            yield [np.repeat(np.arange(len(population)), row)]
+
+
 def reference_row(text, config, spec):
     """The engine before batching: one draw per sample (per iteration for
     alternating), each sample scored by `evaluate` before the next draw,
-    and a Kahan sum in sample order."""
+    and a Kahan sum in sample order; random cells of an order-free index
+    take their samples from the layout-2 count draws."""
     arr = _encode(text.tokens[:config.truncate_to])
+    order_free = INDEXES[spec.kind].counts is not None
     out = []
     for c in config.conditions:
         if config.method == "alternating":
@@ -322,14 +368,18 @@ def reference_row(text, config, spec):
             continue
         total = comp = 0.0
         count = 0
-        for _ in range(config.iterations):
+        if config.method != "alternating" and order_free:
+            draws = count_block_samples(rng, arr, c, config.iterations)
+        else:
+            draws = (None for _ in range(config.iterations))
+        for samples in draws:
             if config.method == "alternating":
                 n_snippets = config.truncate_to // c
                 grid = arr[: n_snippets * c].reshape(n_snippets, c)
                 perm = rng.permuted(np.tile(np.arange(c), (n_snippets, 1)), axis=1)
                 shuffled = grid[np.arange(n_snippets)[:, None], perm]
                 samples = [shuffled[:, j] for j in range(c)]
-            else:
+            elif samples is None:
                 idx = rng.permutation(config.truncate_to)[:c]
                 if config.method == "ordered_random":
                     idx = np.sort(idx)
@@ -342,6 +392,30 @@ def reference_row(text, config, spec):
                 count += 1
         out.append(total / count)
     return out
+
+
+ORDER_FREE_SPECS = [spec for spec in ALL_KIND_SPECS
+                    if INDEXES[spec.kind].counts is not None]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_counts_kernel_matches_row_scoring(data):
+    """An order-free index scores a count matrix, whose rows may hold types
+    that do not occur, bit for bit as it scores each row's tokens, in any
+    order, one row at a time."""
+    n_types = data.draw(st.integers(1, 6), label="types")
+    length = data.draw(st.integers(3, 20), label="length")
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, n_types - 1), min_size=length, max_size=length),
+        min_size=1, max_size=4), label="rows")
+    counts = np.array([np.bincount(row, minlength=n_types) for row in rows])
+    for spec in ORDER_FREE_SPECS:
+        spec = spec.with_defaults()
+        got = INDEXES[spec.kind].counts(counts, length, spec)
+        want = [evaluate(np.random.default_rng(i).permutation(row), spec)[0]
+                for i, row in enumerate(np.array(rows))]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), spec
 
 
 @given(st.data())
