@@ -354,6 +354,10 @@ def cmd_profiles(args):
 
 
 def cmd_hdd_curve(args):
+    if args.n_step < 1 or args.f_max < 1:
+        raise CliError("--n-step and --f-max must be >= 1")
+    if args.n_min > args.N:
+        raise CliError(f"--n-min {args.n_min} exceeds --N {args.N}")
     curves = hdd_presence_curves(
         n_tokens=args.N,
         f_values=range(1, args.f_max + 1),

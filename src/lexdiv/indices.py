@@ -165,11 +165,6 @@ def _count_matrix(codes: np.ndarray) -> np.ndarray:
                        minlength=rows * width).reshape(rows, width)
 
 
-def _n_types_total(codes: np.ndarray) -> int:
-    """The type counts of all rows of a code matrix, summed."""
-    return int(np.count_nonzero(_count_matrix(codes)))
-
-
 def _prev_occurrence(codes: np.ndarray) -> np.ndarray:
     """For each row of a code matrix, the position of the previous
     occurrence of each position's code in that row, or -1."""
@@ -241,34 +236,30 @@ def _msttr_rows(codes: np.ndarray, n: int) -> list:
 
 
 def _mttrrs_rows(codes: np.ndarray, n: int, s: int, rng) -> list:
-    """MTTRRS of each row in turn: s draws of n positions with replacement
-    from the stream, one draw at a time, then the mean type count."""
+    """MTTRRS of each row: s draws of n positions with replacement, all rows'
+    drawn in one call, then the mean type count of the s draws, which is
+    the MSTTR(n) of the drawn tokens."""
     if n < 1 or s < 1:
         raise IndexError_("n and s must be >= 1")
-    rng = _as_generator(rng)
-    big_n = codes.shape[1]
-    scores = []
-    for row in codes:
-        draws = np.stack([rng.integers(0, big_n, size=n) for _ in range(s)])
-        scores.append(_n_types_total(row[draws]) / (s * n))
-    return scores
+    picks = _as_generator(rng).integers(0, codes.shape[1], size=(len(codes), s * n))
+    return _msttr_rows(np.take_along_axis(codes, picks, axis=1), n)
 
 
 def _mttrss_rows(codes: np.ndarray, n: int, s: int, rng) -> list:
-    """MTTRSS of each row in turn: s segment starts drawn from the stream,
-    then the mean type count of the s contiguous length-n segments."""
+    """MTTRSS of each row: s segment starts per row, all rows' drawn in one
+    call, then the mean type count of the s contiguous length-n segments.
+    A segment position holds a new type when the previous occurrence of its
+    code lies before the segment's start."""
     big_n = codes.shape[1]
     if n < 1 or s < 1:
         raise IndexError_("n and s must be >= 1")
     if n > big_n:
         raise IndexError_(f"segment exceeds text length ({n} > {big_n})")
-    rng = _as_generator(rng)
-    window = np.arange(n)
-    scores = []
-    for row in codes:
-        starts = rng.integers(0, big_n - n + 1, size=s)
-        scores.append(_n_types_total(row[starts[:, None] + window]) / (s * n))
-    return scores
+    starts = _as_generator(rng).integers(0, big_n - n + 1, size=(len(codes), s, 1))
+    picks = (starts + np.arange(n)).reshape(len(codes), s * n)
+    prev = np.take_along_axis(_prev_occurrence(codes), picks, axis=1)
+    first = prev.reshape(len(codes), s, n) < starts
+    return (first.sum(axis=(1, 2)) / (s * n)).tolist()
 
 
 def _mtld_pass(toks, factor: float) -> float:
@@ -396,17 +387,15 @@ class IndexDef:
     t]``: occurrences of type t in row b, a sample of ``length`` tokens);
     its ``rows`` is derived here as that kernel applied to the count matrix
     of the code rows, so random sampling can hand it drawn type counts
-    directly.  ``draws`` marks the kernels that draw from ``rng`` while
-    scoring, row after row.  ``score(text, spec, rng)`` giving ``(score,
-    flags)`` is the one override, for MTLD, whose ``evaluate`` reports
-    flags.  ``label`` is formatted with the spec's kind, n, s, factor and
-    variant (the non-default Maas variant); ``min_tokens`` is a count or
-    "n"; ``weights(n_tokens, n)`` gives per-position weights.
+    directly.  ``score(text, spec, rng)`` giving ``(score, flags)`` is the
+    one override, for MTLD, whose ``evaluate`` reports flags.  ``label`` is
+    formatted with the spec's kind, n, s, factor and variant (the
+    non-default Maas variant); ``min_tokens`` is a count or "n";
+    ``weights(n_tokens, n)`` gives per-position weights.
     """
 
     rows: Optional[Callable] = None
     counts: Optional[Callable] = None
-    draws: bool = False
     score: Optional[Callable] = None
     label: str = "{kind}"
     min_tokens: Union[int, str] = 1
@@ -445,7 +434,6 @@ INDEXES = {
         label="{kind}{variant}", min_tokens=2),
     IndexKind.MTTRRS: IndexDef(
         rows=lambda codes, spec, rng: _mttrrs_rows(codes, spec.n, spec.s, rng),
-        draws=True,
         label="{kind}[n={n},s={s}]", defaults={"n": 50, "s": 10}, sweep="n"),
     IndexKind.HDD: IndexDef(
         counts=lambda counts, length, spec: _hdd_scores(counts, length, spec.n),
@@ -463,7 +451,6 @@ INDEXES = {
                                   for i in range(1, big_n + 1)]),
     IndexKind.MTTRSS: IndexDef(
         rows=lambda codes, spec, rng: _mttrss_rows(codes, spec.n, spec.s, rng),
-        draws=True,
         label="{kind}[n={n},s={s}]", min_tokens="n",
         defaults={"n": 50, "s": 10}, sweep="n",
         weights=lambda big_n, n: [min(i, n, big_n - n + 1, big_n - i + 1)
@@ -522,9 +509,11 @@ def evaluate(text, spec: IndexSpec, rng=None):
 
 def evaluate_rows(codes: np.ndarray, spec: IndexSpec, rng=None) -> list:
     """Score every row of a matrix of small non-negative token codes, each
-    row one text.  The stochastic indices draw from ``rng`` (else
-    ``spec.seed``) row after row, so a row scores as ``evaluate`` would
-    with the stream in the state the rows before it left it.
+    row one text.  The stochastic indices draw all rows' positions from
+    ``rng`` (else ``spec.seed``) in one call, rows in order, so a row scores
+    as ``evaluate`` would with the stream in the state the rows before it
+    left it (``tests/test_sampling.py::test_block_draw_is_the_sequential_stream``
+    pins the numpy property this rests on).
     """
     spec = spec.with_defaults()
     spec.validate()

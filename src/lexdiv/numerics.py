@@ -157,18 +157,13 @@ def f_isf(p: float, df1: float, df2: float) -> float:
 
 
 def norm_isf(p: float) -> float:
-    """Upper-tail standard normal quantile (bisection on erfc)."""
+    """Upper-tail standard normal quantile."""
     if not (0.0 < p < 1.0):
         raise NumericsError(f"p must be in (0, 1), got {p}")
-    # sf(z) = erfc(z / sqrt 2) / 2, decreasing in z
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * math.erfc(mid / math.sqrt(2.0)) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # imported here: `statistics` costs every CLI start about 4 ms to import
+    from statistics import NormalDist
+
+    return -NormalDist().inv_cdf(p)
 
 
 def fisher_z(r: float) -> float:

@@ -50,6 +50,8 @@ def select_profiles(matrix: ScoreMatrix, count: int = 12) -> ProfileSelection:
     "smallest" tallies, and four more with the most combined tallies.
     Ties break lexicographically by text id.
     """
+    if count < 1:
+        raise ProfilesError(f"profile count must be >= 1, got {count}")
     n_rows = len(matrix.row_ids)
     large, small = _extreme_counts(matrix)
     trace = {

@@ -27,12 +27,15 @@ recorded as ``STREAM_LAYOUT`` in ``run_method``'s ``ScoreMatrix.meta``:
   part of layout 2, and changing it changes these cells.  Random and
   ordered random draw the same counts, so they still score the same
   samples.
+- Layout 3: as layout 2, except that MTTRRS and MTTRSS, which draw from
+  the cell's stream while scoring, score a whole block from one draw: a
+  position-drawn cell draws all of a block's samples, then the kernel
+  draws every row's positions (MTTRRS) or segment starts (MTTRSS) in one
+  ``integers`` call.  In layout 2 each of their samples was scored before
+  the next was drawn.
 
-In both layouts alternating sampling deals ``permuted`` snippets block by
-block, and the stochastic indices (MTTRRS, MTTRSS; ``IndexDef.draws``),
-which draw from the cell's stream while scoring, get blocks of one
-iteration: each draw is scored before the next.  ``tests/test_sampling.py``
-pins the layout against a per-sample loop.
+Alternating sampling deals ``permuted`` snippets block by block.
+``tests/test_sampling.py`` pins the layout against a per-sample loop.
 """
 
 from __future__ import annotations
@@ -59,10 +62,11 @@ from .indices import (
 DEFAULT_ITERATIONS = 10_000
 
 # The layout of the sampling streams (see the module docstring).
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 # Samples per draw; bounds the draw's memory to about this many rows of L.
-# Part of stream layout 2, whose count draws depend on the block size.
+# Part of the stream layout: layout 2's count draws depend on the block
+# size, and so does layout 3's order of sample and position draws.
 _BLOCK = 1024
 
 
@@ -164,15 +168,12 @@ def _kahan_mean(values: list) -> float:
     return total / len(values)
 
 
-def _sample_mean(draw, score, iterations: int, spec: IndexSpec) -> float:
+def _sample_mean(draw, score, iterations: int) -> float:
     """Mean of ``score(rows)`` over every row that ``draw(b)`` returns for
-    b iterations, drawn block by block.  The indices that draw from the
-    stream while scoring get one iteration per draw, so their draws stay
-    interleaved with their scoring as in one draw per sample."""
-    step = 1 if INDEXES[spec.kind].draws else _BLOCK
+    b iterations, drawn block by block."""
     scores = []
-    for start in range(0, iterations, step):
-        scores.extend(score(draw(min(step, iterations - start))))
+    for start in range(0, iterations, _BLOCK):
+        scores.extend(score(draw(min(_BLOCK, iterations - start))))
     return _kahan_mean(scores)
 
 
@@ -212,7 +213,7 @@ def _random_cell(arr, m, _m, iterations, spec, stream, ordered: bool):
         draw = lambda b: rng.multivariate_hypergeometric(
             population, m, size=b, method="count")
         score = lambda rows: counts(rows, m, spec)
-    return _sample_mean(draw, score, iterations, spec)
+    return _sample_mean(draw, score, iterations)
 
 
 def _alternating_cell(arr, k, sample_len, iterations, spec, stream):
@@ -221,7 +222,7 @@ def _alternating_cell(arr, k, sample_len, iterations, spec, stream):
     rng = stream("alternating", k)
     draw = lambda b: arr[_alternating_positions(rng, k, sample_len, b)]
     score = partial(evaluate_rows, spec=spec, rng=rng)
-    return _sample_mean(draw, score, iterations, spec)
+    return _sample_mean(draw, score, iterations)
 
 
 @dataclass(frozen=True)
@@ -327,6 +328,8 @@ def run_method(
 ) -> ScoreMatrix:
     """Apply one evaluation method to every text: rows = texts,
     columns = conditions."""
+    if threads < 1:
+        raise SamplingError(f"threads must be >= 1, got {threads}")
     spec = spec.with_defaults()
     row = partial(_corpus_row, config, spec)
     if threads > 1:

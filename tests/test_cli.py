@@ -43,6 +43,14 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def assert_one_line_error(rc, capsys, message):
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lexdiv: error: ")
+    assert message in err
+    assert err.count("\n") == 1
+
+
 # -------------------------------------------------------------------- index
 
 def test_index_csv_schema(corpus_dir, tmp_path):
@@ -224,7 +232,7 @@ def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_pat
     assert set(meta["versions"]) == {"lexdiv", "numpy", "python"}
     assert meta["versions"]["numpy"] == np.__version__
     assert meta["config"]["threads"] == 1
-    assert meta["matrix_meta"]["stream_layout"] == 2
+    assert meta["matrix_meta"]["stream_layout"] == 3
 
 
 def test_evaluate_length_thread_count_invariant(corpus_dir, tmp_path):
@@ -332,11 +340,7 @@ def test_stats_compare_corr_checks_columns(tmp_path, corpus_dir, scores_csv,
           "mattr", "--params", "20,40", "--out", str(out)])
     rc = main(["stats", "compare-corr", "--from", str(out),
                "--criterion", str(scores_csv), *cols])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("lexdiv: error: ")
-    assert message in err
-    assert err.count("\n") == 1
+    assert_one_line_error(rc, capsys, message)
 
 
 # ------------------------------------------------------------------- others
@@ -364,6 +368,48 @@ def test_hdd_curve_csv_and_svg(tmp_path):
     rows = read_csv(csv_out)
     assert {r[0] for r in rows[1:]} == {"f=1", "f=2", "f=3", "f=4"}
     assert svg_out.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("select", ["0", "-1", "-4"])
+def test_profiles_select_below_one_is_one_line(corpus_dir, tmp_path, capsys,
+                                               select):
+    scores = tmp_path / "scores.csv"
+    evaluate_length(corpus_dir, scores)
+    out = tmp_path / "profiles.csv"
+    rc = main(["profiles", "--from", str(scores), "--select", select,
+               "--out", str(out)])
+    assert_one_line_error(rc, capsys, "profile count must be >= 1")
+    assert not out.exists()
+
+
+def test_evaluate_length_select_below_one_is_one_line(corpus_dir, tmp_path,
+                                                      capsys):
+    out, prof = tmp_path / "scores.csv", tmp_path / "profiles.csv"
+    rc = evaluate_length(corpus_dir, out,
+                         extra=["--profiles-out", str(prof), "--select", "0"])
+    assert_one_line_error(rc, capsys, "profile count must be >= 1")
+    assert not out.exists() and not prof.exists()
+
+
+def test_evaluate_length_threads_below_one_is_one_line(corpus_dir, tmp_path,
+                                                       capsys):
+    out = tmp_path / "scores.csv"
+    rc = evaluate_length(corpus_dir, out, threads="0")
+    assert_one_line_error(rc, capsys, "threads must be >= 1, got 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n-step", "0"], "--n-step and --f-max must be >= 1"),
+    (["--f-max", "0"], "--n-step and --f-max must be >= 1"),
+    (["--n-min", "61"], "--n-min 61 exceeds --N 60"),
+])
+def test_hdd_curve_rejects_empty_or_invalid_grid(tmp_path, capsys, flags,
+                                                 message):
+    out = tmp_path / "curve.csv"
+    rc = main(["hdd-curve", "--N", "60", *flags, "--out", str(out)])
+    assert_one_line_error(rc, capsys, message)
+    assert not out.exists()
 
 
 def test_weights_subcommand(capsys):

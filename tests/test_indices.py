@@ -439,13 +439,11 @@ def test_registry_defines_every_kind_once():
     derived = {
         "order-free": {k for k, index in INDEXES.items()
                        if index.counts is not None},
-        "stochastic": {k for k, index in INDEXES.items() if index.draws},
         "length-bound": {k for k, index in INDEXES.items()
                          if index.min_tokens == "n"},
     }
     assert derived == {
         "order-free": {K.TTR, K.GUIRAUD_R, K.HERDAN_C, K.MAAS_A, K.HDD},
-        "stochastic": {K.MTTRRS, K.MTTRSS},
         "length-bound": {K.HDD, K.MATTR, K.MSTTR, K.MTTRSS},
     }
     assert GLOBAL_KINDS == derived["order-free"]

@@ -57,6 +57,12 @@ def test_select_profiles_small_matrix_selects_all(caplog):
     assert any("5 rows" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("count", [0, -1, -4])
+def test_select_profiles_rejects_count_below_one(count):
+    with pytest.raises(ProfilesError, match="profile count must be >= 1"):
+        select_profiles(matrix_with_extremes(), count=count)
+
+
 def test_select_profiles_deterministic():
     matrix = matrix_with_extremes()
     a = select_profiles(matrix, count=12)

@@ -1,6 +1,8 @@
 """Sampling-method behavior: determinism, sample identity between random and
 ordered-random, alternating partitions, and convergence to closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,9 +68,11 @@ def test_rng_stream_deterministic_and_keyed():
 def test_block_draw_is_the_sequential_stream():
     """The batched draw relies on numpy filling the rows of one `permuted`
     call with the draws of successive `permutation` calls (and, for
-    alternating, of successive `permuted` calls of fewer rows), leaving the
-    generator in the same state.  A numpy release that changes this changes
-    every score sampled from positions, so it must fail here."""
+    alternating, of successive `permuted` calls of fewer rows), and the
+    rows of one `integers` call with the values of successive smaller
+    calls, leaving the generator in the same state.  A numpy release that
+    changes this changes every score sampled from positions, and every
+    MTTRRS and MTTRSS score, so it must fail here."""
     for size, blocks in ((300, (40,)), (300, (1024, 1024, 952)), (7, (1, 2, 3))):
         seq, blk = np.random.default_rng(5), np.random.default_rng(5)
         want = [seq.permutation(size)[:size - 1] for _ in range(sum(blocks))]
@@ -87,6 +91,15 @@ def test_block_draw_is_the_sequential_stream():
     got = [sampling_mod._alternating_positions(blk, k, n_snippets, b) for b in blocks]
     assert np.array_equal(np.concatenate(got), want)
     assert blk.bit_generator.state == seq.bit_generator.state
+
+    # MTTRRS and MTTRSS draw a block's positions or starts in one
+    # `integers((b, k))` call, which must equal b calls of k values each
+    for seed in range(20):
+        for size, k, b in ((7, 1, 5), (300, 3, 1024), (5800, 50, 17), (300, 5, 1)):
+            seq, blk = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [seq.integers(0, size, size=k) for _ in range(b)]
+            assert np.array_equal(blk.integers(0, size, size=(b, k)), want)
+            assert blk.bit_generator.state == seq.bit_generator.state
 
 
 # ----------------------------------------------------------------- parallel
@@ -199,6 +212,44 @@ def test_order_free_cells_match_exact_expectations(method):
             assert abs(got - exact(m)) <= 5 * se, (spec.kind, m, got, exact(m), se)
 
 
+def mttrrs_expectation(codes, m, n):
+    """E[MTTRRS(n)] of a uniform m-sample of `codes`: type t, with count F_t
+    in the sample (hypergeometric), is present in n with-replacement draws
+    from it with probability 1 - (1 - F_t/m)^n."""
+    size = len(codes)
+    total = 0.0
+    for c in np.bincount(codes).tolist():
+        for f in range(max(1, m - (size - c)), min(c, m) + 1):
+            p = math.comb(c, f) * math.comb(size - c, m - f) / math.comb(size, m)
+            total += p * (1.0 - (1.0 - f / m) ** n)
+    return total / n
+
+
+def test_segment_and_resample_cells_match_exact_expectations():
+    """In a random cell every segment of a permuted sample is a uniform
+    n-subset of the truncation, so E[MTTRSS(n)] = HD-D(n); MTTRRS draws
+    with replacement from the sample, whose type counts are hypergeometric
+    (`mttrrs_expectation`).  Each cell must lie within 5 standard errors of
+    its exact value, the SE estimated from this test's own draws; this
+    holds under any stream layout."""
+    text = make_zipf_corpus(1, 300, 300, seed=31).texts[0]
+    trunc, iterations, lengths, n = 240, 2000, (200, 120, 60), 20
+    codes = _encode(text.tokens[:trunc])
+    own = np.random.default_rng(37)
+    kinds = (
+        (IndexSpec(IndexKind.MTTRSS, n=n, s=5), lambda m: hdd(codes, n)),
+        (IndexSpec(IndexKind.MTTRRS, n=n, s=5),
+         lambda m: mttrrs_expectation(codes, m, n)),
+    )
+    for spec, exact in kinds:
+        cells = random_sampling(text, trunc, lengths, iterations, 43, spec)
+        for m, got in zip(lengths, cells):
+            draws = [evaluate(codes[own.permutation(trunc)[:m]], spec, rng=own)[0]
+                     for _ in range(300)]
+            se = np.std(draws, ddof=1) / np.sqrt(iterations)
+            assert abs(got - exact(m)) <= 5 * se, (spec.kind, m, got, exact(m), se)
+
+
 def test_random_ttr_converges_to_hdd(reference):
     """The expected TTR of an m-token without-replacement sample is HD-D(m),
     so the Monte Carlo mean must approach it."""
@@ -276,6 +327,11 @@ def test_run_method_thread_independent(small_corpus):
     assert np.array_equal(a.values, b.values)
 
 
+def test_run_method_rejects_threads_below_one(small_corpus):
+    with pytest.raises(SamplingError, match="threads must be >= 1, got 0"):
+        run_method(small_corpus, small_config("random"), TTR_SPEC, threads=0)
+
+
 def test_run_method_labels_are_sample_lengths(small_corpus):
     matrix = run_method(small_corpus, small_config("alternating"), TTR_SPEC)
     assert matrix.col_labels == ["280", "140", "70"]
@@ -342,15 +398,35 @@ def count_block_samples(rng, arr, m, iterations):
         b = min(sampling_mod._BLOCK, iterations - start)
         rows = rng.multivariate_hypergeometric(population, m, size=b,
                                                method="count")
-        for row in rows:
-            yield [np.repeat(np.arange(len(population)), row)]
+        yield [np.repeat(np.arange(len(population)), row) for row in rows]
+
+
+def position_block_samples(rng, arr, config, c):
+    """Stream layout 3 of a position-drawn cell: the samples of each block
+    of `_BLOCK` iterations, one permutation per random sample and one
+    dealing per alternating iteration, all drawn before any is scored."""
+    for start in range(0, config.iterations, sampling_mod._BLOCK):
+        block = []
+        for _ in range(min(sampling_mod._BLOCK, config.iterations - start)):
+            if config.method == "alternating":
+                n_snippets = config.truncate_to // c
+                grid = arr[: n_snippets * c].reshape(n_snippets, c)
+                perm = rng.permuted(np.tile(np.arange(c), (n_snippets, 1)), axis=1)
+                shuffled = grid[np.arange(n_snippets)[:, None], perm]
+                block += [shuffled[:, j] for j in range(c)]
+            else:
+                idx = rng.permutation(config.truncate_to)[:c]
+                if config.method == "ordered_random":
+                    idx = np.sort(idx)
+                block.append(arr[idx])
+        yield block
 
 
 def reference_row(text, config, spec):
-    """The engine before batching: one draw per sample (per iteration for
-    alternating), each sample scored by `evaluate` before the next draw,
-    and a Kahan sum in sample order; random cells of an order-free index
-    take their samples from the layout-2 count draws."""
+    """The engine as a per-sample loop: blocks of samples drawn as in
+    stream layout 3, each sample then scored by `evaluate` in turn (so
+    MTTRRS and MTTRSS draw from the stream sample by sample), and a Kahan
+    sum in sample order."""
     arr = _encode(text.tokens[:config.truncate_to])
     order_free = INDEXES[spec.kind].counts is not None
     out = []
@@ -369,22 +445,11 @@ def reference_row(text, config, spec):
         total = comp = 0.0
         count = 0
         if config.method != "alternating" and order_free:
-            draws = count_block_samples(rng, arr, c, config.iterations)
+            blocks = count_block_samples(rng, arr, c, config.iterations)
         else:
-            draws = (None for _ in range(config.iterations))
-        for samples in draws:
-            if config.method == "alternating":
-                n_snippets = config.truncate_to // c
-                grid = arr[: n_snippets * c].reshape(n_snippets, c)
-                perm = rng.permuted(np.tile(np.arange(c), (n_snippets, 1)), axis=1)
-                shuffled = grid[np.arange(n_snippets)[:, None], perm]
-                samples = [shuffled[:, j] for j in range(c)]
-            elif samples is None:
-                idx = rng.permutation(config.truncate_to)[:c]
-                if config.method == "ordered_random":
-                    idx = np.sort(idx)
-                samples = [arr[idx]]
-            for sample in samples:
+            blocks = position_block_samples(rng, arr, config, c)
+        for block in blocks:
+            for sample in block:
                 y = evaluate(sample, spec, rng=rng)[0] - comp
                 t = total + y
                 comp = (t - total) - y
