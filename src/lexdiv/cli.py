@@ -157,7 +157,6 @@ def _spec_from(args) -> IndexSpec:
         s=args.s,
         factor=args.factor,
         maas_variant=getattr(args, "maas_variant", "natural_log_a"),
-        seed=_resolve_seed(args),
     )
     spec.validate()
     return spec.with_defaults()
@@ -193,9 +192,10 @@ def _parse_conditions(raw, cast=int):
 def cmd_index(args):
     corpus = _load_corpus(args)
     spec = _spec_from(args)
+    seed = _resolve_seed(args)
     rows = []
     for text in corpus:
-        rng = rng_stream(spec.seed, text.id, "index", spec.label())
+        rng = rng_stream(seed, text.id, "index", spec.label())
         score, flags = evaluate(text, spec, rng=rng)
         rows.append({
             "text_id": text.id,
@@ -284,7 +284,7 @@ def _emit_experiment(matrix: ScoreMatrix, args, run_config: RunConfig,
         written.append(Path(str(args.out) + ".meta.json"))
         if getattr(args, "icc_out", None):
             result = icc_2_1(matrix, mode=icc_mode)
-            payload = json.dumps(result.as_dict(), indent=2)
+            payload = json.dumps(asdict(result), indent=2)
             _atomic_write(args.icc_out,
                           lambda tmp: Path(tmp).write_text(payload))
             written.append(Path(args.icc_out))
@@ -302,9 +302,9 @@ def _emit_experiment(matrix: ScoreMatrix, args, run_config: RunConfig,
 def cmd_stats(args):
     matrix = ScoreMatrix.from_long_csv(args.source)
     if args.stat == "icc":
-        result = icc_2_1(matrix, mode=args.mode).as_dict()
+        result = asdict(icc_2_1(matrix, mode=args.mode))
     elif args.stat == "anova":
-        result = rm_anova(matrix).as_dict()
+        result = asdict(rm_anova(matrix))
     else:  # compare-corr
         if not args.criterion:
             raise CliError("compare-corr needs --criterion CSV (id,score)")
@@ -330,7 +330,7 @@ def cmd_stats(args):
         comparison = compare_correlations(
             matrix.values[:, ja], matrix.values[:, jb], y
         )
-        result = comparison.as_dict()
+        result = asdict(comparison)
         result["col_large_candidate"] = matrix.col_labels[ja]
         result["col_small_candidate"] = matrix.col_labels[jb]
 

@@ -47,22 +47,25 @@ MAAS_VARIANTS = ("natural_log_a", "base10_a_squared")
 
 @dataclass(frozen=True)
 class IndexSpec:
-    """Everything needed to score a text deterministically (plus a seed for
-    the stochastic indices)."""
+    """An index kind and its parameters; the stochastic indices also take
+    a seed or Generator where they are scored."""
 
     kind: IndexKind
     n: Optional[int] = None
     s: Optional[int] = None
     factor: Optional[float] = None
     maas_variant: str = "natural_log_a"
-    seed: Optional[int] = None
 
     def with_defaults(self) -> "IndexSpec":
         missing = {name: value for name, value in INDEXES[self.kind].defaults.items()
                    if getattr(self, name) is None}
         return replace(self, **missing) if missing else self
 
-    def validate(self):
+    def validate(self, n_tokens: Optional[int] = None):
+        """Reject bad parameters and, given a text length, a text too short
+        for the spec.  The length check reads the spec's own n, so give it
+        a resolved spec (``with_defaults``).  Every scoring door calls this;
+        the kernels check nothing."""
         if self.n is not None and self.n < 1:
             raise IndexError_(f"n must be >= 1, got {self.n}")
         if self.s is not None and self.s < 1:
@@ -71,6 +74,12 @@ class IndexSpec:
             raise IndexError_(f"factor must be in (0, 1), got {self.factor}")
         if self.maas_variant not in MAAS_VARIANTS:
             raise IndexError_(f"unknown maas variant {self.maas_variant!r}")
+        if n_tokens is not None:
+            need = INDEXES[self.kind].min_tokens
+            need = self.n if need == "n" else need
+            if n_tokens < need:
+                raise IndexError_(f"{self.label()} needs at least {need} "
+                                  f"tokens, got {n_tokens}")
 
     def label(self) -> str:
         spec = self.with_defaults()
@@ -98,33 +107,23 @@ def spectrum(text) -> FrequencySpectrum:
 
 
 def _ttr(v: int, n: int) -> float:
-    if n < 1:
-        raise IndexError_("empty token sequence")
     return v / n
 
 
 def _guiraud_r(v: int, n: int) -> float:
-    if n < 1:
-        raise IndexError_("empty token sequence")
     return v / math.sqrt(n)
 
 
 def _herdan_c(v: int, n: int) -> float:
-    if n < 2:
-        raise IndexError_("undefined for single token")
     if v == 1:
         return 0.0
     return math.log(v) / math.log(n)
 
 
 def _maas_a(v: int, n: int, variant: str = "natural_log_a") -> float:
-    if n < 2:
-        raise IndexError_("undefined for single token")
-    if variant == "natural_log_a":
-        return math.sqrt((math.log(n) - math.log(v)) / math.log(n) ** 2)
     if variant == "base10_a_squared":
         return (math.log10(n) - math.log10(v)) / math.log10(n) ** 2
-    raise IndexError_(f"unknown maas variant {variant!r}")
+    return math.sqrt((math.log(n) - math.log(v)) / math.log(n) ** 2)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -179,7 +178,8 @@ def _prev_occurrence(codes: np.ndarray) -> np.ndarray:
 
 
 # ------------------------------------------------------------- row kernels
-# Each scores every row of a code matrix and returns a list of floats.
+# Each scores every row of a code matrix and returns a list of floats.  The
+# spec is checked and every row long enough (IndexSpec.validate).
 
 def _type_count_scores(formula, counts: np.ndarray, length: int) -> list:
     """Score each row of a count matrix of length-token samples by its type
@@ -194,10 +194,6 @@ def _hdd_scores(counts: np.ndarray, length: int, n: int) -> list:
     """HD-D of each row of a count matrix of length-token samples: for each
     frequency f present, (types with frequency f) x presence(f), summed with
     fsum, which keeps the result independent of token order."""
-    if n < 1:
-        raise IndexError_(f"n must be >= 1, got {n}")
-    if n > length:
-        raise IndexError_(f"sample exceeds text length ({n} > {length})")
     coc = _count_matrix(counts)
     freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
     presence = np.array([_presence(length, int(f), n) for f in freqs])
@@ -210,10 +206,6 @@ def _mattr_rows(codes: np.ndarray, n: int) -> list:
     the first occurrence of its type in the windows starting from
     max(i-n+1, prev[i]+1) to min(i, N-n) (Covington & McFall 2010)."""
     big_n = codes.shape[1]
-    if n < 1:
-        raise IndexError_(f"n must be >= 1, got {n}")
-    if n > big_n:
-        raise IndexError_(f"window exceeds text length ({n} > {big_n})")
     pos = np.arange(big_n)
     first = np.maximum(pos - n + 1, _prev_occurrence(codes) + 1)
     last = np.minimum(pos, big_n - n)
@@ -224,12 +216,7 @@ def _mattr_rows(codes: np.ndarray, n: int) -> list:
 def _msttr_rows(codes: np.ndarray, n: int) -> list:
     """MSTTR of each row: a position counts when no earlier position of its
     complete segment holds its type."""
-    big_n = codes.shape[1]
-    if n < 1:
-        raise IndexError_(f"n must be >= 1, got {n}")
-    if n > big_n:
-        raise IndexError_(f"no complete segment ({n} > {big_n})")
-    used = big_n // n * n
+    used = codes.shape[1] // n * n
     pos = np.arange(used)
     first = _prev_occurrence(codes[:, :used]) < pos - pos % n
     return (first.sum(axis=1) / used).tolist()
@@ -237,12 +224,12 @@ def _msttr_rows(codes: np.ndarray, n: int) -> list:
 
 def _mttrrs_rows(codes: np.ndarray, n: int, s: int, rng) -> list:
     """MTTRRS of each row: s draws of n positions with replacement, all rows'
-    drawn in one call, then the mean type count of the s draws, which is
-    the MSTTR(n) of the drawn tokens."""
-    if n < 1 or s < 1:
-        raise IndexError_("n and s must be >= 1")
+    drawn in one call, then the mean type count of the s draws.  A sorted
+    draw holds 1 + (neighbouring pairs that differ) types."""
     picks = _as_generator(rng).integers(0, codes.shape[1], size=(len(codes), s * n))
-    return _msttr_rows(np.take_along_axis(codes, picks, axis=1), n)
+    drawn = np.sort(np.take_along_axis(codes, picks, axis=1).reshape(-1, n), axis=1)
+    types = 1 + np.count_nonzero(drawn[:, 1:] != drawn[:, :-1], axis=1)
+    return (types.reshape(len(codes), s).sum(axis=1) / (s * n)).tolist()
 
 
 def _mttrss_rows(codes: np.ndarray, n: int, s: int, rng) -> list:
@@ -250,12 +237,8 @@ def _mttrss_rows(codes: np.ndarray, n: int, s: int, rng) -> list:
     call, then the mean type count of the s contiguous length-n segments.
     A segment position holds a new type when the previous occurrence of its
     code lies before the segment's start."""
-    big_n = codes.shape[1]
-    if n < 1 or s < 1:
-        raise IndexError_("n and s must be >= 1")
-    if n > big_n:
-        raise IndexError_(f"segment exceeds text length ({n} > {big_n})")
-    starts = _as_generator(rng).integers(0, big_n - n + 1, size=(len(codes), s, 1))
+    starts = _as_generator(rng).integers(0, codes.shape[1] - n + 1,
+                                         size=(len(codes), s, 1))
     picks = (starts + np.arange(n)).reshape(len(codes), s * n)
     prev = np.take_along_axis(_prev_occurrence(codes), picks, axis=1)
     first = prev.reshape(len(codes), s, n) < starts
@@ -281,33 +264,11 @@ def _mtld_pass(toks, factor: float) -> float:
     return factors
 
 
-def mtld(text, factor: float = 0.72) -> float:
-    score, _ = mtld_detailed(text, factor)
-    return score
-
-
-def mtld_detailed(text, factor: float = 0.72):
-    """Bidirectional MTLD.  Returns ``(score, flags)``.
-
-    The forward pass grows a segment token by token and counts a full
-    factor each time the running TTR drops below ``factor``; the tail
-    contributes a partial factor of (1 - TTR) / (1 - factor).  The same is
-    done on the reversed sequence and the two lengths are averaged.  When
-    the TTR never drops in either direction the score is the text length,
-    flagged ``undefined_factors``.
-    """
-    toks = tokens_of(text)
-    if len(toks) < 1:
-        raise IndexError_("empty token sequence")
-    if not (0.0 < factor < 1.0):
-        raise IndexError_(f"factor must be in (0, 1), got {factor}")
-    if isinstance(toks, np.ndarray):
-        toks = toks.tolist()
-    fwd = _mtld_pass(toks, factor)
-    bwd = _mtld_pass(toks[::-1], factor)
+def _mtld(toks: list, factor: float):
+    """Bidirectional MTLD of a list of token codes: ``(score, flags)``."""
     flags = ()
     scores = []
-    for factors in (fwd, bwd):
+    for factors in (_mtld_pass(toks, factor), _mtld_pass(toks[::-1], factor)):
         if factors == 0.0:
             flags = ("undefined_factors",)
             scores.append(float(len(toks)))
@@ -320,7 +281,7 @@ def mtld_detailed(text, factor: float = 0.72):
 
 def _score(kind: IndexKind, text, rng=None, **params) -> float:
     """A text's score under its kind's row kernel."""
-    return INDEXES[kind].rows(_codes_row(text), IndexSpec(kind, **params), rng)[0]
+    return evaluate_rows(_codes_row(text), IndexSpec(kind, **params), rng)[0]
 
 
 def ttr(text) -> float:
@@ -354,6 +315,23 @@ def msttr(text, n: int) -> float:
     return _score(IndexKind.MSTTR, text, n=n)
 
 
+def mtld(text, factor: float = 0.72) -> float:
+    return _score(IndexKind.MTLD, text, factor=factor)
+
+
+def mtld_detailed(text, factor: float = 0.72):
+    """Bidirectional MTLD.  Returns ``(score, flags)``.
+
+    The forward pass grows a segment token by token and counts a full
+    factor each time the running TTR drops below ``factor``; the tail
+    contributes a partial factor of (1 - TTR) / (1 - factor).  The same is
+    done on the reversed sequence and the two lengths are averaged.  When
+    the TTR never drops in either direction the score is the text length,
+    flagged ``undefined_factors``.
+    """
+    return evaluate(text, IndexSpec(IndexKind.MTLD, factor=factor))
+
+
 def mttrrs(text, n: int = 50, s: int = 10, seed=None) -> float:
     """Mean TTR over s with-replacement samples of n tokens."""
     return _score(IndexKind.MTTRRS, text, seed, n=n, s=s)
@@ -380,15 +358,17 @@ class IndexDef:
     """Everything the package knows about one index kind.
 
     ``rows(codes, spec, rng)`` is the index: it scores each row of a matrix
-    of small non-negative token codes under a resolved spec, and every
-    scoring path (``evaluate``, ``evaluate_rows``, the scalar functions)
-    goes through it.  An order-free index is its ``counts(counts, length,
+    of small non-negative token codes under a resolved spec that
+    ``IndexSpec.validate`` passed for the row length, and every scoring
+    path (``evaluate``, ``evaluate_rows``, the scalar functions) goes
+    through it.  An order-free index is its ``counts(counts, length,
     spec)`` kernel, which scores each row of a count matrix (``counts[b,
     t]``: occurrences of type t in row b, a sample of ``length`` tokens);
     its ``rows`` is derived here as that kernel applied to the count matrix
     of the code rows, so random sampling can hand it drawn type counts
-    directly.  ``score(text, spec, rng)`` giving ``(score, flags)`` is the
-    one override, for MTLD, whose ``evaluate`` reports flags.  ``label`` is
+    directly.  ``score(codes, spec, rng)`` giving ``(score, flags)`` for a
+    one-row code matrix is the one override, for MTLD, whose ``evaluate``
+    reports flags.  ``label`` is
     formatted with the spec's kind, n, s, factor and variant (the
     non-default Maas variant); ``min_tokens`` is a count or "n";
     ``weights(n_tokens, n)`` gives per-position weights.
@@ -456,9 +436,9 @@ INDEXES = {
         weights=lambda big_n, n: [min(i, n, big_n - n + 1, big_n - i + 1)
                                   / (big_n - n + 1) for i in range(1, big_n + 1)]),
     IndexKind.MTLD: IndexDef(
-        rows=lambda codes, spec, rng: [mtld_detailed(row, spec.factor)[0]
+        rows=lambda codes, spec, rng: [_mtld(row, spec.factor)[0]
                                        for row in codes.tolist()],
-        score=lambda text, spec, rng: mtld_detailed(text, spec.factor),
+        score=lambda codes, spec, rng: _mtld(codes[0].tolist(), spec.factor),
         label="{kind}[factor={factor}]", defaults={"factor": 0.72},
         sweep="factor", sweep_values=MTLD_FACTOR_SWEEP),
 }
@@ -480,44 +460,39 @@ def token_weights(kind: IndexKind, n_tokens: int, n: Optional[int] = None):
     index = INDEXES[kind]
     if index.weights is None:
         raise IndexError_(f"no weight definition for {kind.value}")
-    if n_tokens < 1:
-        raise IndexError_(f"text length must be >= 1, got {n_tokens}")
-    if index.min_tokens == "n":
-        if n is None:
-            raise IndexError_(f"{kind.value} weights need a segment length n")
-        if n < 1:
-            raise IndexError_(f"n must be >= 1, got {n}")
-        if n > n_tokens:
-            raise IndexError_(f"n exceeds text length ({n} > {n_tokens})")
+    if index.min_tokens == "n" and n is None:
+        raise IndexError_(f"{kind.value} weights need a segment length n")
+    IndexSpec(kind, n=n).validate(n_tokens)
     return index.weights(n_tokens, n)
 
 
 def evaluate(text, spec: IndexSpec, rng=None):
     """Score a text under a spec.  Returns ``(score, flags)``.
 
-    ``rng`` overrides ``spec.seed`` for the stochastic indices, which lets
-    a sampling harness hand each evaluation its own derived stream.
+    ``rng``, a seed or a Generator, drives the stochastic indices, which
+    lets a sampling harness hand each evaluation its own derived stream.
     """
+    codes = _codes_row(text)
     spec = spec.with_defaults()
-    spec.validate()
+    spec.validate(codes.shape[1])
     index = INDEXES[spec.kind]
-    rng = spec.seed if rng is None else rng
     if index.score is not None:
-        return index.score(text, spec, rng)
-    return index.rows(_codes_row(text), spec, rng)[0], ()
+        return index.score(codes, spec, rng)
+    return index.rows(codes, spec, rng)[0], ()
 
 
 def evaluate_rows(codes: np.ndarray, spec: IndexSpec, rng=None) -> list:
     """Score every row of a matrix of small non-negative token codes, each
     row one text.  The stochastic indices draw all rows' positions from
-    ``rng`` (else ``spec.seed``) in one call, rows in order, so a row scores
-    as ``evaluate`` would with the stream in the state the rows before it
-    left it (``tests/test_sampling.py::test_block_draw_is_the_sequential_stream``
+    ``rng`` (a seed or a Generator) in one call, rows in order, so a row
+    scores as ``evaluate`` would with the stream in the state the rows
+    before it left it
+    (``tests/test_sampling.py::test_block_draw_is_the_sequential_stream``
     pins the numpy property this rests on).
     """
     spec = spec.with_defaults()
-    spec.validate()
-    return INDEXES[spec.kind].rows(codes, spec, spec.seed if rng is None else rng)
+    spec.validate(codes.shape[1])
+    return INDEXES[spec.kind].rows(codes, spec, rng)
 
 
 def min_tokens_required(spec: IndexSpec) -> int:

@@ -30,19 +30,6 @@ class IccResult:
     n_rows: int
     n_cols: int
 
-    def as_dict(self):
-        return {
-            "mode": self.mode,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "ms_rows": self.ms_rows,
-            "ms_cols": self.ms_cols,
-            "ms_error": self.ms_error,
-            "n_rows": self.n_rows,
-            "n_cols": self.n_cols,
-        }
-
 
 @dataclass(frozen=True)
 class AnovaResult:
@@ -53,17 +40,6 @@ class AnovaResult:
     partial_eta_sq: float
     condition_means: tuple
     condition_sds: tuple
-
-    def as_dict(self):
-        return {
-            "F": self.F,
-            "df1": self.df1,
-            "df2": self.df2,
-            "p": self.p,
-            "partial_eta_sq": self.partial_eta_sq,
-            "condition_means": list(self.condition_means),
-            "condition_sds": list(self.condition_sds),
-        }
 
 
 @dataclass(frozen=True)
@@ -77,19 +53,6 @@ class CorrComparison:
     p: float
     zou_low: float
     zou_high: float
-
-    def as_dict(self):
-        return {
-            "r_large": self.r_large,
-            "r_small": self.r_small,
-            "r_between": self.r_between,
-            "n": self.n,
-            "t": self.t,
-            "df": self.df,
-            "p": self.p,
-            "zou_low": self.zou_low,
-            "zou_high": self.zou_high,
-        }
 
 
 def _mean_squares(values: np.ndarray):

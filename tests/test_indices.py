@@ -4,6 +4,7 @@ permutation/weight properties."""
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,9 +394,9 @@ def test_evaluate_dispatch_matches_functions(reference):
 
 
 def test_evaluate_stochastic_uses_seed(reference):
-    spec = IndexSpec(kind=IndexKind.MTTRSS, seed=11)
-    a, _ = evaluate(reference, spec)
-    b, _ = evaluate(reference, spec)
+    spec = IndexSpec(kind=IndexKind.MTTRSS)
+    a, _ = evaluate(reference, spec, rng=11)
+    b, _ = evaluate(reference, spec, rng=11)
     assert a == b
     c, _ = evaluate(reference, spec, rng=np.random.default_rng(99))
     d, _ = evaluate(reference, spec, rng=np.random.default_rng(99))
@@ -422,6 +423,44 @@ def test_spec_validation():
         IndexSpec(kind=IndexKind.MTLD, factor=1.2).validate()
     with pytest.raises(IndexError_):
         IndexSpec(kind=IndexKind.MAAS_A, maas_variant="nope").validate()
+
+
+SCALAR_FUNCTIONS = {
+    IndexKind.TTR: lambda toks, spec: ttr(toks),
+    IndexKind.GUIRAUD_R: lambda toks, spec: guiraud_r(toks),
+    IndexKind.HERDAN_C: lambda toks, spec: herdan_c(toks),
+    IndexKind.MAAS_A: lambda toks, spec: maas_a(toks, spec.maas_variant),
+    IndexKind.MTTRRS: lambda toks, spec: mttrrs(toks, spec.n, spec.s, seed=0),
+    IndexKind.HDD: lambda toks, spec: hdd(toks, spec.n),
+    IndexKind.MATTR: lambda toks, spec: mattr(toks, spec.n),
+    IndexKind.MSTTR: lambda toks, spec: msttr(toks, spec.n),
+    IndexKind.MTTRSS: lambda toks, spec: mttrss(toks, spec.n, spec.s, seed=0),
+    IndexKind.MTLD: lambda toks, spec: mtld(toks, spec.factor),
+}
+
+
+@pytest.mark.parametrize("kind", list(IndexKind))
+def test_every_door_rejects_bad_input(kind):
+    """A row shorter than the spec's minimum, and each bad parameter the
+    kind takes, raise IndexError_ through the scalar function, evaluate and
+    evaluate_rows alike."""
+    spec = IndexSpec(kind).with_defaults()
+    text = [f"w{i % 7}" for i in range(60)]
+    cases = [(spec, text[:min_tokens_required(spec) - 1], "needs at least")]
+    bad = {"n": 0, "s": 0, "factor": 1.0}
+    cases += [(replace(spec, **{name: bad[name]}), text, f"{name} must")
+              for name in INDEXES[kind].defaults]
+    if kind == IndexKind.MAAS_A:
+        cases.append((replace(spec, maas_variant="nope"), text, "variant"))
+    routes = (
+        SCALAR_FUNCTIONS[kind],
+        lambda toks, spec: evaluate(toks, spec, rng=0),
+        lambda toks, spec: evaluate_rows(_encode(toks)[None], spec, rng=0),
+    )
+    for bad_spec, toks, message in cases:
+        for route in routes:
+            with pytest.raises(IndexError_, match=message):
+                route(toks, bad_spec)
 
 
 def test_min_tokens_required():
