@@ -46,8 +46,8 @@ from .sampling import (
     SamplingError,
     ScoreMatrix,
     parameter_sweep,
-    rng_stream,
     run_method,
+    stream_seed,
 )
 from .stats import StatsError, compare_correlations, icc_2_1, pearson, rm_anova
 
@@ -195,8 +195,8 @@ def cmd_index(args):
     seed = _resolve_seed(args)
     rows = []
     for text in corpus:
-        rng = rng_stream(seed, text.id, "index", spec.label())
-        score, flags = evaluate(text, spec, rng=rng)
+        score, flags = evaluate(
+            text, spec, rng=stream_seed(seed, text.id, "index", spec.label()))
         rows.append({
             "text_id": text.id,
             "index": spec.kind.value,
@@ -492,8 +492,14 @@ def _apply_config_file(parser, argv):
         path = argv[i + 1]
     except IndexError:
         parser.error("--config needs a file argument")
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as e:
+        parser.error(f"--config {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        parser.error(f"--config {path}: not UTF-8 text")
     defaults = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,11 +1,11 @@
 """The ten lexical-diversity indices, per-token weights, and the IndexSpec API.
 
 Index functions accept either a ``corpus.Text`` or any sequence of hashable
-tokens (an integer numpy array is taken as token codes).  Every index is
-one row kernel that scores each row of a matrix of token codes; the
-functions below score a one-row matrix.  The order-free indices (TTR,
-Guiraud, Herdan, Maas, HD-D) are a kernel over each row's type counts, so
-they can also score count rows drawn without any token order.  All of
+tokens (an integer numpy array is taken as token codes, renumbered from 0).
+Every index is one row kernel that scores each row of a matrix of token
+codes; the functions below score a one-row matrix.  The order-free indices
+(TTR, Guiraud, Herdan, Maas, HD-D) are a kernel over each row's type
+counts, so they can also score count rows drawn without any token order.  All of
 them are deterministic given their parameters; the two stochastic indices
 (MTTRRS, MTTRSS) additionally take a seed or an explicit numpy Generator.
 """
@@ -149,9 +149,14 @@ def _encode(tokens) -> np.ndarray:
 
 
 def _codes_row(text) -> np.ndarray:
-    """A text as a one-row code matrix; an integer array is taken as codes."""
+    """A text as a one-row code matrix.  An integer array is taken as codes;
+    one with a code outside [0, len) is renumbered densely from 0 first, so
+    huge or negative codes score like any other tokens (a renumbering
+    leaves every index value as it is)."""
     toks = tokens_of(text)
     if isinstance(toks, np.ndarray) and toks.dtype.kind in "iu":
+        if toks.size and (toks.min() < 0 or toks.max() >= toks.size):
+            toks = np.searchsorted(np.unique(toks), toks)
         return toks[None, :]
     return _encode(toks)[None, :]
 
@@ -166,15 +171,34 @@ def _count_matrix(codes: np.ndarray) -> np.ndarray:
 
 def _prev_occurrence(codes: np.ndarray) -> np.ndarray:
     """For each row of a code matrix, the position of the previous
-    occurrence of each position's code in that row, or -1."""
-    order = np.argsort(codes, axis=1, kind="stable")
-    ranked = np.take_along_axis(codes, order, axis=1)
-    repeat = ranked[:, 1:] == ranked[:, :-1]
-    prev_ranked = np.full(codes.shape, -1, dtype=np.int64)
-    prev_ranked[:, 1:][repeat] = order[:, :-1][repeat]
-    prev = np.empty_like(prev_ranked)
-    np.put_along_axis(prev, order, prev_ranked, axis=1)
-    return prev
+    occurrence of each position's code in that row, or -1.
+
+    One flat sort of the keys (row * width + code) * m + position, one per
+    cell: a key's left neighbour is its previous occurrence when the two
+    share a (row, code) group.  The keys are int32 when they fit.  A
+    position holds a type new to a segment exactly when its previous
+    occurrence lies before the segment's start, so a kernel that grows
+    segments (MTLD, ``_mtld_factors``) learns only here which positions
+    can lower its running TTR: the repeats."""
+    rows, m = codes.shape
+    width = int(codes.max(initial=-1)) + 1
+    dtype = np.int32 if rows * width * m < 2**31 else np.int64
+    keys = codes.astype(dtype)
+    keys += np.arange(0, rows * width, width, dtype=dtype)[:, None]
+    keys *= m
+    keys += np.arange(m, dtype=dtype)
+    keys = keys.ravel()
+    keys.sort()
+    group = keys // m
+    keys -= group * m  # each key's position
+    prev = np.where(group[1:] == group[:-1], keys[:-1], -1)
+    group //= width
+    group *= m
+    group += keys  # each key's flat cell
+    out = np.empty_like(keys)
+    out[group[:1]] = -1  # the first key has no left neighbour
+    out[group[1:]] = prev
+    return out.reshape(rows, m)
 
 
 # ------------------------------------------------------------- row kernels
@@ -245,36 +269,48 @@ def _mttrss_rows(codes: np.ndarray, n: int, s: int, rng) -> list:
     return (first.sum(axis=(1, 2)) / (s * n)).tolist()
 
 
-def _mtld_pass(toks, factor: float) -> float:
+def _mtld_factors(prev: list, factor: float) -> float:
+    """One MTLD pass over a row's previous-occurrence list: a full factor each
+    time the running TTR of the growing segment drops below ``factor``, and
+    a partial (1 - TTR) / (1 - factor) for the tail.  A position whose
+    previous occurrence lies before the segment's start adds a type, and
+    (t + 1) / (c + 1) >= t / c also holds for correctly rounded division, so
+    the TTR can first drop below ``factor`` only at a repeat: testing it
+    there alone gives the same floats as testing it at every token."""
     factors = 0.0
-    seen = set()
-    count = 0
-    running_ttr = 1.0
-    for tok in toks:
+    start = types = count = 0
+    for p in prev:
         count += 1
-        seen.add(tok)
-        running_ttr = len(seen) / count
-        if running_ttr < factor:
+        if p < start:
+            types += 1
+        elif types / count < factor:
             factors += 1.0
-            seen.clear()
-            count = 0
-            running_ttr = 1.0
-    if count > 0:
-        factors += (1.0 - running_ttr) / (1.0 - factor)
+            start += count
+            types = count = 0
+    if count:
+        factors += (1.0 - types / count) / (1.0 - factor)
     return factors
 
 
-def _mtld(toks: list, factor: float):
-    """Bidirectional MTLD of a list of token codes: ``(score, flags)``."""
-    flags = ()
-    scores = []
-    for factors in (_mtld_pass(toks, factor), _mtld_pass(toks[::-1], factor)):
-        if factors == 0.0:
-            flags = ("undefined_factors",)
-            scores.append(float(len(toks)))
-        else:
-            scores.append(len(toks) / factors)
-    return (scores[0] + scores[1]) / 2.0, flags
+def _mtld_rows(codes: np.ndarray, factor: float) -> list:
+    """Bidirectional MTLD of each row: ``(score, flags)``.  One
+    ``_prev_occurrence`` call on the rows stacked with their reversals
+    serves both passes."""
+    rows, n = codes.shape
+    prev = _prev_occurrence(np.concatenate([codes, codes[:, ::-1]])).tolist()
+    out = []
+    for forward, backward in zip(prev[:rows], prev[rows:]):
+        flags = ()
+        scores = []
+        for factors in (_mtld_factors(forward, factor),
+                        _mtld_factors(backward, factor)):
+            if factors == 0.0:
+                flags = ("undefined_factors",)
+                scores.append(float(n))
+            else:
+                scores.append(n / factors)
+        out.append(((scores[0] + scores[1]) / 2.0, flags))
+    return out
 
 
 # ------------------------------------------------------- scalar functions
@@ -436,9 +472,9 @@ INDEXES = {
         weights=lambda big_n, n: [min(i, n, big_n - n + 1, big_n - i + 1)
                                   / (big_n - n + 1) for i in range(1, big_n + 1)]),
     IndexKind.MTLD: IndexDef(
-        rows=lambda codes, spec, rng: [_mtld(row, spec.factor)[0]
-                                       for row in codes.tolist()],
-        score=lambda codes, spec, rng: _mtld(codes[0].tolist(), spec.factor),
+        rows=lambda codes, spec, rng: [score for score, _ in
+                                       _mtld_rows(codes, spec.factor)],
+        score=lambda codes, spec, rng: _mtld_rows(codes, spec.factor)[0],
         label="{kind}[factor={factor}]", defaults={"factor": 0.72},
         sweep="factor", sweep_values=MTLD_FACTOR_SWEEP),
 }
@@ -488,10 +524,13 @@ def evaluate_rows(codes: np.ndarray, spec: IndexSpec, rng=None) -> list:
     scores as ``evaluate`` would with the stream in the state the rows
     before it left it
     (``tests/test_sampling.py::test_block_draw_is_the_sequential_stream``
-    pins the numpy property this rests on).
+    pins the numpy property this rests on).  A negative code would share
+    a count column or sort key with another row's code, so it is rejected.
     """
     spec = spec.with_defaults()
     spec.validate(codes.shape[1])
+    if codes.size and codes.min() < 0:
+        raise IndexError_("token codes must be non-negative")
     return INDEXES[spec.kind].rows(codes, spec, rng)
 
 

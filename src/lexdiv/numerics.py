@@ -138,7 +138,9 @@ def f_sf(f: float, df1: float, df2: float) -> float:
 def f_isf(p: float, df1: float, df2: float) -> float:
     """Inverse of f_sf in its first argument (upper-tail F quantile).
 
-    Bisection on the monotone tail; plenty for confidence-interval work.
+    Bisection on the monotone tail, to the last bit: it stops once the
+    midpoint rounds to an end, from where f_sf(lo) > p >= f_sf(hi) would
+    leave both ends as they are.
     """
     if not (0.0 < p < 1.0):
         raise NumericsError(f"p must be in (0, 1), got {p}")
@@ -149,6 +151,8 @@ def f_isf(p: float, df1: float, df2: float) -> float:
             raise NumericsError("f_isf: bracket expansion failed")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if f_sf(mid, df1, df2) > p:
             lo = mid
         else:

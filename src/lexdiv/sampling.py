@@ -147,14 +147,15 @@ class ScoreMatrix:
         return cls(row_ids, cols, values, meta={"source": str(path)})
 
 
-def rng_stream(master_seed: int, *key) -> np.random.Generator:
-    """Deterministic per-task generator keyed by (master_seed, *key).
+def stream_seed(master_seed: int, *key) -> int:
+    """The 128-bit seed of the per-task stream keyed by (master_seed, *key).
 
     Uses SHA-256 of the repr so streams do not depend on Python's
-    randomized string hashing.
+    randomized string hashing.  Handed to a kernel as its ``rng``, it
+    becomes a Generator only where the index draws.
     """
     digest = hashlib.sha256(repr((master_seed,) + key).encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:16], "big"))
+    return int.from_bytes(digest[:16], "big")
 
 
 def _kahan_mean(values: list) -> float:
@@ -192,17 +193,17 @@ def _alternating_positions(rng, k: int, n_snippets: int, b: int):
     return positions.transpose(0, 2, 1).reshape(b * k, n_snippets)
 
 
-def _parallel_cell(arr, d, seg_len, iterations, spec, stream):
+def _parallel_cell(arr, d, seg_len, iterations, spec, seed):
     segs = arr[:d * seg_len].reshape(d, seg_len)
-    return math.fsum(evaluate_rows(segs, spec, stream("parallel", d))) / d
+    return math.fsum(evaluate_rows(segs, spec, seed("parallel", d))) / d
 
 
-def _random_cell(arr, m, _m, iterations, spec, stream, ordered: bool):
+def _random_cell(arr, m, _m, iterations, spec, seed, ordered: bool):
     if m == len(arr):
         # full extract: a single deterministic score, no permutation
-        return evaluate_rows(arr[None], spec, stream("random", m, "full"))[0]
+        return evaluate_rows(arr[None], spec, seed("random", m, "full"))[0]
     # one stream per (text, length), shared by random and ordered random
-    rng = stream("random", m)
+    rng = np.random.default_rng(seed("random", m))
     counts = INDEXES[spec.kind].counts
     if counts is None:
         draw = lambda b: arr[_random_positions(rng, len(arr), m, b, ordered)]
@@ -216,10 +217,10 @@ def _random_cell(arr, m, _m, iterations, spec, stream, ordered: bool):
     return _sample_mean(draw, score, iterations)
 
 
-def _alternating_cell(arr, k, sample_len, iterations, spec, stream):
+def _alternating_cell(arr, k, sample_len, iterations, spec, seed):
     if k == 1:
-        return evaluate_rows(arr[None], spec, stream("alternating", k, "full"))[0]
-    rng = stream("alternating", k)
+        return evaluate_rows(arr[None], spec, seed("alternating", k, "full"))[0]
+    rng = np.random.default_rng(seed("alternating", k))
     draw = lambda b: arr[_alternating_positions(rng, k, sample_len, b)]
     score = partial(evaluate_rows, spec=spec, rng=rng)
     return _sample_mean(draw, score, iterations)
@@ -228,10 +229,10 @@ def _alternating_cell(arr, k, sample_len, iterations, spec, stream):
 @dataclass(frozen=True)
 class Method:
     """One length-reduction method.  ``cell(arr, condition, sample_len,
-    iterations, spec, stream)`` scores one condition on an encoded
-    L-truncation, where ``stream(*key)`` is the text's RNG stream for that
-    key.  A condition d of a ``divides`` method names samples of floor(L/d)
-    tokens; otherwise the condition is the sample length itself."""
+    iterations, spec, seed)`` scores one condition on an encoded
+    L-truncation, where ``seed(*key)`` is the seed of the text's RNG stream
+    for that key.  A condition d of a ``divides`` method names samples of
+    floor(L/d) tokens; otherwise the condition is the sample length itself."""
 
     cell: Callable
     divides: bool
@@ -266,8 +267,8 @@ def _row(text, method: str, truncate_to: int, conditions, iterations: int,
     spec.validate()
     needed = min_tokens_required(spec)
     arr = _encode(toks[:truncate_to])
-    stream = partial(rng_stream, master_seed,
-                     text.id if isinstance(text, Text) else None)
+    seed = partial(stream_seed, master_seed,
+                   text.id if isinstance(text, Text) else None)
     scores = []
     for c in conditions:
         if c < 1:
@@ -281,7 +282,7 @@ def _row(text, method: str, truncate_to: int, conditions, iterations: int,
                 f"condition {c}: sample length {length} below the "
                 f"{spec.kind.value} minimum of {needed}"
             )
-        scores.append(METHODS[method].cell(arr, c, length, iterations, spec, stream))
+        scores.append(METHODS[method].cell(arr, c, length, iterations, spec, seed))
     return scores
 
 
@@ -393,8 +394,8 @@ def parameter_sweep(
     values = np.empty((len(corpus), len(param_values)))
     for j, (p, spec) in enumerate(zip(param_values, specs)):
         for i, text in enumerate(corpus):
-            rng = rng_stream(master_seed, text.id, "sweep", str(p))
-            values[i, j] = evaluate_rows(codes[i], spec, rng)[0]
+            seed = stream_seed(master_seed, text.id, "sweep", str(p))
+            values[i, j] = evaluate_rows(codes[i], spec, seed)[0]
     return ScoreMatrix(
         row_ids=[t.id for t in corpus],
         col_labels=[str(p) for p in param_values],

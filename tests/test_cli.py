@@ -9,7 +9,7 @@ import pytest
 
 from lexdiv.cli import DEFAULT_SEED, CliError, _parse_conditions, main
 from lexdiv.indices import IndexKind, IndexSpec, evaluate
-from lexdiv.sampling import rng_stream
+from lexdiv.sampling import stream_seed
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
 
@@ -43,9 +43,14 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def assert_one_line_error(rc, capsys, message):
-    assert rc == 1
+def assert_one_line_error(rc, capsys, message, code=1):
+    """The command exited with ``code`` and one ``lexdiv: error:`` line;
+    argparse's errors (code 2) print the usage before it."""
+    assert rc == code
     err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("usage: lexdiv ")
+        err = err[err.index("lexdiv: error: "):]
     assert err.startswith("lexdiv: error: ")
     assert message in err
     assert err.count("\n") == 1
@@ -97,7 +102,7 @@ def test_index_stochastic_stream_per_text(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     spec = IndexSpec(IndexKind.MTTRSS, n=4, s=3)
     for row in payload:
-        rng = rng_stream(DEFAULT_SEED, row["text_id"], "index", spec.label())
+        rng = stream_seed(DEFAULT_SEED, row["text_id"], "index", spec.label())
         assert row["score"] == evaluate(toks, spec, rng=rng)[0]
     assert payload[0]["score"] != payload[1]["score"]
 
@@ -452,3 +457,17 @@ def test_config_file_malformed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "weights", "--index", "ttr", "--N", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    (b"corpus = \xff\xfe\n", "not UTF-8 text"),
+])
+def test_config_file_unreadable_is_one_line(tmp_path, capsys, content, message):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "weights", "--index", "ttr", "--N", "5"])
+    assert_one_line_error(exc.value.code, capsys, f"--config {cfg}: {message}",
+                          code=2)

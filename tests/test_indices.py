@@ -19,6 +19,7 @@ from lexdiv.indices import (
     IndexKind,
     IndexSpec,
     _encode,
+    _prev_occurrence,
     evaluate,
     evaluate_rows,
     gini_simpson,
@@ -342,18 +343,33 @@ def naive_mtld_pass(toks, factor):
 
 
 def naive_mtld(toks, factor):
-    scores = []
+    """``(score, flags)``, as ``mtld_detailed`` reports them."""
+    scores, flags = [], ()
     for seq in (list(toks), list(toks)[::-1]):
         f = naive_mtld_pass(seq, factor)
+        if f == 0.0:
+            flags = ("undefined_factors",)
         scores.append(len(seq) if f == 0.0 else len(seq) / f)
-    return (scores[0] + scores[1]) / 2.0
+    return (scores[0] + scores[1]) / 2.0, flags
 
 
 @settings(max_examples=300, deadline=None)
 @given(tokens_strategy, st.floats(0.3, 0.9))
 def test_mtld_matches_naive_implementation(toks, factor):
-    assert mtld(toks, factor) == pytest.approx(naive_mtld(toks, factor),
-                                               abs=1e-10)
+    # the kernel tests the running TTR only at repeats; the floats must
+    # still be those of a test at every token
+    assert mtld_detailed(toks, factor) == naive_mtld(toks, factor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 6),
+       st.floats(0.3, 0.9), st.data())
+def test_mtld_rows_match_per_row_evaluate(rows, cols, alphabet, factor, data):
+    codes = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, alphabet - 1), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)))
+    spec = IndexSpec(IndexKind.MTLD, factor=factor)
+    assert evaluate_rows(codes, spec) == [evaluate(row, spec)[0] for row in codes]
 
 
 def test_mtld_all_distinct_flags_undefined():
@@ -373,6 +389,54 @@ def test_mtld_factor_domain():
 def test_mtld_reversal_invariant():
     toks = list("abacabadabacabae" * 4)
     assert mtld(toks, 0.72) == pytest.approx(mtld(toks[::-1], 0.72), abs=1e-12)
+
+
+# ------------------------------------------------------ previous occurrence
+
+def naive_prev_occurrence(codes):
+    out = []
+    for row in codes:
+        last, prev = {}, []
+        for i, code in enumerate(row):
+            prev.append(last.get(code, -1))
+            last[code] = i
+        out.append(prev)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 40), st.integers(1, 8), st.data())
+def test_prev_occurrence_matches_dict_walk(rows, cols, alphabet, data):
+    codes = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, alphabet - 1), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)), dtype=np.int64)
+    assert _prev_occurrence(codes).tolist() == naive_prev_occurrence(codes.tolist())
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (3, 20)])
+def test_prev_occurrence_single_code_rows(shape):
+    codes = np.full(shape, 3, dtype=np.int64)
+    assert _prev_occurrence(codes).tolist() == naive_prev_occurrence(codes.tolist())
+
+
+@pytest.mark.parametrize("spec", [
+    IndexSpec(IndexKind.TTR), IndexSpec(IndexKind.HDD, n=3),
+    IndexSpec(IndexKind.MATTR, n=3), IndexSpec(IndexKind.MTLD)])
+@pytest.mark.parametrize("codes", [
+    [2**40, 1, 1, 7, 2**40, -5, 1, 3], [-3, 4, 4, -3, -3, 9, 0, 4]])
+def test_integer_array_scores_like_a_list(spec, codes):
+    as_array = evaluate(np.array(codes), spec)
+    assert as_array == evaluate(codes, spec)
+    assert as_array == evaluate([str(c) for c in codes], spec)
+
+
+@pytest.mark.parametrize("kind", list(IndexKind))
+def test_evaluate_rows_rejects_negative_codes(kind):
+    # [-1, 0] offset into the second row's code range would score as
+    # another row's types
+    codes = np.array([[0, 1, 2, 1], [-1, 0, 0, 1]])
+    with pytest.raises(IndexError_, match="non-negative"):
+        evaluate_rows(codes, IndexSpec(kind, n=2, s=1), rng=0)
 
 
 # ----------------------------------------------------------------- evaluate

@@ -143,3 +143,24 @@ def test_fisher_z():
 @settings(max_examples=100, deadline=None)
 def test_f_isf_round_trip(p, df1, df2):
     assert f_sf(f_isf(p, df1, df2), df1, df2) == pytest.approx(p, abs=1e-9)
+
+
+def f_isf_200_steps(p, df1, df2):
+    """f_isf as it was before its bisection stopped early."""
+    lo, hi = 0.0, 1.0
+    while f_sf(hi, df1, df2) > p:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f_sf(mid, df1, df2) > p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("p", [0.001, 0.025, 0.5, 0.975])
+@pytest.mark.parametrize("df1, df2", [(1, 1), (3, 47.5), (99, 250.3),
+                                      (250.3, 99), (1000, 2)])
+def test_f_isf_stops_where_the_200_step_loop_stands_still(p, df1, df2):
+    assert f_isf(p, df1, df2) == f_isf_200_steps(p, df1, df2)

@@ -28,8 +28,8 @@ from lexdiv.sampling import (
     parallel_sampling,
     parameter_sweep,
     random_sampling,
-    rng_stream,
     run_method,
+    stream_seed,
 )
 
 from .conftest import make_zipf_corpus
@@ -55,14 +55,12 @@ def capture_samples(monkeypatch):
 
 # ------------------------------------------------------------------ streams
 
-def test_rng_stream_deterministic_and_keyed():
-    a = rng_stream(1, "t", "random", 50).random(4)
-    b = rng_stream(1, "t", "random", 50).random(4)
-    assert np.array_equal(a, b)
-    c = rng_stream(1, "t", "random", 51).random(4)
-    assert not np.array_equal(a, c)
-    d = rng_stream(2, "t", "random", 50).random(4)
-    assert not np.array_equal(a, d)
+def test_stream_seed_deterministic_and_keyed():
+    a = stream_seed(1, "t", "random", 50)
+    assert a == stream_seed(1, "t", "random", 50)
+    assert 0 <= a < 2**128
+    assert a != stream_seed(1, "t", "random", 51)
+    assert a != stream_seed(2, "t", "random", 50)
 
 
 def test_block_draw_is_the_sequential_stream():
@@ -433,12 +431,14 @@ def reference_row(text, config, spec):
     for c in config.conditions:
         if config.method == "alternating":
             full = c == 1
-            rng = rng_stream(config.master_seed, text.id, "alternating", c,
-                             *(("full",) if full else ()))
+            rng = np.random.default_rng(stream_seed(
+                config.master_seed, text.id, "alternating", c,
+                *(("full",) if full else ())))
         else:
             full = c == config.truncate_to
-            rng = rng_stream(config.master_seed, text.id, "random", c,
-                             *(("full",) if full else ()))
+            rng = np.random.default_rng(stream_seed(
+                config.master_seed, text.id, "random", c,
+                *(("full",) if full else ())))
         if full:
             out.append(evaluate(arr, spec, rng=rng)[0])
             continue
