@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .corpus import CorpusError, attach_scores, load_corpus, read_scores
+from .corpus import CorpusError, load_corpus, read_scores
 from .indices import (
     INDEXES,
     MAAS_VARIANTS,
@@ -67,7 +67,6 @@ class RunConfig:
     corpus_dir: Optional[str] = None
     case_policy: str = "fold"
     min_length: int = 0
-    scores_csv: Optional[str] = None
     index: Optional[str] = None
     n: Optional[int] = None
     s: Optional[int] = None
@@ -80,7 +79,6 @@ class RunConfig:
     iterations: int = 10_000
     master_seed: int = DEFAULT_SEED
     threads: int = 1
-    format: str = "csv"
     outputs: dict = field(default_factory=dict)
 
 
@@ -132,11 +130,8 @@ def _resolve_seed(args) -> int:
 def _load_corpus(args):
     if not args.corpus:
         raise CliError("--corpus is required")
-    corpus = load_corpus(args.corpus, case_policy=args.case,
-                         min_length=args.min_length)
-    if getattr(args, "scores", None):
-        corpus = attach_scores(corpus, args.scores)
-    return corpus
+    return load_corpus(args.corpus, case_policy=args.case,
+                       min_length=args.min_length)
 
 
 def _index_kind(name: str) -> IndexKind:
@@ -244,7 +239,7 @@ def cmd_evaluate_length(args):
     run_config = RunConfig(
         subcommand="evaluate-length",
         corpus_dir=args.corpus, case_policy=args.case,
-        min_length=args.min_length, scores_csv=getattr(args, "scores", None),
+        min_length=args.min_length,
         index=spec.kind.value, n=spec.n, s=spec.s, factor=spec.factor,
         maas_variant=spec.maas_variant, method=method,
         truncate_to=args.truncate, conditions=list(config.conditions),
@@ -264,7 +259,7 @@ def cmd_evaluate_parameter(args):
     run_config = RunConfig(
         subcommand="evaluate-parameter",
         corpus_dir=args.corpus, case_policy=args.case,
-        min_length=args.min_length, scores_csv=getattr(args, "scores", None),
+        min_length=args.min_length,
         index=kind.value, s=args.s, params=matrix.meta["param_values"],
         master_seed=seed,
         outputs={"scores": str(args.out)},
@@ -378,7 +373,6 @@ def _add_corpus_args(p):
     p.add_argument("--corpus", help="directory of whitespace-tokenized files")
     p.add_argument("--min-length", dest="min_length", type=int, default=0)
     p.add_argument("--case", choices=["fold", "preserve"], default="fold")
-    p.add_argument("--scores", help="CSV of text quality scores (id,score)")
 
 
 def _add_index_arg(p):

@@ -38,8 +38,6 @@ class Text:
 @dataclass(frozen=True)
 class Corpus:
     texts: tuple[Text, ...]
-    case_policy: str = "fold"
-    min_length: int = 0
 
     def __post_init__(self):
         ids = [t.id for t in self.texts]
@@ -74,7 +72,8 @@ def load_corpus(dir_path, case_policy: str = "fold", min_length: int = 0) -> Cor
     """Load one text per file from a directory of whitespace-tokenized UTF-8 files.
 
     The filename stem is the text id.  Files shorter than ``min_length``
-    tokens (and empty files) are excluded with a warning.
+    tokens (and empty files) are excluded with a warning; excluding every
+    file is an error.
     """
     if case_policy not in CASE_POLICIES:
         raise CorpusError(f"unknown case policy {case_policy!r}")
@@ -108,7 +107,10 @@ def load_corpus(dir_path, case_policy: str = "fold", min_length: int = 0) -> Cor
             )
             continue
         texts.append(Text(id=text_id, tokens=tokens))
-    return Corpus(texts=tuple(texts), case_policy=case_policy, min_length=min_length)
+    if not texts:
+        raise CorpusError(f"every file in {dir_path} is empty or shorter "
+                          f"than min_length {min_length}")
+    return Corpus(texts=tuple(texts))
 
 
 def read_scores(csv_path) -> dict:

@@ -63,9 +63,8 @@ class IndexSpec:
 
     def validate(self, n_tokens: Optional[int] = None):
         """Reject bad parameters and, given a text length, a text too short
-        for the spec.  The length check reads the spec's own n, so give it
-        a resolved spec (``with_defaults``).  Every scoring door calls this;
-        the kernels check nothing."""
+        for the spec (``min_tokens_required``).  Every scoring door calls
+        this; the kernels check nothing."""
         if self.n is not None and self.n < 1:
             raise IndexError_(f"n must be >= 1, got {self.n}")
         if self.s is not None and self.s < 1:
@@ -75,8 +74,7 @@ class IndexSpec:
         if self.maas_variant not in MAAS_VARIANTS:
             raise IndexError_(f"unknown maas variant {self.maas_variant!r}")
         if n_tokens is not None:
-            need = INDEXES[self.kind].min_tokens
-            need = self.n if need == "n" else need
+            need = min_tokens_required(self)
             if n_tokens < need:
                 raise IndexError_(f"{self.label()} needs at least {need} "
                                   f"tokens, got {n_tokens}")
@@ -294,16 +292,21 @@ def _mtld_factors(prev: list, factor: float) -> float:
 
 def _mtld_rows(codes: np.ndarray, factor: float) -> list:
     """Bidirectional MTLD of each row: ``(score, flags)``.  One
-    ``_prev_occurrence`` call on the rows stacked with their reversals
-    serves both passes."""
+    ``_prev_occurrence`` call serves both passes: a position's next
+    occurrence is the position whose previous occurrence it is (n if none),
+    and the next occurrences, mirrored, are the reversed row's previous
+    occurrences.  Each row's lists are built as its walk needs them."""
     rows, n = codes.shape
-    prev = _prev_occurrence(np.concatenate([codes, codes[:, ::-1]])).tolist()
+    prev = _prev_occurrence(codes)
+    # the extra last column takes the writes of first occurrences (prev -1)
+    nxt = np.full((rows, n + 1), n, dtype=prev.dtype)
+    nxt[np.arange(rows)[:, None], prev] = np.arange(n)
     out = []
-    for forward, backward in zip(prev[:rows], prev[rows:]):
+    for forward, backward in zip(prev, (n - 1) - nxt[:, n - 1::-1]):
         flags = ()
         scores = []
-        for factors in (_mtld_factors(forward, factor),
-                        _mtld_factors(backward, factor)):
+        for factors in (_mtld_factors(forward.tolist(), factor),
+                        _mtld_factors(backward.tolist(), factor)):
             if factors == 0.0:
                 flags = ("undefined_factors",)
                 scores.append(float(n))

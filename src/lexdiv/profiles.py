@@ -109,7 +109,7 @@ def hdd_presence_curves(
 
 
 def _series_of(data):
-    """Normalize matrix / selection / curves into [(name, xs, ys), ...]."""
+    """Normalize a matrix or presence curves into [(name, xs, ys), ...]."""
     if isinstance(data, ScoreMatrix):
         xs = []
         for label in data.col_labels:
@@ -120,12 +120,6 @@ def _series_of(data):
         return [
             (rid, xs, list(map(float, data.values[i])))
             for i, rid in enumerate(data.row_ids)
-        ]
-    if isinstance(data, ProfileSelection):
-        # audit view: x = top-4-largest tally, y = top-4-smallest tally
-        return [
-            (rid, [float(data.trace[rid][0])], [float(data.trace[rid][1])])
-            for rid in data.selected_ids
         ]
     if isinstance(data, tuple) and len(data) == 3:
         f_values, n_values, grid = data
@@ -149,7 +143,7 @@ def subset_rows(matrix: ScoreMatrix, selection: ProfileSelection) -> ScoreMatrix
 def emit_plot_data(data, path, format: str = "csv"):
     """Write plot-ready data: long-form CSV ``series,x,y`` or a bare SVG
     multi-line chart."""
-    series = _series_of(data) if data is not None else []
+    series = _series_of(data)
     if format == "csv":
         _emit_csv(series, path)
     elif format == "svg":

@@ -9,7 +9,8 @@ whether the sample keeps the permuted order or the original text order.
 
 Draws are batched per cell: up to ``_BLOCK`` samples come from one draw,
 and the index scores the whole block at once, as its row kernel scores
-every segment and full extract.  The cell mean is a Kahan sum in sample
+every segment and full extract.  The cell mean is ``math.fsum`` of the
+samples' scores over their count, correctly rounded whatever the sample
 order.  How a cell turns its stream into samples is the stream layout,
 recorded as ``STREAM_LAYOUT`` in ``run_method``'s ``ScoreMatrix.meta``:
 
@@ -33,6 +34,8 @@ recorded as ``STREAM_LAYOUT`` in ``run_method``'s ``ScoreMatrix.meta``:
   draws every row's positions (MTTRRS) or segment starts (MTTRSS) in one
   ``integers`` call.  In layout 2 each of their samples was scored before
   the next was drawn.
+- Layout 4: as layout 3, but the cell mean is ``fsum``.  Layouts 1-3
+  summed a cell's scores with a Kahan loop in sample order.
 
 Alternating sampling deals ``permuted`` snippets block by block.
 ``tests/test_sampling.py`` pins the layout against a per-sample loop.
@@ -62,7 +65,7 @@ from .indices import (
 DEFAULT_ITERATIONS = 10_000
 
 # The layout of the sampling streams (see the module docstring).
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 
 # Samples per draw; bounds the draw's memory to about this many rows of L.
 # Part of the stream layout: layout 2's count draws depend on the block
@@ -114,6 +117,15 @@ class ScoreMatrix:
             raise SamplingError("score matrix contains non-finite cells")
 
     def to_long_csv(self, path):
+        """Write one ``text_id,condition,score`` row per cell.  Repeated row
+        ids or column labels are refused, as ``from_long_csv`` refuses them."""
+        for name, labels in (("row ids", self.row_ids),
+                             ("column labels", self.col_labels)):
+            labels = [str(label) for label in labels]
+            if len(set(labels)) != len(labels):
+                repeated = sorted({x for x in labels if labels.count(x) > 1})
+                raise SamplingError(f"repeated {name} {repeated}: a long CSV "
+                                    f"needs one cell per (text, condition)")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["text_id", "condition", "score"])
@@ -158,24 +170,13 @@ def stream_seed(master_seed: int, *key) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
-def _kahan_mean(values: list) -> float:
-    total = 0.0
-    comp = 0.0
-    for value in values:
-        y = value - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total / len(values)
-
-
 def _sample_mean(draw, score, iterations: int) -> float:
     """Mean of ``score(rows)`` over every row that ``draw(b)`` returns for
     b iterations, drawn block by block."""
     scores = []
     for start in range(0, iterations, _BLOCK):
         scores.extend(score(draw(min(_BLOCK, iterations - start))))
-    return _kahan_mean(scores)
+    return math.fsum(scores) / len(scores)
 
 
 def _random_positions(rng, truncate_to: int, m: int, b: int, ordered: bool):
@@ -258,6 +259,8 @@ def _row(text, method: str, truncate_to: int, conditions, iterations: int,
     """One text's score under each condition of a method.  Every condition
     must be >= 1 and give samples between the index minimum and the
     truncation in length."""
+    if iterations < 1:
+        raise SamplingError(f"iterations must be >= 1, got {iterations}")
     toks = tokens_of(text)
     if truncate_to > len(toks):
         raise SamplingError(

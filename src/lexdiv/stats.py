@@ -223,7 +223,7 @@ def zou_ci(r_jk: float, r_jh: float, r_kh: float, n: int, alpha: float = 0.05):
     return low, high
 
 
-def compare_correlations(scores_a, scores_b, criterion, ids=None) -> CorrComparison:
+def compare_correlations(scores_a, scores_b, criterion) -> CorrComparison:
     """Compare two index score vectors against a shared criterion.
 
     ``r_large`` is the larger of the two criterion correlations, matching

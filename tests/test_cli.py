@@ -237,7 +237,7 @@ def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_pat
     assert set(meta["versions"]) == {"lexdiv", "numpy", "python"}
     assert meta["versions"]["numpy"] == np.__version__
     assert meta["config"]["threads"] == 1
-    assert meta["matrix_meta"]["stream_layout"] == 3
+    assert meta["matrix_meta"]["stream_layout"] == 4
 
 
 def test_evaluate_length_thread_count_invariant(corpus_dir, tmp_path):
@@ -274,6 +274,13 @@ def test_evaluate_length_short_text_fails_cleanly(corpus_dir, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()  # no partial outputs
 
 
+def test_evaluate_length_rejects_repeated_conditions(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "dup.csv"
+    rc = evaluate_length(corpus_dir, out, extra=["--conditions", "50,50,25"])
+    assert_one_line_error(rc, capsys, "repeated column labels ['50']")
+    assert not out.exists()
+
+
 # ------------------------------------------------------- evaluate-parameter
 
 def test_evaluate_parameter_and_stats(corpus_dir, tmp_path, scores_csv, capsys):
@@ -301,6 +308,23 @@ def test_evaluate_parameter_and_stats(corpus_dir, tmp_path, scores_csv, capsys):
     comp = json.loads(capsys.readouterr().out)
     assert comp["r_large"] >= comp["r_small"]
     assert comp["df"] == 3
+
+
+def test_evaluate_parameter_rejects_repeated_params(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "dup.csv"
+    rc = main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+               "mattr", "--params", "10,10,20", "--out", str(out)])
+    assert_one_line_error(rc, capsys, "repeated column labels ['10']")
+    assert not out.exists()
+
+
+def test_evaluate_parameter_every_text_excluded(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+               "mattr", "--params", "10,20", "--min-length", "1000",
+               "--out", str(out)])
+    assert_one_line_error(rc, capsys, "shorter than min_length 1000")
+    assert not out.exists()
 
 
 def test_stats_compare_corr_requires_criterion(tmp_path, corpus_dir, capsys):

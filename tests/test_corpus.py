@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from lexdiv.corpus import (
@@ -42,6 +44,12 @@ def test_min_length_excludes_with_warning(corpus_dir, caplog):
         corpus = load_corpus(corpus_dir, min_length=5)
     assert sorted(t.id for t in corpus) == ["alpha", "beta"]
     assert any("min_length" in r.message for r in caplog.records)
+
+
+def test_min_length_excluding_every_file_is_error(corpus_dir):
+    with pytest.raises(CorpusError, match=re.escape(
+            f"every file in {corpus_dir} is empty or shorter than min_length 7")):
+        load_corpus(corpus_dir, min_length=7)
 
 
 def test_empty_file_excluded(corpus_dir, caplog):

@@ -2,6 +2,7 @@
 ordered-random, alternating partitions, and convergence to closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -356,6 +357,15 @@ def test_conditions_validated_once_for_every_method(numbers_text, reference):
         ordered_random_sampling(reference, 160, (160, 30), 5, 1, HDD_SPEC)
 
 
+@pytest.mark.parametrize("iterations", [0, -3])
+@pytest.mark.parametrize("sampler", [random_sampling, ordered_random_sampling,
+                                     alternating_sampling])
+def test_wrappers_reject_iterations_below_one(reference, sampler, iterations):
+    with pytest.raises(SamplingError,
+                       match=f"iterations must be >= 1, got {iterations}"):
+        sampler(reference, 160, (1, 2), iterations, 1, TTR_SPEC)
+
+
 def test_config_default_conditions():
     assert SamplingConfig("random", 280).conditions == (280, 140, 93, 70)
     assert SamplingConfig("ordered_random", 280).conditions == (280, 140, 93, 70)
@@ -422,9 +432,9 @@ def position_block_samples(rng, arr, config, c):
 
 def reference_row(text, config, spec):
     """The engine as a per-sample loop: blocks of samples drawn as in
-    stream layout 3, each sample then scored by `evaluate` in turn (so
-    MTTRRS and MTTRSS draw from the stream sample by sample), and a Kahan
-    sum in sample order."""
+    stream layout 4, each sample then scored by `evaluate` in turn (so
+    MTTRRS and MTTRSS draw from the stream sample by sample), and the
+    cell mean taken with `math.fsum`."""
     arr = _encode(text.tokens[:config.truncate_to])
     order_free = INDEXES[spec.kind].counts is not None
     out = []
@@ -442,20 +452,13 @@ def reference_row(text, config, spec):
         if full:
             out.append(evaluate(arr, spec, rng=rng)[0])
             continue
-        total = comp = 0.0
-        count = 0
         if config.method != "alternating" and order_free:
             blocks = count_block_samples(rng, arr, c, config.iterations)
         else:
             blocks = position_block_samples(rng, arr, config, c)
-        for block in blocks:
-            for sample in block:
-                y = evaluate(sample, spec, rng=rng)[0] - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-                count += 1
-        out.append(total / count)
+        scores = [evaluate(sample, spec, rng=rng)[0]
+                  for block in blocks for sample in block]
+        out.append(math.fsum(scores) / len(scores))
     return out
 
 
@@ -549,6 +552,18 @@ def test_from_long_csv_rejects_duplicate_cells(tmp_path):
     p.write_text("text_id,condition,score\nt1,a,1.0\nt1,a,9.0\n")
     with pytest.raises(SamplingError, match="duplicate cell"):
         ScoreMatrix.from_long_csv(p)
+
+
+@pytest.mark.parametrize("row_ids, col_labels, repeated", [
+    (["t1", "t1"], ["a", "b"], "row ids ['t1']"),
+    (["t1", "t2"], ["50", "50"], "column labels ['50']"),
+])
+def test_to_long_csv_rejects_repeated_labels(tmp_path, row_ids, col_labels,
+                                             repeated):
+    matrix = ScoreMatrix(row_ids, col_labels, np.ones((2, 2)))
+    with pytest.raises(SamplingError, match=re.escape(f"repeated {repeated}")):
+        matrix.to_long_csv(tmp_path / "dup.csv")
+    assert not (tmp_path / "dup.csv").exists()
 
 
 # ---------------------------------------------------------- parameter sweep
