@@ -45,6 +45,7 @@ from .sampling import (
     SamplingConfig,
     SamplingError,
     ScoreMatrix,
+    check_unique_labels,
     parameter_sweep,
     run_method,
     stream_seed,
@@ -235,6 +236,7 @@ def cmd_evaluate_length(args):
         iterations=args.iters,
         master_seed=seed,
     )
+    check_unique_labels("column labels", config.col_labels())
     matrix = run_method(corpus, config, spec, threads=args.threads)
     run_config = RunConfig(
         subcommand="evaluate-length",
@@ -255,6 +257,7 @@ def cmd_evaluate_parameter(args):
     kind = args.index
     seed = _resolve_seed(args)
     params = _parse_conditions(args.params, cast=INDEXES[kind].sweep_type)
+    check_unique_labels("column labels", params or ())
     matrix = parameter_sweep(corpus, kind, params, master_seed=seed, s=args.s)
     run_config = RunConfig(
         subcommand="evaluate-parameter",
@@ -391,8 +394,23 @@ def _add_spec_args(p):
                    help=f"master seed (default {DEFAULT_SEED}, or LEXDIV_SEED)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps its flags by dest, so that a config
+    file's keys find their flags without argparse's internals."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
+
+def build_parser() -> tuple:
+    """The parser, and each command's subparser by name."""
+    parser = _Parser(
         prog="lexdiv",
         description="Lexical diversity indices and length-sensitivity "
                     "evaluation harness",
@@ -400,16 +418,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config",
                         help="key=value file providing flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("index", help="score every text under one index")
+    def command(name, fn, help):
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("index", cmd_index, "score every text under one index")
     _add_corpus_args(p)
     _add_spec_args(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_index)
 
-    p = sub.add_parser("evaluate-length",
-                       help="run one length-sensitivity sampling method")
+    p = command("evaluate-length", cmd_evaluate_length,
+                "run one length-sensitivity sampling method")
     _add_corpus_args(p)
     _add_spec_args(p)
     p.add_argument("--method", required=True,
@@ -423,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--icc-out", dest="icc_out")
     p.add_argument("--profiles-out", dest="profiles_out")
     p.add_argument("--select", type=int, default=12)
-    p.set_defaults(fn=cmd_evaluate_length)
 
-    p = sub.add_parser("evaluate-parameter", help="parameter sweep")
+    p = command("evaluate-parameter", cmd_evaluate_parameter,
+                "parameter sweep")
     _add_corpus_args(p)
     _add_index_arg(p)
     p.add_argument("--params", help="e.g. 24:240:24 or 0.66,0.67,...")
@@ -435,9 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--icc-out", dest="icc_out")
     p.add_argument("--profiles-out", dest="profiles_out")
     p.add_argument("--select", type=int, default=12)
-    p.set_defaults(fn=cmd_evaluate_parameter)
 
-    p = sub.add_parser("stats", help="ICC / RM-ANOVA / correlation comparison")
+    p = command("stats", cmd_stats, "ICC / RM-ANOVA / correlation comparison")
     p.add_argument("stat", choices=["icc", "anova", "compare-corr"])
     p.add_argument("--from", dest="source", required=True,
                    help="long-form scores CSV")
@@ -447,35 +469,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--col-a", dest="col_a")
     p.add_argument("--col-b", dest="col_b")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_stats)
 
-    p = sub.add_parser("profiles", help="select extreme profiles for plotting")
+    p = command("profiles", cmd_profiles,
+                "select extreme profiles for plotting")
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--select", type=int, default=12)
     p.add_argument("--center", action="store_true")
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_profiles)
 
-    p = sub.add_parser("hdd-curve", help="presence-probability curve grid")
+    p = command("hdd-curve", cmd_hdd_curve, "presence-probability curve grid")
     p.add_argument("--N", type=int, default=300)
     p.add_argument("--f-max", dest="f_max", type=int, default=20)
     p.add_argument("--n-min", dest="n_min", type=int, default=10)
     p.add_argument("--n-step", dest="n_step", type=int, default=1)
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_hdd_curve)
 
-    p = sub.add_parser("weights", help="per-position token weights")
+    p = command("weights", cmd_weights, "per-position token weights")
     _add_index_arg(p)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
-    p.set_defaults(fn=cmd_weights)
 
-    return parser
+    return parser, commands
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(parser, commands: dict, argv):
     """--config key=value files provide defaults, flags still win."""
     argv = [part for arg in argv  # --config=path is --config path
             for part in (arg.split("=", 1) if arg.startswith("--config=") else (arg,))]
@@ -501,30 +520,27 @@ def _apply_config_file(parser, argv):
             parser.error(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
         defaults[key.strip().replace("-", "_")] = value.strip()
-    parser.set_defaults(**defaults)
-    # subparser defaults shadow the parent's, so push them down too, each
-    # through its flag's own conversion; a config value satisfies
-    # "required" for that flag
-    for action in parser._subparsers._group_actions:
-        for sub in action.choices.values():
-            for a in sub._actions:
-                if a.dest not in defaults:
-                    continue
-                value = defaults[a.dest]
-                if a.type is not None:
-                    try:
-                        value = a.type(value)
-                    except (CliError, ValueError) as e:
-                        parser.error(f"{path}: {a.dest}: {e}")
-                a.default = value
-                a.required = False
+    # each value becomes its flag's default in every command, through the
+    # flag's own conversion; a config value satisfies "required"
+    for command in commands.values():
+        for dest, flag in command.flags.items():
+            if dest not in defaults:
+                continue
+            value = defaults[dest]
+            if flag.type is not None:
+                try:
+                    value = flag.type(value)
+                except (CliError, ValueError) as e:
+                    parser.error(f"{path}: {dest}: {e}")
+            flag.default = value
+            flag.required = False
     return argv[:i] + argv[i + 2:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    argv = _apply_config_file(parser, argv)
+    parser, commands = build_parser()
+    argv = _apply_config_file(parser, commands, argv)
     try:
         args = parser.parse_args(argv)
         return args.fn(args)

@@ -40,6 +40,8 @@ class Corpus:
     texts: tuple[Text, ...]
 
     def __post_init__(self):
+        if not self.texts:
+            raise CorpusError("empty corpus")
         ids = [t.id for t in self.texts]
         if len(ids) != len(set(ids)):
             dup = sorted({i for i in ids if ids.count(i) > 1})

@@ -212,15 +212,21 @@ def _type_count_scores(formula, counts: np.ndarray, length: int) -> list:
     return scores[row_value].tolist()
 
 
-def _hdd_scores(counts: np.ndarray, length: int, n: int) -> list:
-    """HD-D of each row of a count matrix of length-token samples: for each
-    frequency f present, (types with frequency f) x presence(f), summed with
-    fsum, which keeps the result independent of token order."""
+def _expected_types(counts: np.ndarray, length: int, n: int) -> list:
+    """The expected type count of an n-token without-replacement sample of
+    each row of a count matrix of length-token texts: for each frequency f
+    present, (types with frequency f) x presence(f), summed with fsum,
+    which keeps the result independent of token order."""
     coc = _count_matrix(counts)
     freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
     presence = np.array([_presence(length, int(f), n) for f in freqs])
     terms = coc[:, freqs] * presence
-    return [math.fsum(row) / n for row in terms.tolist()]
+    return [math.fsum(row) for row in terms.tolist()]
+
+
+def _hdd_scores(counts: np.ndarray, length: int, n: int) -> list:
+    """HD-D of each row of a count matrix: its expected TTR at n tokens."""
+    return [types / n for types in _expected_types(counts, length, n)]
 
 
 def _mattr_rows(codes: np.ndarray, n: int) -> list:

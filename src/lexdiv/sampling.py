@@ -36,6 +36,31 @@ recorded as ``STREAM_LAYOUT`` in ``run_method``'s ``ScoreMatrix.meta``:
   the next was drawn.
 - Layout 4: as layout 3, but the cell mean is ``fsum``.  Layouts 1-3
   summed a cell's scores with a Kahan loop in sample order.
+- Layout 5: as layout 4, but the exact pairs draw nothing and hold their
+  mean, computed in one pass over the text's count matrix.  Under random
+  and ordered random, TTR and Guiraud are the expected type count of an
+  m-sample over m and over sqrt(m): E[TTR_m] is HD-D(m).  Under
+  alternating (k >= 2) a sample takes one uniform token from each
+  k-snippet, independently, so each type's absence from a window of
+  snippets has a product form; TTR, Guiraud, MATTR and MSTTR are the
+  expected type counts of the whole sample, its sliding windows or its
+  complete segments.  ``run_method``'s ``meta["estimator"]`` is
+  ``"exact"`` for these pairs (and for parallel, which samples nothing)
+  and ``"monte_carlo"`` for the rest.  Full-extract cells are unchanged.
+
+These stay Monte Carlo:
+
+- HD-D under random and ordered random, and MATTR, MSTTR and MTTRSS under
+  random: each exact cell is HD-D(n) of the truncation in every column, so
+  the rows are constant and the ICC's error variance is 0; how to report
+  that ICC is not decided.
+- Herdan and Maas: the distribution of the type count needs a dynamic
+  programme of about 5 ms per (text, m), slower than sampling below about
+  1,600 iterations.
+- HD-D under alternating (a Poisson-binomial programme per type), MTLD,
+  MTTRSS and MTTRRS under alternating, and every sequence index under
+  ordered random: no cheap closed form.  MTTRRS under random has one, but
+  it sums a hypergeometric over every count of every type.
 
 Alternating sampling deals ``permuted`` snippets block by block.
 ``tests/test_sampling.py`` pins the layout against a per-sample loop.
@@ -57,7 +82,11 @@ from .indices import (
     INDEXES,
     IndexKind,
     IndexSpec,
+    _count_matrix,
     _encode,
+    _expected_types,
+    _guiraud_r,
+    _ttr,
     evaluate_rows,
     min_tokens_required,
 )
@@ -65,7 +94,7 @@ from .indices import (
 DEFAULT_ITERATIONS = 10_000
 
 # The layout of the sampling streams (see the module docstring).
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 # Samples per draw; bounds the draw's memory to about this many rows of L.
 # Part of the stream layout: layout 2's count draws depend on the block
@@ -96,6 +125,22 @@ class SamplingConfig:
         if len(self.conditions) < 2:
             raise SamplingError("need at least two conditions")
 
+    def col_labels(self) -> list:
+        """The sample length of each condition: ``run_method``'s columns."""
+        method = METHODS[self.method]
+        return [str(method.sample_length(self.truncate_to, c))
+                for c in self.conditions]
+
+
+def check_unique_labels(name: str, labels) -> None:
+    """Refuse repeated labels, as a long CSV needs one cell per (text,
+    condition)."""
+    labels = [str(label) for label in labels]
+    if len(set(labels)) != len(labels):
+        repeated = sorted({x for x in labels if labels.count(x) > 1})
+        raise SamplingError(f"repeated {name} {repeated}: a long CSV "
+                            f"needs one cell per (text, condition)")
+
 
 @dataclass
 class ScoreMatrix:
@@ -119,13 +164,8 @@ class ScoreMatrix:
     def to_long_csv(self, path):
         """Write one ``text_id,condition,score`` row per cell.  Repeated row
         ids or column labels are refused, as ``from_long_csv`` refuses them."""
-        for name, labels in (("row ids", self.row_ids),
-                             ("column labels", self.col_labels)):
-            labels = [str(label) for label in labels]
-            if len(set(labels)) != len(labels):
-                repeated = sorted({x for x in labels if labels.count(x) > 1})
-                raise SamplingError(f"repeated {name} {repeated}: a long CSV "
-                                    f"needs one cell per (text, condition)")
+        check_unique_labels("row ids", self.row_ids)
+        check_unique_labels("column labels", self.col_labels)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["text_id", "condition", "score"])
@@ -199,10 +239,24 @@ def _parallel_cell(arr, d, seg_len, iterations, spec, seed):
     return math.fsum(evaluate_rows(segs, spec, seed("parallel", d))) / d
 
 
+# Kinds scored as a formula of the sample's type count and length that is
+# linear in the type count: a cell's mean is the formula of the expected
+# type count.
+_LINEAR = {IndexKind.TTR: _ttr, IndexKind.GUIRAUD_R: _guiraud_r}
+
+# The kinds whose sampled cells hold their exact mean (layout 5).
+_RANDOM_EXACT = frozenset(_LINEAR)
+_ALTERNATING_EXACT = _RANDOM_EXACT | {IndexKind.MATTR, IndexKind.MSTTR}
+
+
 def _random_cell(arr, m, _m, iterations, spec, seed, ordered: bool):
     if m == len(arr):
         # full extract: a single deterministic score, no permutation
         return evaluate_rows(arr[None], spec, seed("random", m, "full"))[0]
+    if spec.kind in _RANDOM_EXACT:
+        # the expected type count of an m-sample; HD-D(m) is its TTR
+        types = _expected_types(np.bincount(arr)[None], len(arr), m)[0]
+        return _LINEAR[spec.kind](types, m)
     # one stream per (text, length), shared by random and ordered random
     rng = np.random.default_rng(seed("random", m))
     counts = INDEXES[spec.kind].counts
@@ -218,9 +272,46 @@ def _random_cell(arr, m, _m, iterations, spec, seed, ordered: bool):
     return _sample_mean(draw, score, iterations)
 
 
+def _window_types(snippets: np.ndarray, n: int, step: int) -> list:
+    """The expected type count of each window of n consecutive snippets,
+    one window starting every ``step`` snippets, of a sample that takes one
+    uniform token from each snippet (row of k tokens) independently.  Type
+    t is absent from a window with probability prod_s (1 - C[t, s]/k), C[t,
+    s] counting t in snippet s.  A type held by one snippet adds C[t, s]/k
+    to each window holding it.  For the others the product is exp of a
+    difference of cumulative log1p sums, or 0 when the window holds a
+    snippet of t alone."""
+    n_snip, k = snippets.shape
+    counts = _count_matrix(snippets).T
+    single = np.count_nonzero(counts, axis=1) == 1
+    starts = np.arange(0, n_snip - n + 1, step)
+    cum_single = np.zeros(n_snip + 1, dtype=np.int64)
+    np.cumsum(counts[single].sum(axis=0), out=cum_single[1:])
+    types = (cum_single[starts + n] - cum_single[starts]) / k
+    counts = counts[~single]
+    log_share = np.append(np.log1p(-np.arange(k) / k), 0.0)
+    cum_logs = np.zeros((len(counts), n_snip + 1))
+    np.cumsum(log_share[counts], axis=1, out=cum_logs[:, 1:])
+    cum_alone = np.zeros(cum_logs.shape, dtype=np.int64)
+    np.cumsum(counts == k, axis=1, out=cum_alone[:, 1:])
+    absent = np.exp(cum_logs[:, starts + n] - cum_logs[:, starts])
+    absent[cum_alone[:, starts + n] > cum_alone[:, starts]] = 0.0
+    return (types + (1.0 - absent).sum(axis=0)).tolist()
+
+
 def _alternating_cell(arr, k, sample_len, iterations, spec, seed):
     if k == 1:
         return evaluate_rows(arr[None], spec, seed("alternating", k, "full"))[0]
+    if spec.kind in _ALTERNATING_EXACT:
+        # the expected type count of the whole sample (TTR, Guiraud), its
+        # sliding windows (MATTR) or its complete disjoint segments (MSTTR)
+        snippets = arr[:sample_len * k].reshape(sample_len, k)
+        n = sample_len if spec.kind in _LINEAR else spec.n
+        step = n if spec.kind is IndexKind.MSTTR else 1
+        types = _window_types(snippets, n, step)
+        if spec.kind in _LINEAR:
+            return _LINEAR[spec.kind](types[0], n)
+        return math.fsum(types) / (n * len(types))
     rng = np.random.default_rng(seed("alternating", k))
     draw = lambda b: arr[_alternating_positions(rng, k, sample_len, b)]
     score = partial(evaluate_rows, spec=spec, rng=rng)
@@ -233,10 +324,12 @@ class Method:
     iterations, spec, seed)`` scores one condition on an encoded
     L-truncation, where ``seed(*key)`` is the seed of the text's RNG stream
     for that key.  A condition d of a ``divides`` method names samples of
-    floor(L/d) tokens; otherwise the condition is the sample length itself."""
+    floor(L/d) tokens; otherwise the condition is the sample length itself.
+    ``exact`` holds the index kinds whose cells are no Monte Carlo mean."""
 
     cell: Callable
     divides: bool
+    exact: frozenset
 
     def sample_length(self, truncate_to: int, condition: int) -> int:
         return truncate_to // condition if self.divides else condition
@@ -247,10 +340,13 @@ class Method:
 
 
 METHODS = {
-    "parallel": Method(_parallel_cell, divides=True),
-    "random": Method(partial(_random_cell, ordered=False), divides=False),
-    "ordered_random": Method(partial(_random_cell, ordered=True), divides=False),
-    "alternating": Method(_alternating_cell, divides=True),
+    "parallel": Method(_parallel_cell, divides=True, exact=frozenset(IndexKind)),
+    "random": Method(partial(_random_cell, ordered=False), divides=False,
+                     exact=_RANDOM_EXACT),
+    "ordered_random": Method(partial(_random_cell, ordered=True), divides=False,
+                             exact=_RANDOM_EXACT),
+    "alternating": Method(_alternating_cell, divides=True,
+                          exact=_ALTERNATING_EXACT),
 }
 
 
@@ -343,11 +439,9 @@ def run_method(
             rows = list(pool.map(row, corpus, chunksize=1))
     else:
         rows = [row(text) for text in corpus]
-    sample_length = METHODS[config.method].sample_length
     return ScoreMatrix(
         row_ids=[t.id for t in corpus],
-        col_labels=[str(sample_length(config.truncate_to, c))
-                    for c in config.conditions],
+        col_labels=config.col_labels(),
         values=np.array(rows, dtype=float),
         meta={
             "method": config.method,
@@ -357,6 +451,8 @@ def run_method(
             "iterations": config.iterations,
             "master_seed": config.master_seed,
             "stream_layout": STREAM_LAYOUT,
+            "estimator": ("exact" if spec.kind in METHODS[config.method].exact
+                          else "monte_carlo"),
         },
     )
 

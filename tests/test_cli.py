@@ -237,7 +237,18 @@ def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_pat
     assert set(meta["versions"]) == {"lexdiv", "numpy", "python"}
     assert meta["versions"]["numpy"] == np.__version__
     assert meta["config"]["threads"] == 1
-    assert meta["matrix_meta"]["stream_layout"] == 4
+    assert meta["matrix_meta"]["stream_layout"] == 5
+    assert meta["matrix_meta"]["estimator"] == "exact"  # random TTR
+
+
+def test_evaluate_length_sidecar_records_estimator(corpus_dir, tmp_path):
+    out = tmp_path / "mattr.csv"
+    rc = main(["evaluate-length", "--corpus", str(corpus_dir), "--index",
+               "mattr", "--n", "20", "--method", "random", "--truncate", "280",
+               "--iters", "5", "--out", str(out)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "mattr.csv.meta.json").read_text())
+    assert meta["matrix_meta"]["estimator"] == "monte_carlo"
 
 
 def test_evaluate_length_thread_count_invariant(corpus_dir, tmp_path):
@@ -278,6 +289,32 @@ def test_evaluate_length_rejects_repeated_conditions(corpus_dir, tmp_path, capsy
     out = tmp_path / "dup.csv"
     rc = evaluate_length(corpus_dir, out, extra=["--conditions", "50,50,25"])
     assert_one_line_error(rc, capsys, "repeated column labels ['50']")
+    assert not out.exists()
+
+
+def refuse_library_calls(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("scored before refusing its column labels")
+
+    monkeypatch.setattr("lexdiv.cli.run_method", fail)
+    monkeypatch.setattr("lexdiv.cli.parameter_sweep", fail)
+
+
+def test_repeated_labels_refused_before_scoring(corpus_dir, tmp_path, capsys,
+                                                monkeypatch):
+    """Repeated column labels follow from the conditions, so a command
+    refuses them before it scores a cell, however many iterations."""
+    refuse_library_calls(monkeypatch)
+    out = tmp_path / "dup.csv"
+    rc = main(["evaluate-length", "--corpus", str(corpus_dir), "--index",
+               "mattr", "--n", "20", "--method", "alternating", "--truncate",
+               "280", "--conditions", "2,4,4", "--iters", "100000000",
+               "--out", str(out)])
+    assert_one_line_error(rc, capsys, "repeated column labels ['70']")
+    assert not out.exists()
+    rc = main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+               "mattr", "--params", "20,20", "--out", str(out)])
+    assert_one_line_error(rc, capsys, "repeated column labels ['20']")
     assert not out.exists()
 
 

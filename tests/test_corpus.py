@@ -145,3 +145,8 @@ def test_tokens_of_accepts_both():
     t = Text(id="t", tokens=("a", "b"))
     assert tokens_of(t) == ("a", "b")
     assert tokens_of(["a", "b"]) == ["a", "b"]
+
+
+def test_empty_corpus_is_refused():
+    with pytest.raises(CorpusError, match="empty corpus"):
+        Corpus(texts=())

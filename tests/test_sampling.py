@@ -1,13 +1,16 @@
 """Sampling-method behavior: determinism, sample identity between random and
 ordered-random, alternating partitions, and convergence to closed forms."""
 
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import lexdiv.sampling as sampling_mod
 from lexdiv.corpus import Corpus, Text
@@ -38,6 +41,8 @@ from .conftest import make_zipf_corpus
 TTR_SPEC = IndexSpec(kind=IndexKind.TTR)
 HDD_SPEC = IndexSpec(kind=IndexKind.HDD, n=42)
 MATTR_SPEC = IndexSpec(kind=IndexKind.MATTR, n=25)
+# Monte Carlo under every sampling method, so its cells score drawn samples
+MTLD_SPEC = IndexSpec(kind=IndexKind.MTLD)
 
 
 def capture_samples(monkeypatch):
@@ -251,11 +256,11 @@ def test_segment_and_resample_cells_match_exact_expectations():
 
 def test_random_ttr_converges_to_hdd(reference):
     """The expected TTR of an m-token without-replacement sample is HD-D(m),
-    so the Monte Carlo mean must approach it."""
+    which a random TTR cell holds."""
     m = 60
     est = random_sampling(reference, 160, (m,), 4000, 13, TTR_SPEC)[0]
     exact = hdd(reference.tokens[:160], m)
-    assert est == pytest.approx(exact, abs=2e-3)
+    assert est == pytest.approx(exact, rel=1e-12)
 
 
 # -------------------------------------------------------------- alternating
@@ -265,7 +270,7 @@ def test_alternating_partition_property(monkeypatch, numbers_text):
     token per snippet in snippet order (hence strictly increasing here)."""
     k = 3
     seen = capture_samples(monkeypatch)
-    alternating_sampling(numbers_text, 303, (k,), 2, 9, TTR_SPEC)
+    alternating_sampling(numbers_text, 303, (k,), 2, 9, MTLD_SPEC)
     assert len(seen) == 2 * k
     used = np.arange(303 // k * k)
     for it in range(2):
@@ -282,7 +287,7 @@ def test_alternating_partition_property(monkeypatch, numbers_text):
 def test_alternating_per_k_flooring(monkeypatch, reference):
     # L=163, k=4 -> four 40-token samples from the first 160 tokens
     seen = capture_samples(monkeypatch)
-    alternating_sampling(reference, 163, (4,), 1, 9, TTR_SPEC)
+    alternating_sampling(reference, 163, (4,), 1, 9, MTLD_SPEC)
     assert [len(s) for s in seen] == [40, 40, 40, 40]
 
 
@@ -430,11 +435,53 @@ def position_block_samples(rng, arr, config, c):
         yield block
 
 
+# The (method, kind) pairs whose sampled cells hold their exact mean
+# (stream layout 5).
+EXACT_KINDS = {
+    "random": {IndexKind.TTR, IndexKind.GUIRAUD_R},
+    "ordered_random": {IndexKind.TTR, IndexKind.GUIRAUD_R},
+    "alternating": {IndexKind.TTR, IndexKind.GUIRAUD_R, IndexKind.MATTR,
+                    IndexKind.MSTTR},
+}
+
+
+def expected_types(arr, method, c, windows):
+    """The expected type count of a sampled cell's sample, or of each of
+    its windows of snippets (slices), in rationals.  A random m-sample
+    misses type t (count c_t) with probability C(L - c_t, m) / C(L, m); an
+    alternating sample takes one uniform token per k-snippet, so it misses
+    t in a window with probability prod_s (1 - C[s, t]/k)."""
+    types = np.unique(arr).tolist()
+    if method != "alternating":
+        big_l, total = len(arr), math.comb(len(arr), c)
+        return [sum(1 - Fraction(math.comb(big_l - int(np.sum(arr == t)), c),
+                                 total) for t in types)]
+    snippets = arr[:len(arr) // c * c].reshape(-1, c)
+    return [sum(1 - math.prod(Fraction(c - int(np.sum(row == t)), c)
+                              for row in snippets[window]) for t in types)
+            for window in windows]
+
+
+def exact_cell(arr, method, c, spec):
+    """An exact pair's sampled cell from `expected_types`."""
+    length = len(arr) // c if method == "alternating" else c
+    if spec.kind in (IndexKind.TTR, IndexKind.GUIRAUD_R):
+        types = float(expected_types(arr, method, c, [slice(None)])[0])
+        return types / (length if spec.kind is IndexKind.TTR
+                        else math.sqrt(length))
+    n = spec.n
+    step = n if spec.kind is IndexKind.MSTTR else 1
+    windows = [slice(a, a + n) for a in range(0, length - n + 1, step)]
+    return float(sum(expected_types(arr, method, c, windows))
+                 / (n * len(windows)))
+
+
 def reference_row(text, config, spec):
-    """The engine as a per-sample loop: blocks of samples drawn as in
-    stream layout 4, each sample then scored by `evaluate` in turn (so
-    MTTRRS and MTTRSS draw from the stream sample by sample), and the
-    cell mean taken with `math.fsum`."""
+    """The engine as a per-sample loop: an exact pair's sampled cell from
+    its closed form, and every other sampled cell from blocks of samples
+    drawn as in stream layout 4, each sample then scored by `evaluate` in
+    turn (so MTTRRS and MTTRSS draw from the stream sample by sample), and
+    the cell mean taken with `math.fsum`."""
     arr = _encode(text.tokens[:config.truncate_to])
     order_free = INDEXES[spec.kind].counts is not None
     out = []
@@ -451,6 +498,9 @@ def reference_row(text, config, spec):
                 *(("full",) if full else ())))
         if full:
             out.append(evaluate(arr, spec, rng=rng)[0])
+            continue
+        if spec.kind in EXACT_KINDS[config.method]:
+            out.append(exact_cell(arr, config.method, c, spec))
             continue
         if config.method != "alternating" and order_free:
             blocks = count_block_samples(rng, arr, c, config.iterations)
@@ -489,8 +539,9 @@ def test_counts_kernel_matches_row_scoring(data):
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_run_method_matches_per_sample_loop(data):
-    """Every index under every sampling method scores bit for bit as the
-    per-sample loop, with blocks small enough that cells span several."""
+    """Every index under every sampling method scores as the per-sample
+    loop, with blocks small enough that cells span several: bit for bit,
+    or within 1e-12 of the closed form for the exact pairs."""
     size = data.draw(st.integers(6, 30), label="truncate_to")
     token = st.sampled_from("abcdefg")
     corpus = Corpus(texts=tuple(
@@ -513,9 +564,89 @@ def test_run_method_matches_per_sample_loop(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling_mod, "_BLOCK", 3)
         for spec in ALL_KIND_SPECS:
-            got = run_method(corpus, config, spec).values
+            matrix = run_method(corpus, config, spec)
             want = np.array([reference_row(text, config, spec) for text in corpus])
-            assert got.tobytes() == want.tobytes(), spec
+            if spec.kind in EXACT_KINDS[method]:
+                assert matrix.meta["estimator"] == "exact"
+                assert np.allclose(matrix.values, want, rtol=0, atol=1e-12), spec
+            else:
+                assert matrix.meta["estimator"] == "monte_carlo"
+                assert matrix.values.tobytes() == want.tobytes(), spec
+
+
+EXACT_SPECS = (TTR_SPEC, IndexSpec(IndexKind.GUIRAUD_R),
+               IndexSpec(IndexKind.MATTR, n=2), IndexSpec(IndexKind.MSTTR, n=2))
+
+
+@pytest.mark.parametrize("tokens", ["aabacbbcab", "abcabcabc", "aaaaabbbbb",
+                                    "abcdefghij", "aabbaacc", "abbbbbbbba"])
+def test_exact_cells_match_enumeration(tokens):
+    """Every exact cell equals the mean over every equally likely sample:
+    every m-subset for random and ordered random, every dealing of the
+    k-snippets for alternating."""
+    text = Text(id="t", tokens=tuple(tokens))
+    size = len(tokens)
+    codes = _encode(tokens)
+    for spec in EXACT_SPECS:
+        def mean(samples):
+            return math.fsum(evaluate(x, spec)[0] for x in samples) / len(samples)
+
+        if spec.kind in EXACT_KINDS["random"]:
+            lengths = tuple(range(1, size))
+            for sampler in (random_sampling, ordered_random_sampling):
+                cells = sampler(text, size, lengths, 1, 0, spec)
+                for m, got in zip(lengths, cells):
+                    subsets = itertools.combinations(range(size), m)
+                    want = mean([codes[list(idx)] for idx in subsets])
+                    assert got == pytest.approx(want, rel=0, abs=1e-12), (spec, m)
+        ks = tuple(k for k in (2, 3, 4) if size // k >= 2)
+        cells = alternating_sampling(text, size, ks, 1, 0, spec)
+        for k, got in zip(ks, cells):
+            n_snippets = size // k
+            grid = codes[:n_snippets * k].reshape(n_snippets, k)
+            samples = []
+            for perms in itertools.product(itertools.permutations(range(k)),
+                                           repeat=n_snippets):
+                dealt = grid[np.arange(n_snippets)[:, None], np.array(perms)]
+                samples += [dealt[:, j] for j in range(k)]
+            assert got == pytest.approx(mean(samples), rel=0, abs=1e-12), (spec, k)
+
+
+def test_alternating_window_types_match_direct_products():
+    """The cumulative log1p sums give every window's absence product as a
+    direct product over the window's snippets does."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(10, 2001))
+        arr = _encode(rng.zipf(1.5, size) % int(rng.integers(2, 600)))
+        for k in (2, 3, 5):
+            snippets = arr[:size // k * k].reshape(-1, k)
+            share = np.array([np.bincount(row, minlength=arr.max() + 1)
+                              for row in snippets]) / k
+            for n in sorted({1, 2, min(50, len(snippets)), len(snippets)}):
+                for step in (1, n):
+                    absent = np.prod(sliding_window_view(1.0 - share, n, axis=0),
+                                     axis=-1)[::step]
+                    got = sampling_mod._window_types(snippets, n, step)
+                    assert np.allclose(got, (1.0 - absent).sum(axis=1),
+                                       rtol=0, atol=1e-12), (seed, k, n, step)
+
+
+@pytest.mark.parametrize("method", ["random", "ordered_random", "alternating"])
+def test_exact_cells_ignore_seed_iterations_and_threads(small_corpus, method):
+    for spec in EXACT_SPECS:
+        if spec.kind not in EXACT_KINDS[method]:
+            continue
+        spec = IndexSpec(spec.kind, n=spec.n and 25)
+        base = run_method(small_corpus, small_config(method), spec)
+        assert base.meta["estimator"] == "exact"
+        others = (
+            run_method(small_corpus, small_config(method, master_seed=99,
+                                                  iterations=3), spec),
+            run_method(small_corpus, small_config(method), spec, threads=2),
+        )
+        for other in others:
+            assert other.values.tobytes() == base.values.tobytes(), spec
 
 
 # -------------------------------------------------------------- ScoreMatrix
