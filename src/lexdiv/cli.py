@@ -50,7 +50,14 @@ from .sampling import (
     run_method,
     stream_seed,
 )
-from .stats import StatsError, compare_correlations, icc_2_1, pearson, rm_anova
+from .stats import (
+    StatsError,
+    check_shape,
+    compare_correlations,
+    icc_2_1,
+    pearson,
+    rm_anova,
+)
 
 # Fixed default so that runs without --seed / LEXDIV_SEED are reproducible.
 DEFAULT_SEED = 101
@@ -237,6 +244,8 @@ def cmd_evaluate_length(args):
         master_seed=seed,
     )
     check_unique_labels("column labels", config.col_labels())
+    if args.icc_out:  # refused before any cell is scored
+        check_shape(len(corpus), len(config.conditions))
     matrix = run_method(corpus, config, spec, threads=args.threads)
     run_config = RunConfig(
         subcommand="evaluate-length",
@@ -258,6 +267,9 @@ def cmd_evaluate_parameter(args):
     seed = _resolve_seed(args)
     params = _parse_conditions(args.params, cast=INDEXES[kind].sweep_type)
     check_unique_labels("column labels", params or ())
+    columns = params if params is not None else INDEXES[kind].sweep_values
+    if args.icc_out and columns:  # refused before any value is scored
+        check_shape(len(corpus), len(columns))
     matrix = parameter_sweep(corpus, kind, params, master_seed=seed, s=args.s)
     run_config = RunConfig(
         subcommand="evaluate-parameter",

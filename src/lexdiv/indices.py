@@ -3,9 +3,12 @@
 Index functions accept either a ``corpus.Text`` or any sequence of hashable
 tokens (an integer numpy array is taken as token codes, renumbered from 0).
 Every index is one row kernel that scores each row of a matrix of token
-codes; the functions below score a one-row matrix.  The order-free indices
-(TTR, Guiraud, Herdan, Maas, HD-D) are a kernel over each row's type
-counts, so they can also score count rows drawn without any token order.  All of
+codes under a list of specs of its kind, doing once the work that no
+parameter value changes; the functions below score a one-row matrix under
+one spec, and a parameter sweep scores a text under all its values.  The
+order-free indices (TTR, Guiraud, Herdan, Maas, HD-D) are a kernel over
+each row's type counts, so they can also score count rows drawn without
+any token order.  All of
 them are deterministic given their parameters; the two stochastic indices
 (MTTRRS, MTTRSS) additionally take a seed or an explicit numpy Generator.
 """
@@ -22,7 +25,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .corpus import tokens_of
-from .numerics import hypergeom_presence
+from .numerics import NumericsError
 
 
 class IndexError_(Exception):
@@ -124,11 +127,64 @@ def _maas_a(v: int, n: int, variant: str = "natural_log_a") -> float:
     return math.sqrt((math.log(n) - math.log(v)) / math.log(n) ** 2)
 
 
-@lru_cache(maxsize=1 << 18)
-def _presence(n_tokens: int, freq: int, sample: int) -> float:
-    # hot path of HD-D; cached because sampling harnesses re-query the
-    # same (N, f, n) triples millions of times
-    return hypergeom_presence(n_tokens, freq, sample)
+def presences(n_tokens: int, sample: int, freqs) -> np.ndarray:
+    """``numerics.hypergeom_presence(n_tokens, f, sample)`` for each f of
+    ``freqs``, bit for bit: the same divisions, multiplied in the same
+    order.  For f <= min(max(64, n), N - n) the absent probability is the
+    f-th prefix product of (N-n-i)/(N-i), so one ``multiply.accumulate``
+    gives every such f; for a larger f <= N - n it is the n-factor product
+    of (N-f-i)/(N-i), the last column of one row-wise accumulate over those
+    f.  f = 1 gives n/N and f > N - n gives 1."""
+    if sample < 0 or sample > n_tokens:
+        raise NumericsError(
+            f"need 0 <= sample <= n_tokens, got sample={sample}")
+    freqs = np.asarray(freqs, dtype=np.int64)
+    if freqs.size and (freqs.min() < 1 or freqs.max() > n_tokens):
+        bad = freqs[(freqs < 1) | (freqs > n_tokens)][0]
+        raise NumericsError(
+            f"need 1 <= freq <= n_tokens, got freq={bad}, N={n_tokens}")
+    if sample == 0:
+        return np.zeros(freqs.shape)
+    rest = n_tokens - sample
+    out = np.ones(freqs.shape)
+    low = freqs <= min(max(64, sample), rest)
+    if low.any():
+        i = np.arange(freqs[low].max())
+        absent = np.multiply.accumulate((rest - i) / (n_tokens - i))
+        out[low] = 1.0 - absent[freqs[low] - 1]
+    high = ~low & (freqs <= rest)
+    if high.any():
+        i = np.arange(sample)
+        absent = np.multiply.accumulate(
+            (n_tokens - freqs[high][:, None] - i) / (n_tokens - i), axis=1)
+        out[high] = 1.0 - absent[:, -1]
+    out[freqs == 1] = sample / n_tokens
+    return out
+
+
+@lru_cache(maxsize=64)
+def _presence_table(n_tokens: int, sample: int) -> np.ndarray:
+    """HD-D's presences for samples of ``sample`` of ``n_tokens`` tokens,
+    indexed by frequency and filled as ``_cached_presences`` meets each
+    frequency (NaN until then); the last slot stands for every f > N - n.
+    The sampling engine asks for the same (N, n) block after block, and
+    its count draws keep meeting the same frequencies."""
+    table = np.full(n_tokens - sample + 2, np.nan)
+    table[-1] = 1.0
+    return table
+
+
+def _cached_presences(n_tokens: int, sample: int, freqs: np.ndarray):
+    """``presences`` through the (N, n) memo: only frequencies it has not
+    met yet are computed."""
+    table = _presence_table(n_tokens, sample)
+    slots = np.minimum(freqs, len(table) - 1)
+    out = table[slots]
+    missing = np.isnan(out)
+    if missing.any():
+        table[slots[missing]] = presences(n_tokens, sample, slots[missing])
+        out = table[slots]
+    return out
 
 
 def _as_generator(seed_or_rng) -> np.random.Generator:
@@ -200,8 +256,9 @@ def _prev_occurrence(codes: np.ndarray) -> np.ndarray:
 
 
 # ------------------------------------------------------------- row kernels
-# Each scores every row of a code matrix and returns a list of floats.  The
-# spec is checked and every row long enough (IndexSpec.validate).
+# Each scores every row of a matrix (codes, counts or previous occurrences)
+# under one spec and returns a list of floats.  The spec is checked and
+# every row long enough (IndexSpec.validate).
 
 def _type_count_scores(formula, counts: np.ndarray, length: int) -> list:
     """Score each row of a count matrix of length-token samples by its type
@@ -219,7 +276,7 @@ def _expected_types(counts: np.ndarray, length: int, n: int) -> list:
     which keeps the result independent of token order."""
     coc = _count_matrix(counts)
     freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
-    presence = np.array([_presence(length, int(f), n) for f in freqs])
+    presence = _cached_presences(length, n, freqs)
     terms = coc[:, freqs] * presence
     return [math.fsum(row) for row in terms.tolist()]
 
@@ -229,24 +286,25 @@ def _hdd_scores(counts: np.ndarray, length: int, n: int) -> list:
     return [types / n for types in _expected_types(counts, length, n)]
 
 
-def _mattr_rows(codes: np.ndarray, n: int) -> list:
-    """MATTR of each row, counting types per window exactly: position i is
-    the first occurrence of its type in the windows starting from
-    max(i-n+1, prev[i]+1) to min(i, N-n) (Covington & McFall 2010)."""
-    big_n = codes.shape[1]
+def _mattr_rows(prev: np.ndarray, n: int) -> list:
+    """MATTR of each row of previous occurrences, counting types per window
+    exactly: position i is the first occurrence of its type in the windows
+    starting from max(i-n+1, prev[i]+1) to min(i, N-n) (Covington & McFall
+    2010)."""
+    big_n = prev.shape[1]
     pos = np.arange(big_n)
-    first = np.maximum(pos - n + 1, _prev_occurrence(codes) + 1)
+    first = np.maximum(pos - n + 1, prev + 1)
     last = np.minimum(pos, big_n - n)
     total = np.maximum(last - first + 1, 0).sum(axis=1)
     return (total / (n * (big_n - n + 1))).tolist()
 
 
-def _msttr_rows(codes: np.ndarray, n: int) -> list:
-    """MSTTR of each row: a position counts when no earlier position of its
-    complete segment holds its type."""
-    used = codes.shape[1] // n * n
+def _msttr_rows(prev: np.ndarray, n: int) -> list:
+    """MSTTR of each row of previous occurrences: a position counts when no
+    earlier position of its complete segment holds its type."""
+    used = prev.shape[1] // n * n
     pos = np.arange(used)
-    first = _prev_occurrence(codes[:, :used]) < pos - pos % n
+    first = prev[:, :used] < pos - pos % n
     return (first.sum(axis=1) / used).tolist()
 
 
@@ -260,17 +318,26 @@ def _mttrrs_rows(codes: np.ndarray, n: int, s: int, rng) -> list:
     return (types.reshape(len(codes), s).sum(axis=1) / (s * n)).tolist()
 
 
-def _mttrss_rows(codes: np.ndarray, n: int, s: int, rng) -> list:
-    """MTTRSS of each row: s segment starts per row, all rows' drawn in one
-    call, then the mean type count of the s contiguous length-n segments.
-    A segment position holds a new type when the previous occurrence of its
-    code lies before the segment's start."""
-    starts = _as_generator(rng).integers(0, codes.shape[1] - n + 1,
-                                         size=(len(codes), s, 1))
-    picks = (starts + np.arange(n)).reshape(len(codes), s * n)
-    prev = np.take_along_axis(_prev_occurrence(codes), picks, axis=1)
-    first = prev.reshape(len(codes), s, n) < starts
+def _mttrss_rows(prev: np.ndarray, n: int, s: int, rng) -> list:
+    """MTTRSS of each row of previous occurrences: s segment starts per row,
+    all rows' drawn in one call, then the mean type count of the s
+    contiguous length-n segments.  A segment position holds a new type when
+    the previous occurrence of its code lies before the segment's start."""
+    starts = _as_generator(rng).integers(0, prev.shape[1] - n + 1,
+                                         size=(len(prev), s, 1))
+    picks = (starts + np.arange(n)).reshape(len(prev), s * n)
+    first = (np.take_along_axis(prev, picks, axis=1).reshape(len(prev), s, n)
+             < starts)
     return (first.sum(axis=(1, 2)) / (s * n)).tolist()
+
+
+def _over_prev(kernel):
+    """A block kernel that finds the rows' previous occurrences once and
+    scores them under each spec with ``kernel(prev, spec, rng)``."""
+    def rows(codes, specs, rngs):
+        prev = _prev_occurrence(codes)
+        return [kernel(prev, spec, rng) for spec, rng in zip(specs, rngs)]
+    return rows
 
 
 def _mtld_factors(prev: list, factor: float) -> float:
@@ -296,29 +363,30 @@ def _mtld_factors(prev: list, factor: float) -> float:
     return factors
 
 
-def _mtld_rows(codes: np.ndarray, factor: float) -> list:
-    """Bidirectional MTLD of each row: ``(score, flags)``.  One
+def _mtld_rows(codes: np.ndarray, factors: list) -> list:
+    """Bidirectional MTLD of each row under each factor: ``out[j][b]`` is
+    row b's ``(score, flags)`` under ``factors[j]``.  One
     ``_prev_occurrence`` call serves both passes: a position's next
     occurrence is the position whose previous occurrence it is (n if none),
     and the next occurrences, mirrored, are the reversed row's previous
-    occurrences.  Each row's lists are built as its walk needs them."""
+    occurrences.  Each row's two lists are built when its walks start,
+    walked once per factor, and dropped before the next row's."""
     rows, n = codes.shape
     prev = _prev_occurrence(codes)
     # the extra last column takes the writes of first occurrences (prev -1)
     nxt = np.full((rows, n + 1), n, dtype=prev.dtype)
     nxt[np.arange(rows)[:, None], prev] = np.arange(n)
-    out = []
+    out = [[] for _ in factors]
     for forward, backward in zip(prev, (n - 1) - nxt[:, n - 1::-1]):
-        flags = ()
-        scores = []
-        for factors in (_mtld_factors(forward.tolist(), factor),
-                        _mtld_factors(backward.tolist(), factor)):
-            if factors == 0.0:
-                flags = ("undefined_factors",)
-                scores.append(float(n))
-            else:
-                scores.append(n / factors)
-        out.append(((scores[0] + scores[1]) / 2.0, flags))
+        forward, backward = forward.tolist(), backward.tolist()
+        for factor, scored in zip(factors, out):
+            ahead = _mtld_factors(forward, factor)
+            back = _mtld_factors(backward, factor)
+            # a pass that counts no factor at all scores the text length
+            score = ((n / ahead if ahead else float(n))
+                     + (n / back if back else float(n))) / 2.0
+            flags = () if ahead and back else ("undefined_factors",)
+            scored.append((score, flags))
     return out
 
 
@@ -402,18 +470,23 @@ def gini_simpson(text) -> float:
 class IndexDef:
     """Everything the package knows about one index kind.
 
-    ``rows(codes, spec, rng)`` is the index: it scores each row of a matrix
-    of small non-negative token codes under a resolved spec that
-    ``IndexSpec.validate`` passed for the row length, and every scoring
-    path (``evaluate``, ``evaluate_rows``, the scalar functions) goes
+    ``rows(codes, specs, rngs)`` is the index: it scores each row of a
+    matrix of small non-negative token codes under each of a list of
+    resolved specs of its kind that ``IndexSpec.validate`` passed for the
+    row length, ``rngs[j]`` driving ``specs[j]``, and returns one list of
+    row scores per spec.  Work that no parameter value changes (the
+    previous occurrences, MTLD's walk lists, the count matrix) is done once
+    for all the specs, so a parameter sweep hands it all of a text's
+    values and the sampling engine one.  Every scoring path (``evaluate``,
+    ``evaluate_rows``, ``evaluate_specs``, the scalar functions) goes
     through it.  An order-free index is its ``counts(counts, length,
     spec)`` kernel, which scores each row of a count matrix (``counts[b,
-    t]``: occurrences of type t in row b, a sample of ``length`` tokens);
-    its ``rows`` is derived here as that kernel applied to the count matrix
-    of the code rows, so random sampling can hand it drawn type counts
-    directly.  ``score(codes, spec, rng)`` giving ``(score, flags)`` for a
-    one-row code matrix is the one override, for MTLD, whose ``evaluate``
-    reports flags.  ``label`` is
+    t]``: occurrences of type t in row b, a sample of ``length`` tokens)
+    under one spec; its ``rows`` is derived here as that kernel applied to
+    the count matrix of the code rows, so random sampling can hand it
+    drawn type counts directly.  ``score(codes, spec, rng)`` giving
+    ``(score, flags)`` for a one-row code matrix is the one override, for
+    MTLD, whose ``evaluate`` reports flags.  ``label`` is
     formatted with the spec's kind, n, s, factor and variant (the
     non-default Maas variant); ``min_tokens`` is a count or "n";
     ``weights(n_tokens, n)`` gives per-position weights.
@@ -432,8 +505,11 @@ class IndexDef:
     def __post_init__(self):
         if self.counts is not None:
             counts = self.counts
-            object.__setattr__(self, "rows", lambda codes, spec, rng: counts(
-                _count_matrix(codes), codes.shape[1], spec))
+
+            def rows(codes, specs, rngs):
+                matrix = _count_matrix(codes)
+                return [counts(matrix, codes.shape[1], spec) for spec in specs]
+            object.__setattr__(self, "rows", rows)
 
     @property
     def sweep_type(self) -> type:
@@ -458,32 +534,36 @@ INDEXES = {
             partial(_maas_a, variant=spec.maas_variant), counts, length),
         label="{kind}{variant}", min_tokens=2),
     IndexKind.MTTRRS: IndexDef(
-        rows=lambda codes, spec, rng: _mttrrs_rows(codes, spec.n, spec.s, rng),
+        rows=lambda codes, specs, rngs: [
+            _mttrrs_rows(codes, spec.n, spec.s, rng)
+            for spec, rng in zip(specs, rngs)],
         label="{kind}[n={n},s={s}]", defaults={"n": 50, "s": 10}, sweep="n"),
     IndexKind.HDD: IndexDef(
         counts=lambda counts, length, spec: _hdd_scores(counts, length, spec.n),
         label="{kind}[n={n}]", min_tokens="n",
         defaults={"n": 42}, sweep="n"),
     IndexKind.MATTR: IndexDef(
-        rows=lambda codes, spec, rng: _mattr_rows(codes, spec.n),
+        rows=_over_prev(lambda prev, spec, rng: _mattr_rows(prev, spec.n)),
         label="{kind}[n={n}]", min_tokens="n", defaults={"n": 50}, sweep="n",
         weights=lambda big_n, n: [float(min(i, n, big_n - i + 1, big_n - n + 1))
                                   for i in range(1, big_n + 1)]),
     IndexKind.MSTTR: IndexDef(
-        rows=lambda codes, spec, rng: _msttr_rows(codes, spec.n),
+        rows=_over_prev(lambda prev, spec, rng: _msttr_rows(prev, spec.n)),
         label="{kind}[n={n}]", min_tokens="n", defaults={"n": 50}, sweep="n",
         weights=lambda big_n, n: [1.0 if i <= big_n // n * n else 0.0
                                   for i in range(1, big_n + 1)]),
     IndexKind.MTTRSS: IndexDef(
-        rows=lambda codes, spec, rng: _mttrss_rows(codes, spec.n, spec.s, rng),
+        rows=_over_prev(lambda prev, spec, rng: _mttrss_rows(
+            prev, spec.n, spec.s, rng)),
         label="{kind}[n={n},s={s}]", min_tokens="n",
         defaults={"n": 50, "s": 10}, sweep="n",
         weights=lambda big_n, n: [min(i, n, big_n - n + 1, big_n - i + 1)
                                   / (big_n - n + 1) for i in range(1, big_n + 1)]),
     IndexKind.MTLD: IndexDef(
-        rows=lambda codes, spec, rng: [score for score, _ in
-                                       _mtld_rows(codes, spec.factor)],
-        score=lambda codes, spec, rng: _mtld_rows(codes, spec.factor)[0],
+        rows=lambda codes, specs, rngs: [
+            [score for score, _ in scored]
+            for scored in _mtld_rows(codes, [spec.factor for spec in specs])],
+        score=lambda codes, spec, rng: _mtld_rows(codes, [spec.factor])[0][0],
         label="{kind}[factor={factor}]", defaults={"factor": 0.72},
         sweep="factor", sweep_values=MTLD_FACTOR_SWEEP),
 }
@@ -523,7 +603,7 @@ def evaluate(text, spec: IndexSpec, rng=None):
     index = INDEXES[spec.kind]
     if index.score is not None:
         return index.score(codes, spec, rng)
-    return index.rows(codes, spec, rng)[0], ()
+    return index.rows(codes, [spec], [rng])[0][0], ()
 
 
 def evaluate_rows(codes: np.ndarray, spec: IndexSpec, rng=None) -> list:
@@ -536,11 +616,22 @@ def evaluate_rows(codes: np.ndarray, spec: IndexSpec, rng=None) -> list:
     pins the numpy property this rests on).  A negative code would share
     a count column or sort key with another row's code, so it is rejected.
     """
-    spec = spec.with_defaults()
-    spec.validate(codes.shape[1])
+    return evaluate_specs(codes, [spec], [rng])[0]
+
+
+def evaluate_specs(codes: np.ndarray, specs, rngs) -> list:
+    """Score every row of a code matrix under each of several specs of one
+    kind: one list of row scores per spec, as ``evaluate_rows(codes,
+    specs[j], rngs[j])`` gives it, but with the work that no parameter
+    value changes done once (``IndexDef.rows``)."""
+    specs = [spec.with_defaults() for spec in specs]
+    if len({spec.kind for spec in specs}) != 1 or len(rngs) != len(specs):
+        raise IndexError_("need one or more specs of one kind, one rng each")
+    for spec in specs:
+        spec.validate(codes.shape[1])
     if codes.size and codes.min() < 0:
         raise IndexError_("token codes must be non-negative")
-    return INDEXES[spec.kind].rows(codes, spec, rng)
+    return INDEXES[specs[0].kind].rows(codes, specs, rngs)
 
 
 def min_tokens_required(spec: IndexSpec) -> int:

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import hypergeom_presence
+from .indices import presences
 from .sampling import ScoreMatrix
 
 log = logging.getLogger(__name__)
@@ -102,9 +102,8 @@ def hdd_presence_curves(
     f_values = list(f_values)
     n_values = list(n_values)
     grid = np.empty((len(f_values), len(n_values)))
-    for i, f in enumerate(f_values):
-        for j, n in enumerate(n_values):
-            grid[i, j] = hypergeom_presence(n_tokens, f, n)
+    for j, n in enumerate(n_values):
+        grid[:, j] = presences(n_tokens, n, f_values)
     return f_values, n_values, grid
 
 

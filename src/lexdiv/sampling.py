@@ -88,6 +88,7 @@ from .indices import (
     _guiraud_r,
     _ttr,
     evaluate_rows,
+    evaluate_specs,
     min_tokens_required,
 )
 
@@ -467,19 +468,24 @@ def parameter_sweep(
     """Score untruncated texts for each parameter value (one column each).
 
     MTLD sweeps the TTR factor (default 0.66..0.75); the other indices
-    sweep the sample/segment/window length.
+    sweep the sample/segment/window length.  Every value is checked before
+    any text is scored.  A text is scored under all the values in one call
+    (``indices.evaluate_specs``), which does its value-independent work
+    once; each (text, value) still has its own stream.
     """
     kind = IndexKind(kind)
     index = INDEXES[kind]
     if index.sweep is None:
         raise SamplingError(f"{kind.value} has no parameter to sweep")
     if param_values is None:
-        param_values = index.sweep_values or None
-    if param_values is None:
+        param_values = index.sweep_values
+    if not param_values:
         raise SamplingError("param_values required for this index")
 
     specs = [IndexSpec(kind, s=s, **{index.sweep: index.sweep_type(p)})
              for p in param_values]
+    for spec in specs:
+        spec.validate()
     needed = [min_tokens_required(spec) for spec in specs]
     too_big = [p for p, need in zip(param_values, needed)
                if need > corpus.min_text_length]
@@ -489,12 +495,12 @@ def parameter_sweep(
             f"parameter values {too_big} exceed the length of texts {bad}"
         )
 
-    codes = [_encode(text.tokens)[None] for text in corpus]
     values = np.empty((len(corpus), len(param_values)))
-    for j, (p, spec) in enumerate(zip(param_values, specs)):
-        for i, text in enumerate(corpus):
-            seed = stream_seed(master_seed, text.id, "sweep", str(p))
-            values[i, j] = evaluate_rows(codes[i], spec, seed)[0]
+    for i, text in enumerate(corpus):
+        seeds = [stream_seed(master_seed, text.id, "sweep", str(p))
+                 for p in param_values]
+        scores = evaluate_specs(_encode(text.tokens)[None], specs, seeds)
+        values[i] = [row[0] for row in scores]
     return ScoreMatrix(
         row_ids=[t.id for t in corpus],
         col_labels=[str(p) for p in param_values],

@@ -71,12 +71,17 @@ def _mean_squares(values: np.ndarray):
     return msr, msc, mse
 
 
+def check_shape(n_rows: int, n_cols: int):
+    """An ICC or ANOVA needs at least 2 rows and 2 columns."""
+    if n_rows < 2 or n_cols < 2:
+        raise StatsError("need at least 2 rows and 2 columns")
+
+
 def _as_values(matrix) -> np.ndarray:
     values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     if values.ndim != 2:
         raise StatsError("expected a 2-D matrix")
-    if values.shape[0] < 2 or values.shape[1] < 2:
-        raise StatsError("need at least 2 rows and 2 columns")
+    check_shape(*values.shape)
     if not np.all(np.isfinite(values)):
         raise StatsError("matrix has non-finite cells")
     return values

@@ -294,7 +294,7 @@ def test_evaluate_length_rejects_repeated_conditions(corpus_dir, tmp_path, capsy
 
 def refuse_library_calls(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("scored before refusing its column labels")
+        raise AssertionError("scored before the run was refused")
 
     monkeypatch.setattr("lexdiv.cli.run_method", fail)
     monkeypatch.setattr("lexdiv.cli.parameter_sweep", fail)
@@ -316,6 +316,45 @@ def test_repeated_labels_refused_before_scoring(corpus_dir, tmp_path, capsys,
                "mattr", "--params", "20,20", "--out", str(out)])
     assert_one_line_error(rc, capsys, "repeated column labels ['20']")
     assert not out.exists()
+
+
+def test_bad_sweep_value_refused_before_scoring(corpus_dir, tmp_path, capsys,
+                                                monkeypatch):
+    """Every sweep value is checked before the first one is scored."""
+    def fail(*args):
+        raise AssertionError("scored before checking every value")
+
+    monkeypatch.setattr("lexdiv.indices._prev_occurrence", fail)
+    out = tmp_path / "sweep.csv"
+    for index, params, message in (
+            ("mtld", "0.7,1.5", "factor must be in (0, 1), got 1.5"),
+            ("mattr", "10,0", "n must be >= 1, got 0"),
+            ("mattr", "10,400", "parameter values [400] exceed the length")):
+        rc = main(["evaluate-parameter", "--corpus", str(corpus_dir),
+                   "--index", index, "--params", params, "--out", str(out)])
+        assert_one_line_error(rc, capsys, message)
+        assert not out.exists()
+
+
+def test_icc_without_two_rows_and_columns_refused_before_scoring(
+        corpus_dir, tmp_path, capsys, monkeypatch):
+    """--icc-out needs 2 texts and 2 columns, which are known once the
+    corpus is loaded: a run that cannot have an ICC scores nothing."""
+    refuse_library_calls(monkeypatch)
+    one_text = tmp_path / "one"
+    one_text.mkdir()
+    (one_text / "a.txt").write_text((corpus_dir / "text00.txt").read_text())
+    out, icc = tmp_path / "scores.csv", tmp_path / "icc.json"
+    for argv in (
+            ["evaluate-length", "--corpus", str(one_text), "--index", "ttr",
+             "--method", "random", "--truncate", "300", "--iters", "20000"],
+            ["evaluate-parameter", "--corpus", str(one_text), "--index",
+             "mattr", "--params", "20,40"],
+            ["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+             "mattr", "--params", "20"]):
+        rc = main(argv + ["--out", str(out), "--icc-out", str(icc)])
+        assert_one_line_error(rc, capsys, "need at least 2 rows and 2 columns")
+        assert not out.exists() and not icc.exists()
 
 
 # ------------------------------------------------------- evaluate-parameter

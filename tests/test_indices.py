@@ -18,10 +18,13 @@ from lexdiv.indices import (
     IndexError_,
     IndexKind,
     IndexSpec,
+    _cached_presences,
     _encode,
+    _presence_table,
     _prev_occurrence,
     evaluate,
     evaluate_rows,
+    evaluate_specs,
     gini_simpson,
     guiraud_r,
     hdd,
@@ -34,10 +37,12 @@ from lexdiv.indices import (
     mtld_detailed,
     mttrrs,
     mttrss,
+    presences,
     spectrum,
     token_weights,
     ttr,
 )
+from lexdiv.numerics import NumericsError, hypergeom_presence
 
 tokens_strategy = st.lists(
     st.sampled_from("abcdefghij"), min_size=1, max_size=60
@@ -152,6 +157,49 @@ def test_hdd_domain():
         hdd(["a", "b"], 3)
     with pytest.raises(IndexError_):
         hdd(["a", "b"], 0)
+
+
+def scalar_presences(big_n, n, freqs):
+    return [hypergeom_presence(big_n, int(f), n) for f in freqs]
+
+
+@pytest.mark.parametrize("big_n, n, freqs", [
+    (300, 42, [1, 2, 64, 65, 200, 258, 259, 300]),  # f = 1, f <= 64, f > 64
+    (300, 120, [100, 120, 121, 180, 181]),          # f <= n, f > n, f > N - n
+    (300, 300, [1, 5, 300]),                        # n = N
+    (300, 0, [1, 7]),
+    (1, 1, [1]),
+])
+def test_presences_match_scalar_reference_on_every_branch(big_n, n, freqs):
+    """Bit for bit, cold and through the (N, n) memo as it fills."""
+    want = scalar_presences(big_n, n, freqs)
+    assert presences(big_n, n, freqs).tolist() == want
+    _presence_table.cache_clear()
+    freqs = np.array(freqs)
+    assert _cached_presences(big_n, n, freqs[::2]).tolist() == want[::2]
+    assert _cached_presences(big_n, n, freqs).tolist() == want
+
+
+def test_presences_match_scalar_reference_exhaustively():
+    for big_n in range(1, 131):
+        freqs = np.arange(1, big_n + 1)
+        for n in range(big_n + 1):
+            assert (presences(big_n, n, freqs).tolist()
+                    == scalar_presences(big_n, n, freqs))
+    for big_n in (2000, 5800):
+        freqs = np.arange(1, big_n + 1)
+        for n in (42, 64, 65, 420):
+            assert (presences(big_n, n, freqs).tolist()
+                    == scalar_presences(big_n, n, freqs))
+
+
+def test_presences_domain():
+    with pytest.raises(NumericsError, match="freq=0"):
+        presences(10, 3, [1, 0])
+    with pytest.raises(NumericsError, match="freq=11"):
+        presences(10, 3, [11])
+    with pytest.raises(NumericsError, match="sample=11"):
+        presences(10, 11, [1])
 
 
 def test_gini_simpson_values():
@@ -506,8 +554,8 @@ SCALAR_FUNCTIONS = {
 @pytest.mark.parametrize("kind", list(IndexKind))
 def test_every_door_rejects_bad_input(kind):
     """A row shorter than the spec's minimum, and each bad parameter the
-    kind takes, raise IndexError_ through the scalar function, evaluate and
-    evaluate_rows alike."""
+    kind takes, raise IndexError_ through the scalar function, evaluate,
+    evaluate_rows and evaluate_specs (after a good spec) alike."""
     spec = IndexSpec(kind).with_defaults()
     text = [f"w{i % 7}" for i in range(60)]
     cases = [(spec, text[:min_tokens_required(spec) - 1], "needs at least")]
@@ -520,11 +568,22 @@ def test_every_door_rejects_bad_input(kind):
         SCALAR_FUNCTIONS[kind],
         lambda toks, spec: evaluate(toks, spec, rng=0),
         lambda toks, spec: evaluate_rows(_encode(toks)[None], spec, rng=0),
+        lambda toks, spec: evaluate_specs(_encode(toks)[None],
+                                          [IndexSpec(kind), spec], [0, 0]),
     )
     for bad_spec, toks, message in cases:
         for route in routes:
             with pytest.raises(IndexError_, match=message):
                 route(toks, bad_spec)
+
+
+def test_evaluate_specs_needs_one_kind_and_one_rng_per_spec():
+    codes = _encode("abcabd")[None]
+    mattr2 = IndexSpec(IndexKind.MATTR, n=2)
+    for specs, rngs in (([mattr2, IndexSpec(IndexKind.MSTTR, n=2)], [0, 0]),
+                        ([mattr2, mattr2], [0]), ([], [])):
+        with pytest.raises(IndexError_, match="one kind"):
+            evaluate_specs(codes, specs, rngs)
 
 
 def test_min_tokens_required():

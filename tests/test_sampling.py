@@ -12,15 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+import lexdiv.indices as indices_mod
 import lexdiv.sampling as sampling_mod
 from lexdiv.corpus import Corpus, Text
 from lexdiv.indices import (
     INDEXES,
     MTLD_FACTOR_SWEEP,
+    IndexError_,
     IndexKind,
     IndexSpec,
     _encode,
     evaluate,
+    evaluate_rows,
     hdd,
 )
 from lexdiv.sampling import (
@@ -719,6 +722,67 @@ def test_parameter_sweep_deterministic_for_stochastic_index(small_corpus):
     assert np.array_equal(a.values, b.values)
     c = parameter_sweep(small_corpus, IndexKind.MTTRSS, [20, 40], master_seed=6)
     assert not np.array_equal(a.values, c.values)
+
+
+SWEEPABLE = sorted((kind for kind, index in INDEXES.items() if index.sweep),
+                   key=lambda kind: kind.value)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SWEEPABLE),
+       st.lists(st.lists(st.sampled_from("abcdefgh"), min_size=6, max_size=40),
+                min_size=1, max_size=3),
+       st.data())
+def test_parameter_sweep_matches_per_value_scoring(kind, texts, data):
+    """Each cell is the text's score under that value alone, with the
+    (text, value) seed, bit for bit.  The all-distinct text is flagged
+    ``undefined_factors`` by MTLD."""
+    index = INDEXES[kind]
+    texts = [tuple(t) for t in texts] + [tuple(f"d{i}" for i in range(40))]
+    corpus = Corpus(tuple(Text(f"t{i}", t) for i, t in enumerate(texts)))
+    if index.sweep == "factor":
+        value = st.floats(0.05, 0.95)
+    else:
+        value = st.integers(1, min(map(len, texts)))
+    values = data.draw(st.lists(value, min_size=1, max_size=4, unique=True))
+    matrix = parameter_sweep(corpus, kind, values, master_seed=3, s=3)
+    for i, text in enumerate(corpus):
+        for j, p in enumerate(values):
+            spec = IndexSpec(kind, s=3, **{index.sweep: p})
+            seed = stream_seed(3, text.id, "sweep", str(p))
+            want = evaluate_rows(_encode(text.tokens)[None], spec, seed)[0]
+            assert matrix.values[i, j] == want
+
+
+@pytest.mark.parametrize("kind, values", [
+    (IndexKind.MATTR, [10, 20, 40]), (IndexKind.MSTTR, [10, 20, 40]),
+    (IndexKind.MTTRSS, [10, 20, 40]), (IndexKind.MTLD, [0.7, 0.72, 0.75])])
+def test_parameter_sweep_finds_previous_occurrences_once_per_text(
+        small_corpus, monkeypatch, kind, values):
+    calls = []
+    original = indices_mod._prev_occurrence
+
+    def spy(codes):
+        calls.append(codes.shape)
+        return original(codes)
+
+    monkeypatch.setattr(indices_mod, "_prev_occurrence", spy)
+    parameter_sweep(small_corpus, kind, values, master_seed=1)
+    assert calls == [(1, len(text)) for text in small_corpus]
+
+
+def test_parameter_sweep_checks_every_value_before_scoring(small_corpus,
+                                                           monkeypatch):
+    def fail(*args):
+        raise AssertionError("scored before checking every value")
+
+    monkeypatch.setattr(indices_mod, "_prev_occurrence", fail)
+    with pytest.raises(IndexError_, match="factor must be in"):
+        parameter_sweep(small_corpus, IndexKind.MTLD, [0.7, 1.5])
+    with pytest.raises(IndexError_, match="n must be >= 1"):
+        parameter_sweep(small_corpus, IndexKind.MATTR, [10, 0])
+    with pytest.raises(SamplingError, match="param_values required"):
+        parameter_sweep(small_corpus, IndexKind.MATTR, [])
 
 
 def test_parameter_sweep_rejects_unparameterized(small_corpus):
