@@ -28,7 +28,7 @@ class Text:
     def __post_init__(self):
         if not self.tokens:
             raise CorpusError(f"text {self.id!r}: empty token sequence")
-        if any(not t for t in self.tokens):
+        if not all(self.tokens):
             raise CorpusError(f"text {self.id!r}: empty token string")
 
     def __len__(self):

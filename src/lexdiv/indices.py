@@ -272,13 +272,16 @@ def _type_count_scores(formula, counts: np.ndarray, length: int) -> list:
 def _expected_types(counts: np.ndarray, length: int, n: int) -> list:
     """The expected type count of an n-token without-replacement sample of
     each row of a count matrix of length-token texts: for each frequency f
-    present, (types with frequency f) x presence(f), summed with fsum,
-    which keeps the result independent of token order."""
+    present in the block, (types with frequency f) x presence(f), summed
+    left to right in ascending f.  The counts-of-counts make the result
+    independent of token order.  A row gets an exact zero term for every f
+    that only its block-mates hold, and a left-to-right sum passes zeros
+    through unchanged, so each row scores as it would alone; a pairwise
+    ``sum`` or a matrix product would group a row's terms by position."""
     coc = _count_matrix(counts)
     freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
     presence = _cached_presences(length, n, freqs)
-    terms = coc[:, freqs] * presence
-    return [math.fsum(row) for row in terms.tolist()]
+    return np.add.accumulate(coc[:, freqs] * presence, axis=1)[:, -1].tolist()
 
 
 def _hdd_scores(counts: np.ndarray, length: int, n: int) -> list:

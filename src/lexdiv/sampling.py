@@ -12,7 +12,8 @@ and the index scores the whole block at once, as its row kernel scores
 every segment and full extract.  The cell mean is ``math.fsum`` of the
 samples' scores over their count, correctly rounded whatever the sample
 order.  How a cell turns its stream into samples is the stream layout,
-recorded as ``STREAM_LAYOUT`` in ``run_method``'s ``ScoreMatrix.meta``:
+recorded as ``STREAM_LAYOUT`` in the ``ScoreMatrix.meta`` of
+``run_method`` and ``parameter_sweep``:
 
 - Layout 1 (every output that records no layout): a random or
   ordered-random sample is the first m positions of a fresh permutation of
@@ -47,6 +48,10 @@ recorded as ``STREAM_LAYOUT`` in ``run_method``'s ``ScoreMatrix.meta``:
   complete segments.  ``run_method``'s ``meta["estimator"]`` is
   ``"exact"`` for these pairs (and for parallel, which samples nothing)
   and ``"monte_carlo"`` for the rest.  Full-extract cells are unchanged.
+- Layout 6: as layout 5, but HD-D and the exact random and ordered-random
+  TTR and Guiraud cells add their per-frequency terms left to right
+  instead of with ``fsum`` (``indices._expected_types``), which moves
+  them by a few ulp.  Alternating exact cells are unchanged.
 
 These stay Monte Carlo:
 
@@ -95,7 +100,7 @@ from .indices import (
 DEFAULT_ITERATIONS = 10_000
 
 # The layout of the sampling streams (see the module docstring).
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 
 # Samples per draw; bounds the draw's memory to about this many rows of L.
 # Part of the stream layout: layout 2's count draws depend on the block
@@ -510,5 +515,6 @@ def parameter_sweep(
             "index": kind.value,
             "param_values": [float(p) for p in param_values],
             "master_seed": master_seed,
+            "stream_layout": STREAM_LAYOUT,
         },
     )

@@ -9,7 +9,7 @@ import pytest
 
 from lexdiv.cli import DEFAULT_SEED, CliError, _parse_conditions, main
 from lexdiv.indices import IndexKind, IndexSpec, evaluate
-from lexdiv.sampling import stream_seed
+from lexdiv.sampling import STREAM_LAYOUT, stream_seed
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
 
@@ -237,7 +237,7 @@ def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_pat
     assert set(meta["versions"]) == {"lexdiv", "numpy", "python"}
     assert meta["versions"]["numpy"] == np.__version__
     assert meta["config"]["threads"] == 1
-    assert meta["matrix_meta"]["stream_layout"] == 5
+    assert meta["matrix_meta"]["stream_layout"] == 6
     assert meta["matrix_meta"]["estimator"] == "exact"  # random TTR
 
 
@@ -384,6 +384,15 @@ def test_evaluate_parameter_and_stats(corpus_dir, tmp_path, scores_csv, capsys):
     comp = json.loads(capsys.readouterr().out)
     assert comp["r_large"] >= comp["r_small"]
     assert comp["df"] == 3
+
+
+def test_evaluate_parameter_sidecar_records_layout(corpus_dir, tmp_path):
+    out = tmp_path / "sweep.csv"
+    rc = main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+               "hdd", "--params", "20,40", "--out", str(out)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+    assert meta["matrix_meta"]["stream_layout"] == STREAM_LAYOUT
 
 
 def test_evaluate_parameter_rejects_repeated_params(corpus_dir, tmp_path, capsys):

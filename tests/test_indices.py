@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexdiv.indices import (
@@ -200,6 +200,48 @@ def test_presences_domain():
         presences(10, 3, [11])
     with pytest.raises(NumericsError, match="sample=11"):
         presences(10, 11, [1])
+
+
+@st.composite
+def hdd_blocks(draw):
+    """A count matrix of equal-length rows, with types absent from some rows
+    and a spread of frequencies (the last column fills each row up to the
+    length), and an HD-D sample size."""
+    n_types = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, 15), min_size=n_types,
+                                  max_size=n_types), min_size=1, max_size=5))
+    length = max(sum(row) for row in rows) + draw(st.integers(1, 10))
+    counts = [row + [length - sum(row)] for row in rows]
+    return counts, draw(st.integers(1, length))
+
+
+def hdd_left_to_right(row, length, n):
+    """HD-D of one row of counts: (types with frequency f) x presence(f),
+    added one at a time in ascending f."""
+    coc = Counter(c for c in row if c)
+    types = 0.0
+    for f in sorted(coc):
+        types += coc[f] * hypergeom_presence(length, f, n)
+    return types / n
+
+
+# The first row's nine terms add up to a different float left to right,
+# with fsum and with numpy's pairwise sum.
+@example(([[4, 12, 12, 11, 2, 1, 14, 11, 9, 11, 10, 6],
+           [50, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 53]], 2))
+@given(hdd_blocks())
+@settings(max_examples=200, deadline=None)
+def test_hdd_block_scores_each_row_alone_left_to_right(block):
+    """Stream layout 6: every row of a block scores as it does alone, and as
+    the left-to-right sum of its terms in ascending frequency."""
+    counts, n = block
+    length = sum(counts[0])
+    spec = IndexSpec(IndexKind.HDD, n=n)
+    kernel = INDEXES[IndexKind.HDD].counts
+    got = kernel(np.array(counts), length, spec)
+    for row, score in zip(counts, got):
+        assert score == kernel(np.array([row]), length, spec)[0]
+        assert score == hdd_left_to_right(row, length, n)
 
 
 def test_gini_simpson_values():

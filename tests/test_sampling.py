@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -575,6 +576,15 @@ def test_run_method_matches_per_sample_loop(data):
             else:
                 assert matrix.meta["estimator"] == "monte_carlo"
                 assert matrix.values.tobytes() == want.tobytes(), spec
+
+
+def test_current_stream_layout_is_documented():
+    """A layout bump lands with its entry in the ``sampling`` docstring and
+    in the README."""
+    layout = sampling_mod.STREAM_LAYOUT
+    assert f"- Layout {layout}: as layout {layout - 1}" in sampling_mod.__doc__
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.search(rf"\blayout {layout}\b", readme)
 
 
 EXACT_SPECS = (TTR_SPEC, IndexSpec(IndexKind.GUIRAUD_R),
