@@ -7,9 +7,10 @@ codes under a list of specs of its kind, doing once the work that no
 parameter value changes; the functions below score a one-row matrix under
 one spec, and a parameter sweep scores a text under all its values.  The
 order-free indices (TTR, Guiraud, Herdan, Maas, HD-D) are a kernel over
-each row's type counts, so they can also score count rows drawn without
-any token order.  All of
-them are deterministic given their parameters; the two stochastic indices
+each row's type counts under a list of specs, so they can also score
+count rows drawn without any token order; HD-D's takes the presences of
+all its sample sizes from one matrix (``presences``).  All of them are
+deterministic given their parameters; the two stochastic indices
 (MTTRRS, MTTRSS) additionally take a seed or an explicit numpy Generator.
 """
 
@@ -127,63 +128,95 @@ def _maas_a(v: int, n: int, variant: str = "natural_log_a") -> float:
     return math.sqrt((math.log(n) - math.log(v)) / math.log(n) ** 2)
 
 
-def presences(n_tokens: int, sample: int, freqs) -> np.ndarray:
-    """``numerics.hypergeom_presence(n_tokens, f, sample)`` for each f of
-    ``freqs``, bit for bit: the same divisions, multiplied in the same
-    order.  For f <= min(max(64, n), N - n) the absent probability is the
-    f-th prefix product of (N-n-i)/(N-i), so one ``multiply.accumulate``
-    gives every such f; for a larger f <= N - n it is the n-factor product
-    of (N-f-i)/(N-i), the last column of one row-wise accumulate over those
-    f.  f = 1 gives n/N and f > N - n gives 1."""
-    if sample < 0 or sample > n_tokens:
+# Most prefix products ``_fill_presences`` holds at once: 2 MB of float64.
+_PREFIX_CELLS = 1 << 18
+
+
+def _fill_presences(out, n_tokens: int, shifts, lengths, take):
+    """Set out[r, c] to 1 - the product of (N - shifts[r] - i) / (N - i)
+    over i < lengths[c], multiplied left to right (1 for no factor),
+    wherever take[r, c] holds: one row-wise ``multiply.accumulate`` up to
+    the longest length taken, from the first row that takes any to the
+    last, a block of rows at a time to bound its memory."""
+    rows, cols = np.nonzero(take)
+    if not rows.size:
+        return
+    i = np.arange(lengths[cols].max())
+    step = max(1, _PREFIX_CELLS // (len(i) + 1))
+    for start in range(rows[0], rows[-1] + 1, step):
+        part = slice(*np.searchsorted(rows, [start, start + step]))
+        block = shifts[start:start + step, None]
+        prefix = np.ones((len(block), len(i) + 1))
+        np.multiply.accumulate((n_tokens - block - i) / (n_tokens - i),
+                               axis=1, out=prefix[:, 1:])
+        out[rows[part], cols[part]] = 1.0 - prefix[rows[part] - start,
+                                                   lengths[cols[part]]]
+
+
+def presences(n_tokens: int, samples, freqs) -> np.ndarray:
+    """``numerics.hypergeom_presence(n_tokens, f, n)`` for each sample size
+    n of ``samples`` (a row each) and each f of ``freqs``, bit for bit: the
+    same divisions, multiplied in the same order.  For f <= min(max(64,
+    n), N - n) the absent probability is the f-th prefix product of
+    (N-n-i)/(N-i), so one accumulate along each n's row gives all its f;
+    for a larger f <= N - n it is the n-th prefix product of (N-f-i)/(N-i),
+    so one accumulate along each f's row gives all its n (none for n = 0,
+    which gives 0).  f = 1 gives n/N and f > N - n gives 1."""
+    samples = np.asarray(samples, dtype=np.int64)
+    if samples.size and (samples.min() < 0 or samples.max() > n_tokens):
+        bad = samples[(samples < 0) | (samples > n_tokens)][0]
         raise NumericsError(
-            f"need 0 <= sample <= n_tokens, got sample={sample}")
+            f"need 0 <= sample <= n_tokens, got sample={bad}")
     freqs = np.asarray(freqs, dtype=np.int64)
     if freqs.size and (freqs.min() < 1 or freqs.max() > n_tokens):
         bad = freqs[(freqs < 1) | (freqs > n_tokens)][0]
         raise NumericsError(
             f"need 1 <= freq <= n_tokens, got freq={bad}, N={n_tokens}")
-    if sample == 0:
-        return np.zeros(freqs.shape)
-    rest = n_tokens - sample
-    out = np.ones(freqs.shape)
-    low = freqs <= min(max(64, sample), rest)
-    if low.any():
-        i = np.arange(freqs[low].max())
-        absent = np.multiply.accumulate((rest - i) / (n_tokens - i))
-        out[low] = 1.0 - absent[freqs[low] - 1]
+    rest = (n_tokens - samples)[:, None]
+    out = np.ones((len(samples), len(freqs)))
+    low = freqs <= np.minimum(np.maximum(64, samples)[:, None], rest)
+    _fill_presences(out, n_tokens, samples, freqs, low)
     high = ~low & (freqs <= rest)
-    if high.any():
-        i = np.arange(sample)
-        absent = np.multiply.accumulate(
-            (n_tokens - freqs[high][:, None] - i) / (n_tokens - i), axis=1)
-        out[high] = 1.0 - absent[:, -1]
-    out[freqs == 1] = sample / n_tokens
+    _fill_presences(out.T, n_tokens, freqs, samples, high.T)
+    out[:, freqs == 1] = samples[:, None] / n_tokens
     return out
 
 
 @lru_cache(maxsize=64)
 def _presence_table(n_tokens: int, sample: int) -> np.ndarray:
     """HD-D's presences for samples of ``sample`` of ``n_tokens`` tokens,
-    indexed by frequency and filled as ``_cached_presences`` meets each
-    frequency (NaN until then); the last slot stands for every f > N - n.
-    The sampling engine asks for the same (N, n) block after block, and
-    its count draws keep meeting the same frequencies."""
+    indexed by frequency and filled by ``_cached_presences`` (NaN until
+    then); the last slot stands for every f > N - n.  The sampling engine
+    asks for the same (N, n) block after block."""
     table = np.full(n_tokens - sample + 2, np.nan)
     table[-1] = 1.0
     return table
 
 
-def _cached_presences(n_tokens: int, sample: int, freqs: np.ndarray):
-    """``presences`` through the (N, n) memo: only frequencies it has not
-    met yet are computed."""
-    table = _presence_table(n_tokens, sample)
-    slots = np.minimum(freqs, len(table) - 1)
-    out = table[slots]
+# A memo table that costs at most this many factors to fill whole is
+# filled whole at its first miss: the sampling engine's (N, n) tables
+# then miss once, while a long text's sweep computes only what it meets.
+_WHOLE_TABLE = 1 << 16
+
+
+def _cached_presences(n_tokens: int, samples, freqs: np.ndarray) -> np.ndarray:
+    """``presences`` through the (N, n) memos: the frequencies that any of
+    the sizes has not met yet are computed for those sizes in one call."""
+    tables = [_presence_table(n_tokens, n) for n in samples]
+    slots = [np.minimum(freqs, len(table) - 1) for table in tables]
+    out = np.array([table[slot] for table, slot in zip(tables, slots)])
     missing = np.isnan(out)
     if missing.any():
-        table[slots[missing]] = presences(n_tokens, sample, slots[missing])
-        out = table[slots]
+        rows = np.flatnonzero(missing.any(axis=1))
+        sizes = [samples[row] for row in rows]
+        if max((n_tokens - n) * n for n in sizes) <= _WHOLE_TABLE:
+            fill = np.arange(1, n_tokens + 1)
+        else:
+            fill = freqs[missing.any(axis=0)]
+        for row, values in zip(rows, presences(n_tokens, sizes, fill)):
+            table = tables[row]
+            table[np.minimum(fill, len(table) - 1)] = values
+            out[row] = table[slots[row]]
     return out
 
 
@@ -269,24 +302,30 @@ def _type_count_scores(formula, counts: np.ndarray, length: int) -> list:
     return scores[row_value].tolist()
 
 
-def _expected_types(counts: np.ndarray, length: int, n: int) -> list:
+def _expected_types(counts: np.ndarray, length: int, sizes) -> list:
     """The expected type count of an n-token without-replacement sample of
-    each row of a count matrix of length-token texts: for each frequency f
-    present in the block, (types with frequency f) x presence(f), summed
+    each row of a count matrix of length-token texts, for each n of
+    ``sizes``: ``out[j][b]`` for row b at ``sizes[j]``.  For each frequency
+    f present in the block, (types with frequency f) x presence(f), summed
     left to right in ascending f.  The counts-of-counts make the result
     independent of token order.  A row gets an exact zero term for every f
     that only its block-mates hold, and a left-to-right sum passes zeros
     through unchanged, so each row scores as it would alone; a pairwise
-    ``sum`` or a matrix product would group a row's terms by position."""
+    ``sum`` or a matrix product would group a row's terms by position.
+    The counts-of-counts and the presences are found once for all sizes."""
     coc = _count_matrix(counts)
     freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
-    presence = _cached_presences(length, n, freqs)
-    return np.add.accumulate(coc[:, freqs] * presence, axis=1)[:, -1].tolist()
+    presence = _cached_presences(length, sizes, freqs)
+    terms = coc[:, freqs] * presence[:, None, :]
+    return np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
 
 
-def _hdd_scores(counts: np.ndarray, length: int, n: int) -> list:
-    """HD-D of each row of a count matrix: its expected TTR at n tokens."""
-    return [types / n for types in _expected_types(counts, length, n)]
+def _hdd_scores(counts: np.ndarray, length: int, specs) -> list:
+    """HD-D of each row of a count matrix under each spec: its expected TTR
+    at the spec's n tokens."""
+    sizes = [spec.n for spec in specs]
+    expected = _expected_types(counts, length, sizes)
+    return [[types / n for types in row] for n, row in zip(sizes, expected)]
 
 
 def _mattr_rows(prev: np.ndarray, n: int) -> list:
@@ -483,15 +522,17 @@ class IndexDef:
     values and the sampling engine one.  Every scoring path (``evaluate``,
     ``evaluate_rows``, ``evaluate_specs``, the scalar functions) goes
     through it.  An order-free index is its ``counts(counts, length,
-    spec)`` kernel, which scores each row of a count matrix (``counts[b,
+    specs)`` kernel, which scores each row of a count matrix (``counts[b,
     t]``: occurrences of type t in row b, a sample of ``length`` tokens)
-    under one spec; its ``rows`` is derived here as that kernel applied to
-    the count matrix of the code rows, so random sampling can hand it
-    drawn type counts directly.  ``score(codes, spec, rng)`` giving
-    ``(score, flags)`` for a one-row code matrix is the one override, for
-    MTLD, whose ``evaluate`` reports flags.  ``label`` is
-    formatted with the spec's kind, n, s, factor and variant (the
-    non-default Maas variant); ``min_tokens`` is a count or "n";
+    under each spec and returns one list of row scores per spec, as
+    ``rows`` does (HD-D finds the counts-of-counts and the presences of
+    all its sample sizes at once); its ``rows`` is derived here as that
+    kernel applied to the count matrix of the code rows, so random
+    sampling can hand it drawn type counts directly.  ``score(codes,
+    spec, rng)`` giving ``(score, flags)`` for a one-row code matrix is
+    the one override, for MTLD, whose ``evaluate`` reports flags.
+    ``label`` is formatted with the spec's kind, n, s, factor and variant
+    (the non-default Maas variant); ``min_tokens`` is a count or "n";
     ``weights(n_tokens, n)`` gives per-position weights.
     """
 
@@ -510,8 +551,7 @@ class IndexDef:
             counts = self.counts
 
             def rows(codes, specs, rngs):
-                matrix = _count_matrix(codes)
-                return [counts(matrix, codes.shape[1], spec) for spec in specs]
+                return counts(_count_matrix(codes), codes.shape[1], specs)
             object.__setattr__(self, "rows", rows)
 
     @property
@@ -523,18 +563,20 @@ MTLD_FACTOR_SWEEP = tuple(round(0.66 + 0.01 * i, 2) for i in range(10))
 
 INDEXES = {
     IndexKind.TTR: IndexDef(
-        counts=lambda counts, length, spec: _type_count_scores(_ttr, counts, length),
+        counts=lambda counts, length, specs: [
+            _type_count_scores(_ttr, counts, length) for _ in specs],
         weights=lambda big_n, n: [1.0 / big_n] * big_n),
     IndexKind.GUIRAUD_R: IndexDef(
-        counts=lambda counts, length, spec: _type_count_scores(
-            _guiraud_r, counts, length)),
+        counts=lambda counts, length, specs: [
+            _type_count_scores(_guiraud_r, counts, length) for _ in specs]),
     IndexKind.HERDAN_C: IndexDef(
-        counts=lambda counts, length, spec: _type_count_scores(
-            _herdan_c, counts, length),
+        counts=lambda counts, length, specs: [
+            _type_count_scores(_herdan_c, counts, length) for _ in specs],
         min_tokens=2),
     IndexKind.MAAS_A: IndexDef(
-        counts=lambda counts, length, spec: _type_count_scores(
-            partial(_maas_a, variant=spec.maas_variant), counts, length),
+        counts=lambda counts, length, specs: [
+            _type_count_scores(partial(_maas_a, variant=spec.maas_variant),
+                               counts, length) for spec in specs],
         label="{kind}{variant}", min_tokens=2),
     IndexKind.MTTRRS: IndexDef(
         rows=lambda codes, specs, rngs: [
@@ -542,7 +584,7 @@ INDEXES = {
             for spec, rng in zip(specs, rngs)],
         label="{kind}[n={n},s={s}]", defaults={"n": 50, "s": 10}, sweep="n"),
     IndexKind.HDD: IndexDef(
-        counts=lambda counts, length, spec: _hdd_scores(counts, length, spec.n),
+        counts=_hdd_scores,
         label="{kind}[n={n}]", min_tokens="n",
         defaults={"n": 42}, sweep="n"),
     IndexKind.MATTR: IndexDef(

@@ -101,10 +101,7 @@ def hdd_presence_curves(
         n_values = range(10, n_tokens + 1)
     f_values = list(f_values)
     n_values = list(n_values)
-    grid = np.empty((len(f_values), len(n_values)))
-    for j, n in enumerate(n_values):
-        grid[:, j] = presences(n_tokens, n, f_values)
-    return f_values, n_values, grid
+    return f_values, n_values, presences(n_tokens, n_values, f_values).T
 
 
 def _series_of(data):

@@ -227,15 +227,17 @@ def _sample_mean(draw, score, iterations: int) -> float:
 
 def _random_positions(rng, truncate_to: int, m: int, b: int, ordered: bool):
     """The first m positions of b fresh permutations, one row each."""
-    positions = rng.permuted(np.tile(np.arange(truncate_to), (b, 1)), axis=1)[:, :m]
-    return np.sort(positions, axis=1) if ordered else positions
+    positions = np.tile(np.arange(truncate_to), (b, 1))
+    rng.permuted(positions, axis=1, out=positions)
+    return np.sort(positions[:, :m], axis=1) if ordered else positions[:, :m]
 
 
 def _alternating_positions(rng, k: int, n_snippets: int, b: int):
     """The positions of the k samples of each of b iterations, iteration by
     iteration: the k-token snippets are permuted within, and sample j takes
     the j-th token of every permuted snippet."""
-    perm = rng.permuted(np.tile(np.arange(k), (b * n_snippets, 1)), axis=1)
+    perm = np.tile(np.arange(k), (b * n_snippets, 1))
+    rng.permuted(perm, axis=1, out=perm)
     positions = perm.reshape(b, n_snippets, k) + np.arange(n_snippets)[:, None] * k
     return positions.transpose(0, 2, 1).reshape(b * k, n_snippets)
 
@@ -261,7 +263,7 @@ def _random_cell(arr, m, _m, iterations, spec, seed, ordered: bool):
         return evaluate_rows(arr[None], spec, seed("random", m, "full"))[0]
     if spec.kind in _RANDOM_EXACT:
         # the expected type count of an m-sample; HD-D(m) is its TTR
-        types = _expected_types(np.bincount(arr)[None], len(arr), m)[0]
+        types = _expected_types(np.bincount(arr)[None], len(arr), [m])[0][0]
         return _LINEAR[spec.kind](types, m)
     # one stream per (text, length), shared by random and ordered random
     rng = np.random.default_rng(seed("random", m))
@@ -274,7 +276,7 @@ def _random_cell(arr, m, _m, iterations, spec, seed, ordered: bool):
         population = np.bincount(arr)
         draw = lambda b: rng.multivariate_hypergeometric(
             population, m, size=b, method="count")
-        score = lambda rows: counts(rows, m, spec)
+        score = lambda rows: counts(rows, m, [spec])[0]
     return _sample_mean(draw, score, iterations)
 
 

@@ -163,56 +163,70 @@ def scalar_presences(big_n, n, freqs):
     return [hypergeom_presence(big_n, int(f), n) for f in freqs]
 
 
-@pytest.mark.parametrize("big_n, n, freqs", [
+BRANCH_CASES = [
     (300, 42, [1, 2, 64, 65, 200, 258, 259, 300]),  # f = 1, f <= 64, f > 64
     (300, 120, [100, 120, 121, 180, 181]),          # f <= n, f > n, f > N - n
     (300, 300, [1, 5, 300]),                        # n = N
     (300, 0, [1, 7]),
     (1, 1, [1]),
-])
+    # tables too large to fill whole at their first miss
+    (5800, 420, [1, 2, 64, 65, 420, 421, 1853, 5380, 5381]),
+    (5800, 42, [1, 2, 42, 43, 64, 65, 1853, 5758, 5759]),
+]
+
+
+@pytest.mark.parametrize("big_n, n, freqs", BRANCH_CASES)
 def test_presences_match_scalar_reference_on_every_branch(big_n, n, freqs):
-    """Bit for bit, cold and through the (N, n) memo as it fills."""
-    want = scalar_presences(big_n, n, freqs)
-    assert presences(big_n, n, freqs).tolist() == want
+    """Bit for bit, with every size of the cases of this N in one call,
+    cold and through the (N, n) memos as they fill."""
+    sizes = [n] + [m for other, m, _ in BRANCH_CASES
+                   if other == big_n and m != n]
+    want = [scalar_presences(big_n, m, freqs) for m in sizes]
+    assert presences(big_n, sizes, freqs).tolist() == want
     _presence_table.cache_clear()
     freqs = np.array(freqs)
-    assert _cached_presences(big_n, n, freqs[::2]).tolist() == want[::2]
-    assert _cached_presences(big_n, n, freqs).tolist() == want
+    assert _cached_presences(big_n, [n], freqs[::2]).tolist() == [want[0][::2]]
+    assert _cached_presences(big_n, sizes, freqs).tolist() == want
 
 
 def test_presences_match_scalar_reference_exhaustively():
+    """Every sample size of each N in one call, each row against the scalar
+    reference."""
     for big_n in range(1, 131):
         freqs = np.arange(1, big_n + 1)
-        for n in range(big_n + 1):
-            assert (presences(big_n, n, freqs).tolist()
-                    == scalar_presences(big_n, n, freqs))
+        sizes = range(big_n + 1)
+        assert (presences(big_n, sizes, freqs).tolist()
+                == [scalar_presences(big_n, n, freqs) for n in sizes])
     for big_n in (2000, 5800):
         freqs = np.arange(1, big_n + 1)
-        for n in (42, 64, 65, 420):
-            assert (presences(big_n, n, freqs).tolist()
-                    == scalar_presences(big_n, n, freqs))
+        sizes = (42, 64, 65, 420)
+        assert (presences(big_n, sizes, freqs).tolist()
+                == [scalar_presences(big_n, n, freqs) for n in sizes])
 
 
 def test_presences_domain():
     with pytest.raises(NumericsError, match="freq=0"):
-        presences(10, 3, [1, 0])
+        presences(10, [3], [1, 0])
     with pytest.raises(NumericsError, match="freq=11"):
-        presences(10, 3, [11])
+        presences(10, [3, 4], [11])
     with pytest.raises(NumericsError, match="sample=11"):
-        presences(10, 11, [1])
+        presences(10, [3, 11], [1])
+    with pytest.raises(NumericsError, match="sample=-1"):
+        presences(10, [-1], [1])
 
 
 @st.composite
 def hdd_blocks(draw):
     """A count matrix of equal-length rows, with types absent from some rows
     and a spread of frequencies (the last column fills each row up to the
-    length), and an HD-D sample size."""
+    length), and some HD-D sample sizes."""
     n_types = draw(st.integers(1, 12))
     rows = draw(st.lists(st.lists(st.integers(0, 15), min_size=n_types,
                                   max_size=n_types), min_size=1, max_size=5))
     length = max(sum(row) for row in rows) + draw(st.integers(1, 10))
     counts = [row + [length - sum(row)] for row in rows]
-    return counts, draw(st.integers(1, length))
+    return counts, draw(st.lists(st.integers(1, length), min_size=1,
+                                 max_size=4))
 
 
 def hdd_left_to_right(row, length, n):
@@ -228,20 +242,22 @@ def hdd_left_to_right(row, length, n):
 # The first row's nine terms add up to a different float left to right,
 # with fsum and with numpy's pairwise sum.
 @example(([[4, 12, 12, 11, 2, 1, 14, 11, 9, 11, 10, 6],
-           [50, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 53]], 2))
+           [50, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 53]], [2]))
 @given(hdd_blocks())
 @settings(max_examples=200, deadline=None)
 def test_hdd_block_scores_each_row_alone_left_to_right(block):
-    """Stream layout 6: every row of a block scores as it does alone, and as
-    the left-to-right sum of its terms in ascending frequency."""
-    counts, n = block
+    """Stream layout 6: every row of a block, under each of the sizes scored
+    together, scores as it does alone under that size, and as the
+    left-to-right sum of its terms in ascending frequency."""
+    counts, sizes = block
     length = sum(counts[0])
-    spec = IndexSpec(IndexKind.HDD, n=n)
+    specs = [IndexSpec(IndexKind.HDD, n=n) for n in sizes]
     kernel = INDEXES[IndexKind.HDD].counts
-    got = kernel(np.array(counts), length, spec)
-    for row, score in zip(counts, got):
-        assert score == kernel(np.array([row]), length, spec)[0]
-        assert score == hdd_left_to_right(row, length, n)
+    got = kernel(np.array(counts), length, specs)
+    for n, spec, scores in zip(sizes, specs, got):
+        for row, score in zip(counts, scores):
+            assert score == kernel(np.array([row]), length, [spec])[0][0]
+            assert score == hdd_left_to_right(row, length, n)
 
 
 def test_gini_simpson_values():

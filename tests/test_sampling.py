@@ -534,7 +534,7 @@ def test_counts_kernel_matches_row_scoring(data):
     counts = np.array([np.bincount(row, minlength=n_types) for row in rows])
     for spec in ORDER_FREE_SPECS:
         spec = spec.with_defaults()
-        got = INDEXES[spec.kind].counts(counts, length, spec)
+        got = INDEXES[spec.kind].counts(counts, length, [spec])[0]
         want = [evaluate(np.random.default_rng(i).permutation(row), spec)[0]
                 for i, row in enumerate(np.array(rows))]
         assert np.array(got).tobytes() == np.array(want).tobytes(), spec
@@ -779,6 +779,35 @@ def test_parameter_sweep_finds_previous_occurrences_once_per_text(
     monkeypatch.setattr(indices_mod, "_prev_occurrence", spy)
     parameter_sweep(small_corpus, kind, values, master_seed=1)
     assert calls == [(1, len(text)) for text in small_corpus]
+
+
+def test_hdd_sweep_takes_presences_and_counts_of_counts_once_per_text(
+        small_corpus, monkeypatch):
+    """An HD-D sweep builds one presence matrix and one counts-of-counts per
+    text, for all its sample sizes."""
+    presence_calls, count_calls = [], []
+    presences, count_matrix = indices_mod.presences, indices_mod._count_matrix
+
+    def presences_spy(n_tokens, samples, freqs):
+        presence_calls.append((n_tokens, np.atleast_1d(samples).tolist()))
+        return presences(n_tokens, samples, freqs)
+
+    def count_matrix_spy(codes):
+        count_calls.append(codes.shape)
+        return count_matrix(codes)
+
+    # texts of distinct lengths, so that no text meets another's memo
+    corpus = Corpus(tuple(Text(text.id, text.tokens[:300 + i])
+                          for i, text in enumerate(small_corpus)))
+    monkeypatch.setattr(indices_mod, "presences", presences_spy)
+    monkeypatch.setattr(indices_mod, "_count_matrix", count_matrix_spy)
+    indices_mod._presence_table.cache_clear()
+    parameter_sweep(corpus, IndexKind.HDD, [10, 20, 40])
+    assert presence_calls == [(len(text), [10, 20, 40]) for text in corpus]
+    # the text's type counts, then their counts-of-counts
+    assert count_calls == [shape for text in corpus
+                           for shape in ((1, len(text)),
+                                         (1, len(set(text.tokens))))]
 
 
 def test_parameter_sweep_checks_every_value_before_scoring(small_corpus,
