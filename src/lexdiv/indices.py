@@ -221,7 +221,9 @@ def _cached_presences(n_tokens: int, samples, freqs: np.ndarray) -> np.ndarray:
 
 
 def _as_generator(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
+    # a Generator, or anything that draws as one (the sampling engine's
+    # per-cell streams of a packed block)
+    if hasattr(seed_or_rng, "integers"):
         return seed_or_rng
     if seed_or_rng is None:
         raise IndexError_("stochastic index needs a seed or Generator")
@@ -654,7 +656,8 @@ def evaluate(text, spec: IndexSpec, rng=None):
 def evaluate_rows(codes: np.ndarray, spec: IndexSpec, rng=None) -> list:
     """Score every row of a matrix of small non-negative token codes, each
     row one text.  The stochastic indices draw all rows' positions from
-    ``rng`` (a seed or a Generator) in one call, rows in order, so a row
+    ``rng`` (a seed, a Generator or an object with a Generator's
+    ``integers``) in one call, rows in order, so a row
     scores as ``evaluate`` would with the stream in the state the rows
     before it left it
     (``tests/test_sampling.py::test_block_draw_is_the_sequential_stream``

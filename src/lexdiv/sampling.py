@@ -7,51 +7,23 @@ random and ordered-random methods deliberately share one stream per
 (text, length): they must analyze identical token samples, differing only in
 whether the sample keeps the permuted order or the original text order.
 
-Draws are batched per cell: up to ``_BLOCK`` samples come from one draw,
-and the index scores the whole block at once, as its row kernel scores
-every segment and full extract.  The cell mean is ``math.fsum`` of the
-samples' scores over their count, correctly rounded whatever the sample
-order.  How a cell turns its stream into samples is the stream layout,
-recorded as ``STREAM_LAYOUT`` in the ``ScoreMatrix.meta`` of
-``run_method`` and ``parameter_sweep``:
+How a cell turns its stream into samples is the stream layout, recorded as
+``STREAM_LAYOUT`` in the ``ScoreMatrix.meta`` of ``run_method`` and
+``parameter_sweep``.  README's "Sampling methods" describes it and tells
+how each layout differs from the one before; the current one is
 
-- Layout 1 (every output that records no layout): a random or
-  ordered-random sample is the first m positions of a fresh permutation of
-  the L-truncation.  One ``Generator.permuted`` call shuffles a block of
-  rows, which numpy fills with the draws of successive ``permutation``
-  calls, so the layout is that of one draw per sample.
-- Layout 2: as layout 1, except that a random or ordered-random cell of an
-  order-free index (``IndexDef.counts``) draws the samples' type counts
-  instead of their tokens: one ``multivariate_hypergeometric(...,
-  method="count")`` call per block, scored by the index's count kernel.
-  That call carries its partial shuffle of the population from one row to
-  the next, so a block of b rows is not b one-row calls: ``_BLOCK`` is
-  part of layout 2, and changing it changes these cells.  Random and
-  ordered random draw the same counts, so they still score the same
-  samples.
-- Layout 3: as layout 2, except that MTTRRS and MTTRSS, which draw from
-  the cell's stream while scoring, score a whole block from one draw: a
-  position-drawn cell draws all of a block's samples, then the kernel
-  draws every row's positions (MTTRRS) or segment starts (MTTRSS) in one
-  ``integers`` call.  In layout 2 each of their samples was scored before
-  the next was drawn.
-- Layout 4: as layout 3, but the cell mean is ``fsum``.  Layouts 1-3
-  summed a cell's scores with a Kahan loop in sample order.
-- Layout 5: as layout 4, but the exact pairs draw nothing and hold their
-  mean, computed in one pass over the text's count matrix.  Under random
-  and ordered random, TTR and Guiraud are the expected type count of an
-  m-sample over m and over sqrt(m): E[TTR_m] is HD-D(m).  Under
-  alternating (k >= 2) a sample takes one uniform token from each
-  k-snippet, independently, so each type's absence from a window of
-  snippets has a product form; TTR, Guiraud, MATTR and MSTTR are the
-  expected type counts of the whole sample, its sliding windows or its
-  complete segments.  ``run_method``'s ``meta["estimator"]`` is
-  ``"exact"`` for these pairs (and for parallel, which samples nothing)
-  and ``"monte_carlo"`` for the rest.  Full-extract cells are unchanged.
-- Layout 6: as layout 5, but HD-D and the exact random and ordered-random
-  TTR and Guiraud cells add their per-frequency terms left to right
-  instead of with ``fsum`` (``indices._expected_types``), which moves
-  them by a few ulp.  Alternating exact cells are unchanged.
+- Layout 6: as layout 5, with the per-frequency terms of HD-D and of the
+  exact random and ordered-random TTR and Guiraud cells added left to
+  right (``indices._expected_types``).
+
+Scoring is packed across texts, and changes no byte: ``run_method``
+scores one condition at a time, and the blocks of every text's cell go to
+the index's kernel together, in corpus order, whole where they fit, at
+most ``_BLOCK`` rows per call (``_packed_means``).  Rows score
+independently, and MTTRRS and MTTRSS draw each cell's rows from that
+cell's own stream, after that cell's samples (``_Streams``), so a packed
+call scores each cell as a call of its rows alone would, and the bytes do
+not depend on how ``threads`` splits the corpus.
 
 These stay Monte Carlo:
 
@@ -67,7 +39,6 @@ These stay Monte Carlo:
   ordered random: no cheap closed form.  MTTRRS under random has one, but
   it sums a hypergeometric over every count of every type.
 
-Alternating sampling deals ``permuted`` snippets block by block.
 ``tests/test_sampling.py`` pins the layout against a per-sample loop.
 """
 
@@ -85,6 +56,7 @@ import numpy as np
 from .corpus import Corpus, Text, tokens_of
 from .indices import (
     INDEXES,
+    IndexError_,
     IndexKind,
     IndexSpec,
     _count_matrix,
@@ -158,7 +130,10 @@ class ScoreMatrix:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        # C order whatever the source: numpy groups the terms of a sum
+        # along an axis by memory layout, so the statistics of a
+        # transposed array could differ in the last bits
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.shape != (len(self.row_ids), len(self.col_labels)):
             raise SamplingError(
                 f"shape mismatch: {self.values.shape} vs "
@@ -216,13 +191,93 @@ def stream_seed(master_seed: int, *key) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
-def _sample_mean(draw, score, iterations: int) -> float:
-    """Mean of ``score(rows)`` over every row that ``draw(b)`` returns for
-    b iterations, drawn block by block."""
-    scores = []
-    for start in range(0, iterations, _BLOCK):
-        scores.extend(score(draw(min(_BLOCK, iterations - start))))
-    return math.fsum(scores) / len(scores)
+class _Streams:
+    """The streams of one packed kernel call.  MTTRRS and MTTRSS draw while
+    they score, through ``integers``, which draws each cell's rows from
+    that cell's own stream, cells in row order, so every stream gives what
+    a call of its rows alone would draw.  ``gens[cell]`` is a Generator or
+    a seed, which becomes a Generator at the cell's first draw."""
+
+    def __init__(self, gens: list, parts: list):
+        self.gens, self.parts = gens, parts  # parts: (cell, rows) in row order
+
+    def integers(self, low, high, size):
+        drawn = []
+        for cell, rows in self.parts:
+            if not isinstance(self.gens[cell], np.random.Generator):
+                self.gens[cell] = np.random.default_rng(self.gens[cell])
+            drawn.append(self.gens[cell].integers(low, high,
+                                                  size=(rows, *size[1:])))
+        return np.concatenate(drawn)
+
+
+def _packed_means(cells: list, score) -> list:
+    """The mean of ``score`` over the rows of each cell.  A cell ``(draw,
+    iterations, rng)`` draws blocks of up to ``_BLOCK`` iterations, each
+    ``draw(b)`` giving a block's rows.  The blocks go to ``score(rows,
+    rng=streams)`` in cell order, whole where they fit, at most ``_BLOCK``
+    rows per call; ``streams`` (``_Streams``) draws each cell's rows from
+    its ``rng``.  A cell draws a block only once its earlier rows are
+    scored, so every stream meets the draws of a one-cell run in the same
+    order."""
+    gens = [rng for _, _, rng in cells]
+    scores = [[] for _ in cells]
+    queue = []  # (cell, rows) waiting to be scored
+    queued = 0
+
+    def flush():
+        nonlocal queued
+        # a lone block is scored as it is, not copied
+        blocks = [rows for _, rows in queue]
+        out = score(blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
+                    rng=_Streams(gens, [(cell, len(rows)) for cell, rows in queue]))
+        first = 0
+        for cell, rows in queue:
+            scores[cell].extend(out[first:first + len(rows)])
+            first += len(rows)
+        queue.clear()
+        queued = 0
+
+    for cell, (draw, iterations, _) in enumerate(cells):
+        for start in range(0, iterations, _BLOCK):
+            if queue and queue[-1][0] == cell:
+                flush()
+            block = draw(min(_BLOCK, iterations - start))
+            # an alternating block holds k rows per iteration
+            for part in range(0, len(block), _BLOCK):
+                size = min(_BLOCK, len(block) - part)
+                if queued + size > _BLOCK:
+                    flush()
+                queue.append((cell, block[part:part + size]))
+                queued += size
+            # only the queue may hold drawn rows, so that the next draw
+            # does not find the last block still alive
+            del block
+    if queue:
+        flush()
+    return [math.fsum(s) / len(s) for s in scores]
+
+
+def _fixed_rows(rows, b):
+    """The rows of a cell that draws nothing."""
+    return rows
+
+
+def _full_column(arrs, seeds, key, score) -> list:
+    """Each text's truncation, scored once (m = L, or k = 1)."""
+    cells = [(partial(_fixed_rows, arr[None]), 1, seed(*key, "full"))
+             for arr, seed in zip(arrs, seeds)]
+    return _packed_means(cells, score)
+
+
+def _drawn_column(arrs, seeds, key, iterations, draw, score) -> list:
+    """Each text's Monte Carlo cell under ``key``: ``draw(rng, arr, b)``
+    gives b iterations' rows from the cell's stream."""
+    cells = []
+    for arr, seed in zip(arrs, seeds):
+        rng = np.random.default_rng(seed(*key))
+        cells.append((partial(draw, rng, arr), iterations, rng))
+    return _packed_means(cells, score)
 
 
 def _random_positions(rng, truncate_to: int, m: int, b: int, ordered: bool):
@@ -242,9 +297,14 @@ def _alternating_positions(rng, k: int, n_snippets: int, b: int):
     return positions.transpose(0, 2, 1).reshape(b * k, n_snippets)
 
 
-def _parallel_cell(arr, d, seg_len, iterations, spec, seed):
-    segs = arr[:d * seg_len].reshape(d, seg_len)
-    return math.fsum(evaluate_rows(segs, spec, seed("parallel", d))) / d
+def _parallel_columns(arrs, conditions, iterations, spec, seeds) -> list:
+    columns = []
+    for d in conditions:
+        seg_len = len(arrs[0]) // d
+        cells = [(partial(_fixed_rows, arr[:d * seg_len].reshape(d, seg_len)),
+                  1, seed("parallel", d)) for arr, seed in zip(arrs, seeds)]
+        columns.append(_packed_means(cells, partial(evaluate_rows, spec=spec)))
+    return columns
 
 
 # Kinds scored as a formula of the sample's type count and length that is
@@ -257,27 +317,57 @@ _RANDOM_EXACT = frozenset(_LINEAR)
 _ALTERNATING_EXACT = _RANDOM_EXACT | {IndexKind.MATTR, IndexKind.MSTTR}
 
 
-def _random_cell(arr, m, _m, iterations, spec, seed, ordered: bool):
-    if m == len(arr):
-        # full extract: a single deterministic score, no permutation
-        return evaluate_rows(arr[None], spec, seed("random", m, "full"))[0]
-    if spec.kind in _RANDOM_EXACT:
-        # the expected type count of an m-sample; HD-D(m) is its TTR
-        types = _expected_types(np.bincount(arr)[None], len(arr), [m])[0][0]
-        return _LINEAR[spec.kind](types, m)
-    # one stream per (text, length), shared by random and ordered random
-    rng = np.random.default_rng(seed("random", m))
+def _random_draw(m, ordered, rng, arr, b):
+    return arr[_random_positions(rng, len(arr), m, b, ordered)]
+
+
+def _count_draw(m, rng, population, b):
+    return rng.multivariate_hypergeometric(population, m, size=b,
+                                           method="count")
+
+
+def _random_columns(arrs, conditions, iterations, spec, seeds,
+                    ordered: bool) -> list:
+    big_l = len(arrs[0])
+    sampled = [m for m in conditions if m < big_l]
+    if spec.kind in _RANDOM_EXACT and sampled:
+        # the expected type count of an m-sample, for every m and text at
+        # once; HD-D(m) is its TTR
+        expected = [[] for _ in sampled]
+        for start in range(0, len(arrs), _BLOCK):
+            counts = _count_matrix(np.stack(arrs[start:start + _BLOCK]))
+            for out, types in zip(expected,
+                                  _expected_types(counts, big_l, sampled)):
+                out.extend(types)
+        exact = {m: [_LINEAR[spec.kind](t, m) for t in types]
+                 for m, types in zip(sampled, expected)}
     counts = INDEXES[spec.kind].counts
-    if counts is None:
-        draw = lambda b: arr[_random_positions(rng, len(arr), m, b, ordered)]
-        score = partial(evaluate_rows, spec=spec, rng=rng)
-    else:
-        # layout 2: an order-free score reads only the sample's type counts
-        population = np.bincount(arr)
-        draw = lambda b: rng.multivariate_hypergeometric(
-            population, m, size=b, method="count")
-        score = lambda rows: counts(rows, m, [spec])[0]
-    return _sample_mean(draw, score, iterations)
+    score = partial(evaluate_rows, spec=spec)
+    columns = []
+    for m in conditions:
+        if m == big_l:
+            # full extract: a single deterministic score, no permutation
+            columns.append(_full_column(arrs, seeds, ("random", m), score))
+        elif spec.kind in _RANDOM_EXACT:
+            columns.append(exact[m])
+        elif counts is None:
+            # one stream per (text, length), shared by random and ordered
+            # random
+            columns.append(_drawn_column(
+                arrs, seeds, ("random", m), iterations,
+                partial(_random_draw, m, ordered), score))
+        else:
+            # layout 2: an order-free score reads only the sample's type
+            # counts.  Every text gets as many count columns as the one
+            # with the most types, so that its rows stack with theirs;
+            # no color is drawn from those empty columns.
+            width = max(arr.max() for arr in arrs) + 1
+            populations = [np.bincount(arr, minlength=width) for arr in arrs]
+            columns.append(_drawn_column(
+                populations, seeds, ("random", m), iterations,
+                partial(_count_draw, m),
+                lambda rows, rng, m=m: counts(rows, m, [spec])[0]))
+    return columns
 
 
 def _window_types(snippets: np.ndarray, n: int, step: int) -> list:
@@ -307,35 +397,51 @@ def _window_types(snippets: np.ndarray, n: int, step: int) -> list:
     return (types + (1.0 - absent).sum(axis=0)).tolist()
 
 
-def _alternating_cell(arr, k, sample_len, iterations, spec, seed):
-    if k == 1:
-        return evaluate_rows(arr[None], spec, seed("alternating", k, "full"))[0]
-    if spec.kind in _ALTERNATING_EXACT:
-        # the expected type count of the whole sample (TTR, Guiraud), its
-        # sliding windows (MATTR) or its complete disjoint segments (MSTTR)
-        snippets = arr[:sample_len * k].reshape(sample_len, k)
-        n = sample_len if spec.kind in _LINEAR else spec.n
-        step = n if spec.kind is IndexKind.MSTTR else 1
-        types = _window_types(snippets, n, step)
-        if spec.kind in _LINEAR:
-            return _LINEAR[spec.kind](types[0], n)
-        return math.fsum(types) / (n * len(types))
-    rng = np.random.default_rng(seed("alternating", k))
-    draw = lambda b: arr[_alternating_positions(rng, k, sample_len, b)]
-    score = partial(evaluate_rows, spec=spec, rng=rng)
-    return _sample_mean(draw, score, iterations)
+def _alternating_exact(arr, k: int, sample_len: int, spec) -> float:
+    """The exact alternating cell: the expected type count of the whole
+    sample (TTR, Guiraud), its sliding windows (MATTR) or its complete
+    disjoint segments (MSTTR)."""
+    snippets = arr[:sample_len * k].reshape(sample_len, k)
+    n = sample_len if spec.kind in _LINEAR else spec.n
+    step = n if spec.kind is IndexKind.MSTTR else 1
+    types = _window_types(snippets, n, step)
+    if spec.kind in _LINEAR:
+        return _LINEAR[spec.kind](types[0], n)
+    return math.fsum(types) / (n * len(types))
+
+
+def _dealt_draw(k, sample_len, rng, arr, b):
+    return arr[_alternating_positions(rng, k, sample_len, b)]
+
+
+def _alternating_columns(arrs, conditions, iterations, spec, seeds) -> list:
+    score = partial(evaluate_rows, spec=spec)
+    columns = []
+    for k in conditions:
+        sample_len = len(arrs[0]) // k
+        if k == 1:
+            columns.append(_full_column(arrs, seeds, ("alternating", k), score))
+        elif spec.kind in _ALTERNATING_EXACT:
+            columns.append([_alternating_exact(arr, k, sample_len, spec)
+                            for arr in arrs])
+        else:
+            columns.append(_drawn_column(
+                arrs, seeds, ("alternating", k), iterations,
+                partial(_dealt_draw, k, sample_len), score))
+    return columns
 
 
 @dataclass(frozen=True)
 class Method:
-    """One length-reduction method.  ``cell(arr, condition, sample_len,
-    iterations, spec, seed)`` scores one condition on an encoded
-    L-truncation, where ``seed(*key)`` is the seed of the text's RNG stream
+    """One length-reduction method.  ``columns(arrs, conditions,
+    iterations, spec, seeds)`` scores every encoded L-truncation of
+    ``arrs`` under each condition and returns one list of scores per
+    condition, where ``seeds[i](*key)`` is the seed of text i's RNG stream
     for that key.  A condition d of a ``divides`` method names samples of
     floor(L/d) tokens; otherwise the condition is the sample length itself.
     ``exact`` holds the index kinds whose cells are no Monte Carlo mean."""
 
-    cell: Callable
+    columns: Callable
     divides: bool
     exact: frozenset
 
@@ -348,35 +454,31 @@ class Method:
 
 
 METHODS = {
-    "parallel": Method(_parallel_cell, divides=True, exact=frozenset(IndexKind)),
-    "random": Method(partial(_random_cell, ordered=False), divides=False,
+    "parallel": Method(_parallel_columns, divides=True,
+                       exact=frozenset(IndexKind)),
+    "random": Method(partial(_random_columns, ordered=False), divides=False,
                      exact=_RANDOM_EXACT),
-    "ordered_random": Method(partial(_random_cell, ordered=True), divides=False,
-                             exact=_RANDOM_EXACT),
-    "alternating": Method(_alternating_cell, divides=True,
+    "ordered_random": Method(partial(_random_columns, ordered=True),
+                             divides=False, exact=_RANDOM_EXACT),
+    "alternating": Method(_alternating_columns, divides=True,
                           exact=_ALTERNATING_EXACT),
 }
 
 
-def _row(text, method: str, truncate_to: int, conditions, iterations: int,
-         master_seed: int, spec: IndexSpec) -> list:
-    """One text's score under each condition of a method.  Every condition
-    must be >= 1 and give samples between the index minimum and the
-    truncation in length."""
+def _check(text, method: str, truncate_to: int, conditions, iterations: int,
+           spec: IndexSpec) -> None:
+    """Refuse a text shorter than the truncation, and a condition below 1
+    or whose samples are longer than the truncation or shorter than the
+    index minimum.  ``spec`` has its defaults."""
     if iterations < 1:
         raise SamplingError(f"iterations must be >= 1, got {iterations}")
-    toks = tokens_of(text)
-    if truncate_to > len(toks):
+    n_tokens = len(tokens_of(text))
+    if truncate_to > n_tokens:
         raise SamplingError(
-            f"text shorter than truncation length ({len(toks)} < {truncate_to})"
+            f"text shorter than truncation length ({n_tokens} < {truncate_to})"
         )
-    spec = spec.with_defaults()
     spec.validate()
     needed = min_tokens_required(spec)
-    arr = _encode(toks[:truncate_to])
-    seed = partial(stream_seed, master_seed,
-                   text.id if isinstance(text, Text) else None)
-    scores = []
     for c in conditions:
         if c < 1:
             raise SamplingError(f"condition {c} must be >= 1")
@@ -389,8 +491,30 @@ def _row(text, method: str, truncate_to: int, conditions, iterations: int,
                 f"condition {c}: sample length {length} below the "
                 f"{spec.kind.value} minimum of {needed}"
             )
-        scores.append(METHODS[method].cell(arr, c, length, iterations, spec, seed))
-    return scores
+
+
+def _score_texts(texts, method: str, truncate_to: int, conditions,
+                 iterations: int, master_seed: int,
+                 spec: IndexSpec) -> np.ndarray:
+    """The scores of checked texts, a row per text and a column per
+    condition."""
+    arrs = [_encode(tokens_of(text)[:truncate_to]) for text in texts]
+    seeds = [partial(stream_seed, master_seed,
+                     text.id if isinstance(text, Text) else None)
+             for text in texts]
+    columns = METHODS[method].columns(arrs, conditions, iterations, spec, seeds)
+    return np.array(columns, dtype=float).reshape(len(conditions), len(arrs)).T
+
+
+def _row(text, method: str, truncate_to: int, conditions, iterations: int,
+         master_seed: int, spec: IndexSpec) -> list:
+    """One text's score under each condition of a method.  Every condition
+    must be >= 1 and give samples between the index minimum and the
+    truncation in length."""
+    spec = spec.with_defaults()
+    _check(text, method, truncate_to, conditions, iterations, spec)
+    return _score_texts([text], method, truncate_to, conditions, iterations,
+                        master_seed, spec)[0].tolist()
 
 
 def parallel_sampling(text, truncate_to: int, divisors, spec: IndexSpec,
@@ -423,34 +547,40 @@ def alternating_sampling(text, truncate_to, k_values, iterations, master_seed, s
                 master_seed, spec)
 
 
-def _corpus_row(config: SamplingConfig, spec: IndexSpec, text) -> list:
-    try:
-        return _row(text, config.method, config.truncate_to, config.conditions,
-                    config.iterations, config.master_seed, spec)
-    except Exception as e:
-        raise SamplingError(f"text {text.id!r}: {e}") from e
-
-
 def run_method(
     corpus: Corpus, config: SamplingConfig, spec: IndexSpec, threads: int = 1
 ) -> ScoreMatrix:
     """Apply one evaluation method to every text: rows = texts,
-    columns = conditions."""
+    columns = conditions.  Every text and condition is checked before any
+    is scored; ``threads > 1`` scores contiguous runs of texts in worker
+    processes, each run packed as one corpus would be."""
     if threads < 1:
         raise SamplingError(f"threads must be >= 1, got {threads}")
     spec = spec.with_defaults()
-    row = partial(_corpus_row, config, spec)
+    for text in corpus:
+        try:
+            _check(text, config.method, config.truncate_to, config.conditions,
+                   config.iterations, spec)
+        except (SamplingError, IndexError_) as e:
+            raise SamplingError(f"text {text.id!r}: {e}") from e
+    score = partial(_score_texts, method=config.method,
+                    truncate_to=config.truncate_to,
+                    conditions=config.conditions, iterations=config.iterations,
+                    master_seed=config.master_seed, spec=spec)
+    texts = list(corpus)
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        runs = [texts[len(texts) * i // threads:len(texts) * (i + 1) // threads]
+                for i in range(threads)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, corpus, chunksize=1))
+            values = np.concatenate(list(pool.map(score, [r for r in runs if r])))
     else:
-        rows = [row(text) for text in corpus]
+        values = score(texts)
     return ScoreMatrix(
         row_ids=[t.id for t in corpus],
         col_labels=config.col_labels(),
-        values=np.array(rows, dtype=float),
+        values=values,
         meta={
             "method": config.method,
             "index": spec.label(),

@@ -4,6 +4,7 @@ ordered-random, alternating partitions, and convergence to closed forms."""
 import itertools
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from lexdiv.sampling import (
     run_method,
     stream_seed,
 )
+from lexdiv.stats import icc_2_1
 
 from .conftest import make_zipf_corpus
 
@@ -108,6 +110,21 @@ def test_block_draw_is_the_sequential_stream():
             want = [seq.integers(0, size, size=k) for _ in range(b)]
             assert np.array_equal(blk.integers(0, size, size=(b, k)), want)
             assert blk.bit_generator.state == seq.bit_generator.state
+
+    # a packed count block gives every text as many count columns as the
+    # text with the most types: trailing empty colors must draw nothing
+    # and leave every other column and the stream as they were
+    for seed in range(20):
+        own = np.random.default_rng(100 + seed)
+        population = own.integers(0, 9, size=int(own.integers(1, 40))) + 1
+        m, b = int(own.integers(0, population.sum() + 1)), int(own.integers(1, 30))
+        seq, blk = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = seq.multivariate_hypergeometric(population, m, size=b, method="count")
+        padded = np.append(population, np.zeros(int(own.integers(1, 20)), np.int64))
+        got = blk.multivariate_hypergeometric(padded, m, size=b, method="count")
+        assert np.array_equal(got[:, :len(population)], want)
+        assert not got[:, len(population):].any()
+        assert blk.bit_generator.state == seq.bit_generator.state
 
 
 # ----------------------------------------------------------------- parallel
@@ -329,10 +346,18 @@ def test_run_method_deterministic(small_corpus, method):
 
 
 def test_run_method_thread_independent(small_corpus):
-    config = small_config("random")
-    a = run_method(small_corpus, config, HDD_SPEC)
-    b = run_method(small_corpus, config, HDD_SPEC, threads=2)
-    assert np.array_equal(a.values, b.values)
+    """Each worker packs its own run of texts, so a drawing index, MTLD
+    and an exact cell score the same bytes whatever the split, here of 7
+    texts into runs of 3-4 and 2-3."""
+    corpus = Corpus(small_corpus.texts[:7])
+    for method, spec in (("random", HDD_SPEC),
+                         ("ordered_random", IndexSpec(IndexKind.MTTRSS, n=25, s=3)),
+                         ("alternating", MTLD_SPEC), ("random", TTR_SPEC)):
+        config = small_config(method)
+        one = run_method(corpus, config, spec)
+        for threads in (2, 3):
+            other = run_method(corpus, config, spec, threads=threads)
+            assert other.values.tobytes() == one.values.tobytes(), (spec, threads)
 
 
 def test_run_method_rejects_threads_below_one(small_corpus):
@@ -353,6 +378,97 @@ def test_run_method_error_names_text(small_corpus):
     config = small_config("random", truncate_to=10_000)
     with pytest.raises(SamplingError, match="text 'z000'"):
         run_method(small_corpus, config, TTR_SPEC)
+
+
+@pytest.mark.parametrize("method, spec", [("ordered_random", MATTR_SPEC),
+                                          ("random", TTR_SPEC),
+                                          ("alternating", MATTR_SPEC)])
+def test_run_method_refuses_short_last_text_before_scoring(
+        small_corpus, monkeypatch, method, spec):
+    """Every text is checked before any cell is scored: full extracts and
+    drawn cells (``evaluate_rows``), exact random cells
+    (``_expected_types``) and exact alternating cells (``_window_types``)
+    see no call."""
+    calls = []
+    for name in ("evaluate_rows", "_expected_types", "_window_types"):
+        def spy(*args, _name=name, _original=getattr(sampling_mod, name),
+                **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(sampling_mod, name, spy)
+    short = Text("short", small_corpus.texts[0].tokens[:100])
+    corpus = Corpus(small_corpus.texts + (short,))
+    with pytest.raises(SamplingError, match=re.escape(
+            "text 'short': text shorter than truncation length (100 < 280)")):
+        run_method(corpus, small_config(method), spec)
+    assert calls == []
+
+
+@pytest.mark.parametrize("method, spec", [
+    ("ordered_random", MATTR_SPEC),
+    ("ordered_random", IndexSpec(IndexKind.MTTRSS, n=25, s=3)),
+    ("random", IndexSpec(IndexKind.MSTTR, n=25)),
+    ("alternating", MTLD_SPEC)])
+def test_condition_scores_every_text_in_one_kernel_call(
+        small_corpus, monkeypatch, method, spec):
+    """When every text's samples of a condition fit in one block (here 8
+    texts x 10 iterations, times k for alternating), the kernel finds
+    previous occurrences once per condition, not once per cell, and a
+    full-extract condition scores every truncation in one call."""
+    calls = []
+    original = indices_mod._prev_occurrence
+
+    def spy(codes):
+        calls.append(codes.shape)
+        return original(codes)
+
+    monkeypatch.setattr(indices_mod, "_prev_occurrence", spy)
+    config = small_config(method)
+    run_method(small_corpus, config, spec)
+    n_texts, want = len(small_corpus), []
+    for c in config.conditions:
+        if method == "alternating":
+            rows = 1 if c == 1 else config.iterations * c
+            want.append((n_texts * rows, config.truncate_to // c))
+        else:
+            rows = 1 if c == config.truncate_to else config.iterations
+            want.append((n_texts * rows, c))
+    assert calls == want
+
+
+def test_no_kernel_call_takes_more_than_a_block(small_corpus, monkeypatch):
+    """Packed calls, alternating blocks of k rows per iteration and
+    parallel segments all reach the kernel at most ``_BLOCK`` rows at a
+    time, whole blocks where they fit."""
+    sizes = []
+    original = sampling_mod.evaluate_rows
+
+    def spy(codes, spec, rng=None):
+        sizes.append(len(codes))
+        return original(codes, spec, rng)
+
+    herdan = INDEXES[IndexKind.HERDAN_C]
+
+    def counts_spy(counts, length, specs):
+        sizes.append(len(counts))
+        return herdan.counts(counts, length, specs)
+
+    monkeypatch.setattr(sampling_mod, "evaluate_rows", spy)
+    monkeypatch.setitem(indices_mod.INDEXES, IndexKind.HERDAN_C,
+                        replace(herdan, counts=counts_spy))
+    monkeypatch.setattr(sampling_mod, "_BLOCK", 7)
+    for method, spec in (("ordered_random", MATTR_SPEC),
+                         ("random", IndexSpec(IndexKind.HERDAN_C)),
+                         ("alternating", MTLD_SPEC),
+                         ("parallel", IndexSpec(IndexKind.MSTTR, n=10))):
+        sizes.clear()
+        config = small_config(method, iterations=9,
+                              **({"conditions": (1, 3, 28)}
+                                 if method == "parallel" else {}))
+        run_method(small_corpus, config, spec)
+        # 9 iterations are blocks of 7 and 2 (times k when alternating),
+        # and 28 parallel segments four calls of 7
+        assert sizes and max(sizes) == 7, (method, sizes)
 
 
 def test_conditions_validated_once_for_every_method(numbers_text, reference):
@@ -544,14 +660,15 @@ def test_counts_kernel_matches_row_scoring(data):
 @settings(max_examples=30, deadline=None)
 def test_run_method_matches_per_sample_loop(data):
     """Every index under every sampling method scores as the per-sample
-    loop, with blocks small enough that cells span several: bit for bit,
-    or within 1e-12 of the closed form for the exact pairs."""
+    loop, with blocks small enough that cells span several and a packed
+    call holds rows of several texts and cells: bit for bit, or within
+    1e-12 of the closed form for the exact pairs."""
     size = data.draw(st.integers(6, 30), label="truncate_to")
     token = st.sampled_from("abcdefg")
     corpus = Corpus(texts=tuple(
         Text(id=f"t{i}", tokens=tuple(data.draw(
             st.lists(token, min_size=size, max_size=size + 5))))
-        for i in range(2)))
+        for i in range(data.draw(st.integers(2, 4), label="texts"))))
     method = data.draw(st.sampled_from(["random", "ordered_random",
                                         "alternating"]))
     if method == "alternating":
@@ -675,6 +792,19 @@ def test_score_matrix_csv_round_trip(tmp_path, small_corpus):
     assert back.row_ids == matrix.row_ids
     assert back.col_labels == matrix.col_labels
     assert np.array_equal(back.values, matrix.values)  # exact round trip
+
+
+def test_score_matrix_statistics_ignore_memory_layout():
+    """A matrix built from a transposed array (as a condition-major score
+    table is) gives the statistics bit for bit of one built from a C-ordered
+    copy."""
+    ids, labels = [f"t{i}" for i in range(100)], ["a", "b", "c", "d"]
+    for seed in range(3):
+        values = np.random.default_rng(seed).random((4, 100)).T
+        got = icc_2_1(ScoreMatrix(ids, labels, values))
+        want = icc_2_1(ScoreMatrix(ids, labels, values.copy()))
+        assert (got.estimate, got.ci_low, got.ci_high) == (
+            want.estimate, want.ci_low, want.ci_high), seed
 
 
 def test_score_matrix_shape_checks():
