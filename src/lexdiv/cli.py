@@ -228,7 +228,20 @@ _METHOD_ALIASES = {**{method: method for method in METHODS},
                    "ordered": "ordered_random"}
 
 
+def _check_outputs(args):
+    """Refuse, before any scoring, what would fail only once the scores
+    are written: an output whose directory does not exist, and a
+    ``--profiles-out`` with a profile count below 1."""
+    for flag, path in (("--out", args.out), ("--icc-out", args.icc_out),
+                       ("--profiles-out", args.profiles_out)):
+        if path and not Path(path).parent.is_dir():
+            raise CliError(f"{flag} {path}: no directory {Path(path).parent}")
+    if args.profiles_out and args.select < 1:
+        raise CliError(f"--select: profile count must be >= 1, got {args.select}")
+
+
 def cmd_evaluate_length(args):
+    _check_outputs(args)
     corpus = _load_corpus(args)
     spec = _spec_from(args)
     seed = _resolve_seed(args)
@@ -262,6 +275,7 @@ def cmd_evaluate_length(args):
 
 
 def cmd_evaluate_parameter(args):
+    _check_outputs(args)
     corpus = _load_corpus(args)
     kind = args.index
     seed = _resolve_seed(args)

@@ -407,30 +407,99 @@ def _mtld_factors(prev: list, factor: float) -> float:
     return factors
 
 
+# Fewest lanes (2 x rows x factors) that ``_mtld_rows`` steps in lockstep.
+# The lockstep's numpy calls per position cost about as much as walking
+# 200 lanes in Python (rows of 75-300 tokens, one factor), and at 256
+# lanes it takes 0.77-0.88 of the walk's time.
+_LOCKSTEP_LANES = 256
+
+
+def _mtld_thresholds(factor: float, n: int) -> list:
+    """``thr[c]``, for c = 1..n, is the least type count t with ``not (t / c
+    < factor)`` under the walk's own division, so a segment of c tokens
+    ends at a repeat exactly when its type count is below ``thr[c]``
+    (t / c is monotone in t).  The search starts at int(factor * c), which
+    is never above that t: it would take a rounding of factor * c by a
+    whole unit, so c near 2**52.  ``thr[0]`` is unused."""
+    thr = [0] * (n + 1)
+    for c in range(1, n + 1):
+        t = int(factor * c)
+        while t / c < factor:
+            t += 1
+        thr[c] = t
+    return thr
+
+
+def _mtld_lockstep(walks: np.ndarray, factors: list) -> np.ndarray:
+    """``_mtld_factors`` of every column of ``walks`` (n positions x
+    columns) under every factor, ``out[j, w]``, with every (factor, column)
+    lane stepped one position at a time in numpy.  A lane keeps its
+    segment start and type count; the factors share the walk lists by
+    broadcasting.  A segment's first token is new and (t + 1) / (c + 1) >=
+    t / c, so a lane's TTR can first drop below its factor only at a
+    repeat, and the threshold test needs no repeat mask.  Each position's
+    segment ends are kept and counted once at the end.  The tail partial
+    uses the walk's float expressions."""
+    n, width = walks.shape
+    dtype = walks.dtype
+    # table[j, k] = thr[n - k] of factors[j]: a segment of c = i + 1 - start
+    # tokens at position i reads flat index j * (n + 1) + n - 1 - i + start
+    table = np.array([_mtld_thresholds(f, n)[::-1] for f in factors],
+                     dtype=dtype).ravel()
+    base = np.arange(len(factors), dtype=dtype)[:, None] * (n + 1) + (n - 1)
+    start = np.zeros((len(factors), width), dtype=dtype)
+    types = np.zeros_like(start)
+    ends = np.empty((n, *start.shape), dtype=bool)
+    for i, p in enumerate(walks):
+        # an explicit cast: a bool operand's implicit one costs more here
+        np.add(types, p < start, out=types, casting="unsafe")
+        np.less(types, table.take(start + (base - i)), out=ends[i])
+        np.copyto(start, i + 1, where=ends[i])
+        np.copyto(types, 0, where=ends[i])
+    count = n - start
+    # a lane whose last segment ended at the last token has no tail: its
+    # TTR is left at 1, so its partial is 0
+    ttr = np.divide(types, count, out=np.ones(count.shape), where=count > 0)
+    partial = (1.0 - ttr) / (1.0 - np.array(factors)[:, None])
+    return ends.sum(axis=0) + partial
+
+
 def _mtld_rows(codes: np.ndarray, factors: list) -> list:
     """Bidirectional MTLD of each row under each factor: ``out[j][b]`` is
     row b's ``(score, flags)`` under ``factors[j]``.  One
     ``_prev_occurrence`` call serves both passes: a position's next
     occurrence is the position whose previous occurrence it is (n if none),
     and the next occurrences, mirrored, are the reversed row's previous
-    occurrences.  Each row's two lists are built when its walks start,
-    walked once per factor, and dropped before the next row's."""
+    occurrences.  A call of ``_LOCKSTEP_LANES`` or more lanes (2 x rows x
+    factors) steps them all together (``_mtld_lockstep``); a narrower one
+    walks each lane in Python (``_mtld_factors``), which costs less than
+    the lockstep's numpy calls per position.  Both give the same floats."""
     rows, n = codes.shape
     prev = _prev_occurrence(codes)
     # the extra last column takes the writes of first occurrences (prev -1)
     nxt = np.full((rows, n + 1), n, dtype=prev.dtype)
     nxt[np.arange(rows)[:, None], prev] = np.arange(n)
-    out = [[] for _ in factors]
-    for forward, backward in zip(prev, (n - 1) - nxt[:, n - 1::-1]):
-        forward, backward = forward.tolist(), backward.tolist()
-        for factor, scored in zip(factors, out):
-            ahead = _mtld_factors(forward, factor)
-            back = _mtld_factors(backward, factor)
+    # column w < rows walks row w forward, column rows + w backward
+    walks = np.empty((n, 2 * rows), dtype=prev.dtype)
+    walks[:, :rows] = prev.T
+    walks[:, rows:] = (n - 1) - nxt[:, n - 1::-1].T
+    del prev, nxt
+    if 2 * rows * len(factors) >= _LOCKSTEP_LANES:
+        passes = _mtld_lockstep(walks, factors).tolist()
+    else:
+        lists = walks.T.tolist()
+        passes = [[_mtld_factors(w, factor) for w in lists]
+                  for factor in factors]
+    out = []
+    for lanes in passes:
+        scored = []
+        for ahead, back in zip(lanes[:rows], lanes[rows:]):
             # a pass that counts no factor at all scores the text length
             score = ((n / ahead if ahead else float(n))
                      + (n / back if back else float(n))) / 2.0
             flags = () if ahead and back else ("undefined_factors",)
             scored.append((score, flags))
+        out.append(scored)
     return out
 
 

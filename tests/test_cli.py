@@ -357,6 +357,45 @@ def test_icc_without_two_rows_and_columns_refused_before_scoring(
         assert not out.exists() and not icc.exists()
 
 
+EXPERIMENTS = (
+    ["evaluate-length", "--index", "ttr", "--method", "random",
+     "--truncate", "280", "--iters", "20000"],
+    ["evaluate-parameter", "--index", "mattr", "--params", "20,40"],
+)
+
+
+@pytest.mark.parametrize("command", EXPERIMENTS, ids=lambda c: c[0])
+def test_select_below_one_refused_before_scoring(corpus_dir, tmp_path, capsys,
+                                                 monkeypatch, command):
+    """A profile count below 1 is known from the flags, so a run that
+    would write profiles scores nothing."""
+    refuse_library_calls(monkeypatch)
+    out, prof = tmp_path / "scores.csv", tmp_path / "profiles.csv"
+    rc = main([*command, "--corpus", str(corpus_dir), "--out", str(out),
+               "--profiles-out", str(prof), "--select", "0"])
+    assert_one_line_error(rc, capsys, "profile count must be >= 1, got 0")
+    assert not out.exists() and not prof.exists()
+
+
+@pytest.mark.parametrize("command", EXPERIMENTS, ids=lambda c: c[0])
+@pytest.mark.parametrize("flag", ["--out", "--icc-out", "--profiles-out"])
+def test_missing_output_directory_refused_before_scoring(
+        corpus_dir, tmp_path, capsys, monkeypatch, command, flag):
+    """An output whose directory does not exist is named with its flag
+    before any scoring, not as a temporary file after it."""
+    refuse_library_calls(monkeypatch)
+    paths = {"--out": tmp_path / "scores.csv", "--icc-out": tmp_path / "icc.json",
+             "--profiles-out": tmp_path / "profiles.csv"}
+    paths[flag] = tmp_path / "nodir" / "x.out"
+    argv = [*command, "--corpus", str(corpus_dir)]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    rc = main(argv)
+    assert_one_line_error(
+        rc, capsys, f"{flag} {paths[flag]}: no directory {tmp_path / 'nodir'}")
+    assert not any(path.exists() for path in paths.values())
+
+
 # ------------------------------------------------------- evaluate-parameter
 
 def test_evaluate_parameter_and_stats(corpus_dir, tmp_path, scores_csv, capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lexdiv.indices as indices_mod
 from lexdiv.indices import (
     GLOBAL_KINDS,
     INDEXES,
@@ -467,15 +468,43 @@ def test_mtld_matches_naive_implementation(toks, factor):
     assert mtld_detailed(toks, factor) == naive_mtld(toks, factor)
 
 
+# factors that some t / c equals exactly, so a segment's TTR meets them
+EXACT_RATIO_FACTORS = (0.5, 0.75, 0.7, 2 / 3)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 6),
-       st.floats(0.3, 0.9), st.data())
+       st.one_of(st.floats(0.3, 0.9), st.sampled_from(EXACT_RATIO_FACTORS)),
+       st.data())
 def test_mtld_rows_match_per_row_evaluate(rows, cols, alphabet, factor, data):
+    """A block scores as its rows do one by one (a one-row call walks in
+    Python), and so does the block stepped in lockstep (lane constant 0)."""
     codes = np.array(data.draw(st.lists(
         st.lists(st.integers(0, alphabet - 1), min_size=cols, max_size=cols),
         min_size=rows, max_size=rows)))
     spec = IndexSpec(IndexKind.MTLD, factor=factor)
-    assert evaluate_rows(codes, spec) == [evaluate(row, spec)[0] for row in codes]
+    want = [evaluate(row, spec)[0] for row in codes]
+    assert evaluate_rows(codes, spec) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indices_mod, "_LOCKSTEP_LANES", 0)
+        assert evaluate_rows(codes, spec) == want
+
+
+@pytest.mark.parametrize("lanes", [indices_mod._LOCKSTEP_LANES, 0],
+                         ids=["default", "lockstep"])
+def test_mtld_exact_ratio_factors_and_one_token_rows(lanes):
+    """Several factors in one call, each met exactly by some segment's
+    TTR, on rows of 1 to 40 tokens, against the naive walk."""
+    rng = np.random.default_rng(3)
+    specs = [IndexSpec(IndexKind.MTLD, factor=f) for f in EXACT_RATIO_FACTORS]
+    for cols, alphabet in ((1, 2), (2, 2), (3, 2), (4, 3), (10, 8), (40, 3),
+                           (40, 12)):
+        codes = rng.integers(0, alphabet, size=(12, cols))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indices_mod, "_LOCKSTEP_LANES", lanes)
+            got = evaluate_specs(codes, specs, [None] * len(specs))
+        assert got == [[naive_mtld(row.tolist(), f)[0] for row in codes]
+                       for f in EXACT_RATIO_FACTORS], cols
 
 
 def test_mtld_all_distinct_flags_undefined():

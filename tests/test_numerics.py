@@ -113,9 +113,13 @@ def test_t_tail_matches_scipy(t, df):
 @given(st.floats(0.0, 100.0), st.floats(1.0, 200.0), st.floats(1.0, 200.0))
 @settings(max_examples=300)
 @example(f=1e-12, df1=1.0, df2=5.0)
+@example(f=5.1851568686000855e-18, df1=1.0, df2=1.0)
 def test_f_tail_matches_scipy(f, df1, df2):
+    # 1 - cdf, not scipy's sf: where df1 * f is far below df2, sf's
+    # df2 / (df2 + df1 * f) rounds to 1 and it returns 1.0, while the tail
+    # is 1 - 1.45e-9 at the second example (F(1, 1): 1 - 2/pi atan(sqrt f))
     assert f_sf(f, df1, df2) == pytest.approx(
-        float(stats.f.sf(f, df1, df2)), abs=1e-10
+        1.0 - float(stats.f.cdf(f, df1, df2)), abs=1e-10
     )
 
 

@@ -348,12 +348,17 @@ def test_run_method_deterministic(small_corpus, method):
 def test_run_method_thread_independent(small_corpus):
     """Each worker packs its own run of texts, so a drawing index, MTLD
     and an exact cell score the same bytes whatever the split, here of 7
-    texts into runs of 3-4 and 2-3."""
+    texts into runs of 3-4 and 2-3.  At 20 ordered-random iterations one
+    process steps MTLD's 140-row blocks in lockstep, and the workers walk
+    theirs of 40-80 rows in Python."""
     corpus = Corpus(small_corpus.texts[:7])
-    for method, spec in (("random", HDD_SPEC),
-                         ("ordered_random", IndexSpec(IndexKind.MTTRSS, n=25, s=3)),
-                         ("alternating", MTLD_SPEC), ("random", TTR_SPEC)):
-        config = small_config(method)
+    assert 2 * 4 * 20 < indices_mod._LOCKSTEP_LANES <= 2 * 7 * 20
+    for method, spec, iterations in (
+            ("random", HDD_SPEC, 10),
+            ("ordered_random", IndexSpec(IndexKind.MTTRSS, n=25, s=3), 10),
+            ("alternating", MTLD_SPEC, 10), ("random", TTR_SPEC, 10),
+            ("ordered_random", MTLD_SPEC, 20)):
+        config = small_config(method, iterations=iterations)
         one = run_method(corpus, config, spec)
         for threads in (2, 3):
             other = run_method(corpus, config, spec, threads=threads)
@@ -909,6 +914,27 @@ def test_parameter_sweep_finds_previous_occurrences_once_per_text(
     monkeypatch.setattr(indices_mod, "_prev_occurrence", spy)
     parameter_sweep(small_corpus, kind, values, master_seed=1)
     assert calls == [(1, len(text)) for text in small_corpus]
+
+
+def test_mtld_path_follows_the_call_width(small_corpus, monkeypatch):
+    """A packed 1,000-row ordered-random MTLD condition steps its lanes in
+    lockstep, and a sweep's one-row calls walk each lane in Python."""
+    walks = []
+    original = indices_mod._mtld_factors
+
+    def spy(prev, factor):
+        walks.append(len(prev))
+        return original(prev, factor)
+
+    monkeypatch.setattr(indices_mod, "_mtld_factors", spy)
+    config = small_config("ordered_random", conditions=(140, 70),
+                          iterations=125)
+    assert len(small_corpus) * config.iterations == 1000
+    run_method(small_corpus, config, MTLD_SPEC)
+    assert walks == []
+    text = small_corpus.texts[0]
+    parameter_sweep(Corpus((text,)), IndexKind.MTLD, list(MTLD_FACTOR_SWEEP))
+    assert walks == [len(text)] * (2 * len(MTLD_FACTOR_SWEEP))
 
 
 def test_hdd_sweep_takes_presences_and_counts_of_counts_once_per_text(
