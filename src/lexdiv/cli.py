@@ -131,7 +131,10 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("LEXDIV_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise CliError(f"LEXDIV_SEED must be an integer, got {env!r}") from None
     return DEFAULT_SEED
 
 
@@ -230,12 +233,14 @@ _METHOD_ALIASES = {**{method: method for method in METHODS},
 
 def _check_outputs(args):
     """Refuse, before any scoring, what would fail only once the scores
-    are written: an output whose directory does not exist, and a
-    ``--profiles-out`` with a profile count below 1."""
+    are written: an output whose directory does not exist, an output that
+    is a directory, and a ``--profiles-out`` with a profile count below 1."""
     for flag, path in (("--out", args.out), ("--icc-out", args.icc_out),
                        ("--profiles-out", args.profiles_out)):
         if path and not Path(path).parent.is_dir():
             raise CliError(f"{flag} {path}: no directory {Path(path).parent}")
+        if path and Path(path).is_dir():
+            raise CliError(f"{flag} {path}: is a directory")
     if args.profiles_out and args.select < 1:
         raise CliError(f"--select: profile count must be >= 1, got {args.select}")
 

@@ -182,42 +182,20 @@ def presences(n_tokens: int, samples, freqs) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _presence_table(n_tokens: int, sample: int) -> np.ndarray:
-    """HD-D's presences for samples of ``sample`` of ``n_tokens`` tokens,
-    indexed by frequency and filled by ``_cached_presences`` (NaN until
-    then); the last slot stands for every f > N - n.  The sampling engine
-    asks for the same (N, n) block after block."""
-    table = np.full(n_tokens - sample + 2, np.nan)
-    table[-1] = 1.0
-    return table
-
-
-# A memo table that costs at most this many factors to fill whole is
-# filled whole at its first miss: the sampling engine's (N, n) tables
-# then miss once, while a long text's sweep computes only what it meets.
+# Sizes whose presences cost at most this many factors for every frequency
+# are memoised whole (``_presence_table``): the sampling engine asks for the
+# same (N, sizes) block after block.  A long text's sweep meets each N once,
+# so its presences are computed for the frequencies it holds and not kept.
 _WHOLE_TABLE = 1 << 16
 
 
-def _cached_presences(n_tokens: int, samples, freqs: np.ndarray) -> np.ndarray:
-    """``presences`` through the (N, n) memos: the frequencies that any of
-    the sizes has not met yet are computed for those sizes in one call."""
-    tables = [_presence_table(n_tokens, n) for n in samples]
-    slots = [np.minimum(freqs, len(table) - 1) for table in tables]
-    out = np.array([table[slot] for table, slot in zip(tables, slots)])
-    missing = np.isnan(out)
-    if missing.any():
-        rows = np.flatnonzero(missing.any(axis=1))
-        sizes = [samples[row] for row in rows]
-        if max((n_tokens - n) * n for n in sizes) <= _WHOLE_TABLE:
-            fill = np.arange(1, n_tokens + 1)
-        else:
-            fill = freqs[missing.any(axis=0)]
-        for row, values in zip(rows, presences(n_tokens, sizes, fill)):
-            table = tables[row]
-            table[np.minimum(fill, len(table) - 1)] = values
-            out[row] = table[slots[row]]
-    return out
+@lru_cache(maxsize=64)
+def _presence_table(n_tokens: int, sizes: tuple) -> np.ndarray:
+    """``presences`` of every frequency 1..N, one row per size of ``sizes``:
+    column f - 1 holds frequency f."""
+    table = presences(n_tokens, sizes, np.arange(1, n_tokens + 1))
+    table.flags.writeable = False
+    return table
 
 
 def _as_generator(seed_or_rng) -> np.random.Generator:
@@ -317,7 +295,10 @@ def _expected_types(counts: np.ndarray, length: int, sizes) -> list:
     The counts-of-counts and the presences are found once for all sizes."""
     coc = _count_matrix(counts)
     freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
-    presence = _cached_presences(length, sizes, freqs)
+    if max((length - n) * n for n in sizes) <= _WHOLE_TABLE:
+        presence = _presence_table(length, tuple(sizes))[:, freqs - 1]
+    else:
+        presence = presences(length, sizes, freqs)
     terms = coc[:, freqs] * presence[:, None, :]
     return np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
 
@@ -476,14 +457,17 @@ def _mtld_rows(codes: np.ndarray, factors: list) -> list:
     the lockstep's numpy calls per position.  Both give the same floats."""
     rows, n = codes.shape
     prev = _prev_occurrence(codes)
-    # the extra last column takes the writes of first occurrences (prev -1)
+    # one flat scatter: a first occurrence's -1 lands in the spare column n
+    # of the row before (or the last row's), which the reversed slice
+    # never reads
     nxt = np.full((rows, n + 1), n, dtype=prev.dtype)
-    nxt[np.arange(rows)[:, None], prev] = np.arange(n)
+    flat = (prev + np.arange(rows)[:, None] * (n + 1)).ravel()
+    nxt.ravel()[flat] = np.tile(np.arange(n), rows)
     # column w < rows walks row w forward, column rows + w backward
     walks = np.empty((n, 2 * rows), dtype=prev.dtype)
     walks[:, :rows] = prev.T
     walks[:, rows:] = (n - 1) - nxt[:, n - 1::-1].T
-    del prev, nxt
+    del prev, nxt, flat
     if 2 * rows * len(factors) >= _LOCKSTEP_LANES:
         passes = _mtld_lockstep(walks, factors).tolist()
     else:

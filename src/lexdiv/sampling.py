@@ -160,16 +160,23 @@ class ScoreMatrix:
         cols: list = []
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if header[:3] != ["text_id", "condition", "score"]:
+            header = next(reader, None)
+            if header is None or header[:3] != ["text_id", "condition", "score"]:
                 raise SamplingError(f"{path}: expected long-form score CSV")
-            for rid, col, score in reader:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 3:
+                    raise SamplingError(f"{path}:{lineno}: malformed row {row}")
+                rid, col, score = row
                 if col not in cols:
                     cols.append(col)
                 cells = rows.setdefault(rid, {})
                 if col in cells:
                     raise SamplingError(f"{path}: duplicate cell ({rid}, {col})")
-                cells[col] = float(score)
+                try:
+                    cells[col] = float(score)
+                except ValueError:
+                    raise SamplingError(
+                        f"{path}:{lineno}: non-numeric score {score!r}") from None
         row_ids = list(rows)
         values = np.full((len(row_ids), len(cols)), np.nan)
         for i, rid in enumerate(row_ids):

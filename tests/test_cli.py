@@ -117,6 +117,16 @@ def test_seed_env_override(corpus_dir, tmp_path, monkeypatch):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_non_integer_seed_env_is_one_line(corpus_dir, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.setenv("LEXDIV_SEED", "abc")
+    out = tmp_path / "a.csv"
+    rc = main(["index", "--corpus", str(corpus_dir), "--index", "mttrss",
+               "--out", str(out)])
+    assert_one_line_error(rc, capsys, "LEXDIV_SEED must be an integer, got 'abc'")
+    assert not out.exists()
+
+
 def test_unknown_index_is_runtime_error(corpus_dir, capsys):
     rc = main(["index", "--corpus", str(corpus_dir), "--index", "vocd"])
     assert rc == 1
@@ -381,19 +391,24 @@ def test_select_below_one_refused_before_scoring(corpus_dir, tmp_path, capsys,
 @pytest.mark.parametrize("flag", ["--out", "--icc-out", "--profiles-out"])
 def test_missing_output_directory_refused_before_scoring(
         corpus_dir, tmp_path, capsys, monkeypatch, command, flag):
-    """An output whose directory does not exist is named with its flag
-    before any scoring, not as a temporary file after it."""
+    """An output whose directory does not exist, or that is a directory, is
+    named with its flag before any scoring, not as a temporary file or an
+    IsADirectoryError after it."""
     refuse_library_calls(monkeypatch)
-    paths = {"--out": tmp_path / "scores.csv", "--icc-out": tmp_path / "icc.json",
-             "--profiles-out": tmp_path / "profiles.csv"}
-    paths[flag] = tmp_path / "nodir" / "x.out"
-    argv = [*command, "--corpus", str(corpus_dir)]
-    for name, path in paths.items():
-        argv += [name, str(path)]
-    rc = main(argv)
-    assert_one_line_error(
-        rc, capsys, f"{flag} {paths[flag]}: no directory {tmp_path / 'nodir'}")
-    assert not any(path.exists() for path in paths.values())
+    (tmp_path / "adir").mkdir()
+    for bad, error in ((tmp_path / "nodir" / "x.out",
+                        f"no directory {tmp_path / 'nodir'}"),
+                       (tmp_path / "adir", "is a directory")):
+        paths = {"--out": tmp_path / "scores.csv",
+                 "--icc-out": tmp_path / "icc.json",
+                 "--profiles-out": tmp_path / "profiles.csv", flag: bad}
+        argv = [*command, "--corpus", str(corpus_dir)]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        rc = main(argv)
+        assert_one_line_error(rc, capsys, f"{flag} {bad}: {error}")
+        assert sorted(p.name for p in tmp_path.rglob("*")
+                      if p.parent != corpus_dir) == ["adir", "texts"]
 
 
 # ------------------------------------------------------- evaluate-parameter
@@ -509,6 +524,27 @@ def test_profiles_subcommand(corpus_dir, tmp_path):
     ys = [float(r[2]) for r in rows[1:]]
     assert len(rows) > 1
     assert abs(sum(ys)) < 1e-9  # centered columns sum to ~0
+
+
+@pytest.mark.parametrize("command", ["stats", "profiles"])
+@pytest.mark.parametrize("content, error", [
+    ("", ": expected long-form score CSV"),
+    ("text_id,condition,score\na,1,0.5\nb,1\n", ":3: malformed row ['b', '1']"),
+    ("text_id,condition,score\na,1,0.5,9\n", ":2: malformed row"),
+    ("text_id,condition,score\na,1,0.5\nb,1,high\n",
+     ":3: non-numeric score 'high'"),
+], ids=["empty", "short-row", "long-row", "non-numeric"])
+def test_malformed_score_csv_is_one_line(tmp_path, capsys, command, content,
+                                         error):
+    """A score CSV that cannot be read is one error naming its path and
+    line, from every command that reads one."""
+    source, out = tmp_path / "scores.csv", tmp_path / "profiles.csv"
+    source.write_text(content)
+    argv = (["stats", "icc"] if command == "stats"
+            else ["profiles", "--out", str(out)])
+    rc = main([*argv, "--from", str(source)])
+    assert_one_line_error(rc, capsys, f"{source}{error}")
+    assert not out.exists()
 
 
 def test_hdd_curve_csv_and_svg(tmp_path):

@@ -966,6 +966,31 @@ def test_hdd_sweep_takes_presences_and_counts_of_counts_once_per_text(
                                          (1, len(set(text.tokens))))]
 
 
+def test_hdd_presence_memo_holds_only_small_tables(small_corpus, monkeypatch):
+    """An HD-D sweep over long texts computes each text's presences directly
+    and keeps none; a random HD-D run computes one whole table per sample
+    length m and reads every other block of that m from it."""
+    calls = []
+    presences = indices_mod.presences
+
+    def presences_spy(n_tokens, samples, freqs):
+        calls.append((n_tokens, list(samples)))
+        return presences(n_tokens, samples, freqs)
+
+    monkeypatch.setattr(indices_mod, "presences", presences_spy)
+    indices_mod._presence_table.cache_clear()
+    long_corpus = make_zipf_corpus(3, 2000, 2400, seed=11)
+    parameter_sweep(long_corpus, IndexKind.HDD, [42, 100])
+    assert indices_mod._presence_table.cache_info().currsize == 0
+    assert calls == [(len(text), [42, 100]) for text in long_corpus]
+    calls.clear()
+    # more rows per condition than one kernel call takes
+    config = small_config("random", iterations=200)
+    assert len(small_corpus) * config.iterations > sampling_mod._BLOCK
+    run_method(small_corpus, config, HDD_SPEC)
+    assert sorted(calls) == [(m, [42]) for m in sorted(config.conditions)]
+
+
 def test_parameter_sweep_checks_every_value_before_scoring(small_corpus,
                                                            monkeypatch):
     def fail(*args):
