@@ -41,6 +41,7 @@ from .profiles import (
     subset_rows,
 )
 from .sampling import (
+    DEFAULT_ITERATIONS,
     METHODS,
     SamplingConfig,
     SamplingError,
@@ -84,7 +85,7 @@ class RunConfig:
     truncate_to: Optional[int] = None
     conditions: Optional[list] = None
     params: Optional[list] = None
-    iterations: int = 10_000
+    iterations: int = DEFAULT_ITERATIONS
     master_seed: int = DEFAULT_SEED
     threads: int = 1
     outputs: dict = field(default_factory=dict)
@@ -471,7 +472,7 @@ def build_parser() -> tuple:
     p.add_argument("--truncate", type=int, required=True)
     p.add_argument("--conditions",
                    help="divisors/k (parallel, alternating) or sample lengths")
-    p.add_argument("--iters", type=int, default=10_000)
+    p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="long-form scores CSV")
     p.add_argument("--icc-out", dest="icc_out")

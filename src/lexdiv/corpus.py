@@ -123,7 +123,7 @@ def read_scores(csv_path) -> dict:
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["id", "score"]:
+        if header is None or [h.strip() for h in header] != ["id", "score"]:
             raise CorpusError(f"{csv_path}: expected header 'id,score', got {header}")
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -20,7 +20,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -182,22 +182,6 @@ def presences(n_tokens: int, samples, freqs) -> np.ndarray:
     return out
 
 
-# Sizes whose presences cost at most this many factors for every frequency
-# are memoised whole (``_presence_table``): the sampling engine asks for the
-# same (N, sizes) block after block.  A long text's sweep meets each N once,
-# so its presences are computed for the frequencies it holds and not kept.
-_WHOLE_TABLE = 1 << 16
-
-
-@lru_cache(maxsize=64)
-def _presence_table(n_tokens: int, sizes: tuple) -> np.ndarray:
-    """``presences`` of every frequency 1..N, one row per size of ``sizes``:
-    column f - 1 holds frequency f."""
-    table = presences(n_tokens, sizes, np.arange(1, n_tokens + 1))
-    table.flags.writeable = False
-    return table
-
-
 def _as_generator(seed_or_rng) -> np.random.Generator:
     # a Generator, or anything that draws as one (the sampling engine's
     # per-cell streams of a packed block)
@@ -295,11 +279,7 @@ def _expected_types(counts: np.ndarray, length: int, sizes) -> list:
     The counts-of-counts and the presences are found once for all sizes."""
     coc = _count_matrix(counts)
     freqs = np.flatnonzero(coc[:, 1:].any(axis=0)) + 1
-    if max((length - n) * n for n in sizes) <= _WHOLE_TABLE:
-        presence = _presence_table(length, tuple(sizes))[:, freqs - 1]
-    else:
-        presence = presences(length, sizes, freqs)
-    terms = coc[:, freqs] * presence[:, None, :]
+    terms = coc[:, freqs] * presences(length, sizes, freqs)[:, None, :]
     return np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
 
 

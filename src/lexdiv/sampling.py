@@ -161,7 +161,7 @@ class ScoreMatrix:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or header[:3] != ["text_id", "condition", "score"]:
+            if header != ["text_id", "condition", "score"]:
                 raise SamplingError(f"{path}: expected long-form score CSV")
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != 3:
@@ -177,6 +177,8 @@ class ScoreMatrix:
                 except ValueError:
                     raise SamplingError(
                         f"{path}:{lineno}: non-numeric score {score!r}") from None
+        if not rows:
+            raise SamplingError(f"{path}: no score rows")
         row_ids = list(rows)
         values = np.full((len(row_ids), len(cols)), np.nan)
         for i, rid in enumerate(row_ids):

@@ -533,7 +533,11 @@ def test_profiles_subcommand(corpus_dir, tmp_path):
     ("text_id,condition,score\na,1,0.5,9\n", ":2: malformed row"),
     ("text_id,condition,score\na,1,0.5\nb,1,high\n",
      ":3: non-numeric score 'high'"),
-], ids=["empty", "short-row", "long-row", "non-numeric"])
+    ("text_id,condition,score,note\na,1,0.5,x\n",
+     ": expected long-form score CSV"),
+    ("text_id,condition,score\n", ": no score rows"),
+], ids=["empty", "short-row", "long-row", "non-numeric", "extra-column",
+        "no-rows"])
 def test_malformed_score_csv_is_one_line(tmp_path, capsys, command, content,
                                          error):
     """A score CSV that cannot be read is one error naming its path and

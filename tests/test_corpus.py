@@ -95,9 +95,12 @@ def test_attach_scores(corpus_dir, tmp_path):
 def test_attach_scores_bad_header(corpus_dir, tmp_path):
     corpus = load_corpus(corpus_dir)
     csv_path = tmp_path / "scores.csv"
-    csv_path.write_text("text,quality\nalpha,3.5\n")
-    with pytest.raises(CorpusError, match="header"):
-        attach_scores(corpus, csv_path)
+    for content in ("text,quality\nalpha,3.5\n",
+                    "id,score,note\nalpha,3.5,x\n"):
+        csv_path.write_text(content)
+        error = re.escape(f"{csv_path}: expected header")
+        with pytest.raises(CorpusError, match=error):
+            attach_scores(corpus, csv_path)
 
 
 def test_attach_scores_non_numeric_reports_line(corpus_dir, tmp_path):

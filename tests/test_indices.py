@@ -19,9 +19,7 @@ from lexdiv.indices import (
     IndexError_,
     IndexKind,
     IndexSpec,
-    _WHOLE_TABLE,
     _encode,
-    _presence_table,
     _prev_occurrence,
     evaluate,
     evaluate_rows,
@@ -170,7 +168,7 @@ BRANCH_CASES = [
     (300, 300, [1, 5, 300]),                        # n = N
     (300, 0, [1, 7]),
     (1, 1, [1]),
-    # sizes too large for the whole-table memo
+    # a long text's sizes
     (5800, 420, [1, 2, 64, 65, 420, 421, 1853, 5380, 5381]),
     (5800, 42, [1, 2, 42, 43, 64, 65, 1853, 5758, 5759]),
 ]
@@ -178,17 +176,11 @@ BRANCH_CASES = [
 
 @pytest.mark.parametrize("big_n, n, freqs", BRANCH_CASES)
 def test_presences_match_scalar_reference_on_every_branch(big_n, n, freqs):
-    """Bit for bit, with every size of the cases of this N in one call, and
-    every frequency of the whole-table memo where its sizes are small."""
+    """Bit for bit, with every size of the cases of this N in one call."""
     sizes = [n] + [m for other, m, _ in BRANCH_CASES
                    if other == big_n and m != n]
     assert (presences(big_n, sizes, freqs).tolist()
             == [scalar_presences(big_n, m, freqs) for m in sizes])
-    if max((big_n - m) * m for m in sizes) <= _WHOLE_TABLE:
-        _presence_table.cache_clear()
-        every = range(1, big_n + 1)
-        assert (_presence_table(big_n, tuple(sizes)).tolist()
-                == [scalar_presences(big_n, m, every) for m in sizes])
 
 
 def test_presences_match_scalar_reference_exhaustively():
