@@ -233,27 +233,25 @@ _METHOD_ALIASES = {**{method: method for method in METHODS},
 
 
 def _check_outputs(args):
-    """Refuse, before any scoring, what would fail only once the scores
-    are written: an output whose directory does not exist, an output that
+    """Refuse, before a command runs, what would fail only once its output
+    is written: an output whose directory does not exist, an output that
     is a directory, and a ``--profiles-out`` with a profile count below 1."""
-    for flag, path in (("--out", args.out), ("--icc-out", args.icc_out),
-                       ("--profiles-out", args.profiles_out)):
+    for flag, path in (("--out", getattr(args, "out", None)),
+                       ("--icc-out", getattr(args, "icc_out", None)),
+                       ("--profiles-out", getattr(args, "profiles_out", None))):
         if path and not Path(path).parent.is_dir():
             raise CliError(f"{flag} {path}: no directory {Path(path).parent}")
         if path and Path(path).is_dir():
             raise CliError(f"{flag} {path}: is a directory")
-    if args.profiles_out and args.select < 1:
+    if getattr(args, "profiles_out", None) and args.select < 1:
         raise CliError(f"--select: profile count must be >= 1, got {args.select}")
 
 
 def cmd_evaluate_length(args):
-    _check_outputs(args)
     corpus = _load_corpus(args)
     spec = _spec_from(args)
     seed = _resolve_seed(args)
-    method = _METHOD_ALIASES.get(args.method)
-    if method is None:
-        raise CliError(f"unknown method {args.method!r}")
+    method = _METHOD_ALIASES[args.method]
     conditions = _parse_conditions(args.conditions)
     config = SamplingConfig(
         method=method,
@@ -281,7 +279,6 @@ def cmd_evaluate_length(args):
 
 
 def cmd_evaluate_parameter(args):
-    _check_outputs(args)
     corpus = _load_corpus(args)
     kind = args.index
     seed = _resolve_seed(args)
@@ -552,21 +549,30 @@ def _apply_config_file(parser, commands: dict, argv):
             parser.error(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
         defaults[key.strip().replace("-", "_")] = value.strip()
-    # each value becomes its flag's default in every command, through the
-    # flag's own conversion; a config value satisfies "required"
-    for command in commands.values():
-        for dest, flag in command.flags.items():
-            if dest not in defaults:
-                continue
-            value = defaults[dest]
-            if flag.type is not None:
-                try:
-                    value = flag.type(value)
-                except (CliError, ValueError) as e:
-                    parser.error(f"{path}: {dest}: {e}")
-            flag.default = value
-            flag.required = False
-    return argv[:i] + argv[i + 2:]
+    argv = argv[:i] + argv[i + 2:]
+    # each value becomes the default of the running command's flag of that
+    # name, checked as argparse checks it; a config value satisfies "required"
+    name = next((arg for arg in argv if not arg.startswith("-")), None)
+    flags = commands[name].flags if name in commands else {}
+    for dest, flag in flags.items():
+        if dest not in defaults:
+            continue
+        value = defaults[dest]
+        if flag.nargs == 0:  # an on/off flag such as --center
+            if value not in ("true", "false"):
+                parser.error(f"{path}: {dest}: expected true or false, got {value!r}")
+            value = flag.const if value == "true" else flag.default
+        elif flag.type is not None:
+            try:
+                value = flag.type(value)
+            except (CliError, ValueError) as e:
+                parser.error(f"{path}: {dest}: {e}")
+        if flag.choices is not None and value not in flag.choices:
+            parser.error(f"{path}: {dest}: invalid choice {value!r}; "
+                         f"choose from {', '.join(flag.choices)}")
+        flag.default = value
+        flag.required = False
+    return argv
 
 
 def main(argv=None) -> int:
@@ -575,9 +581,10 @@ def main(argv=None) -> int:
     argv = _apply_config_file(parser, commands, argv)
     try:
         args = parser.parse_args(argv)
+        _check_outputs(args)
         return args.fn(args)
     except (CliError, CorpusError, IndexError_, SamplingError, StatsError,
-            NumericsError, ProfilesError, FileNotFoundError) as e:
+            NumericsError, ProfilesError, OSError) as e:
         print(f"lexdiv: error: {e}", file=sys.stderr)
         return 1
 

@@ -91,9 +91,7 @@ def load_corpus(dir_path, case_policy: str = "fold", min_length: int = 0) -> Cor
     for path in files:
         try:
             raw = path.read_text(encoding="utf-8")
-        except OSError as e:
-            raise CorpusError(f"unreadable file {path}: {e}") from e
-        except UnicodeDecodeError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise CorpusError(f"unreadable file {path}: {e}") from e
         text_id = path.stem
         if text_id in seen:
@@ -131,6 +129,9 @@ def read_scores(csv_path) -> dict:
             if len(row) != 2:
                 raise CorpusError(f"{csv_path}:{lineno}: malformed row {row}")
             text_id, raw = row[0], row[1]
+            if text_id in scores:
+                raise CorpusError(
+                    f"{csv_path}:{lineno}: duplicate id {text_id!r}")
             try:
                 scores[text_id] = float(raw)
             except ValueError:

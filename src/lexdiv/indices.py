@@ -469,44 +469,39 @@ def _mtld_rows(codes: np.ndarray, factors: list) -> list:
 
 # ------------------------------------------------------- scalar functions
 
-def _score(kind: IndexKind, text, rng=None, **params) -> float:
-    """A text's score under its kind's row kernel."""
-    return evaluate_rows(_codes_row(text), IndexSpec(kind, **params), rng)[0]
-
-
 def ttr(text) -> float:
-    return _score(IndexKind.TTR, text)
+    return evaluate(text, IndexSpec(IndexKind.TTR))[0]
 
 
 def guiraud_r(text) -> float:
-    return _score(IndexKind.GUIRAUD_R, text)
+    return evaluate(text, IndexSpec(IndexKind.GUIRAUD_R))[0]
 
 
 def herdan_c(text) -> float:
-    return _score(IndexKind.HERDAN_C, text)
+    return evaluate(text, IndexSpec(IndexKind.HERDAN_C))[0]
 
 
 def maas_a(text, variant: str = "natural_log_a") -> float:
-    return _score(IndexKind.MAAS_A, text, maas_variant=variant)
+    return evaluate(text, IndexSpec(IndexKind.MAAS_A, maas_variant=variant))[0]
 
 
 def hdd(text, n: int) -> float:
     """Expected TTR of a size-n sample under without-replacement sampling."""
-    return _score(IndexKind.HDD, text, n=n)
+    return evaluate(text, IndexSpec(IndexKind.HDD, n=n))[0]
 
 
 def mattr(text, n: int) -> float:
     """Mean TTR over all length-n windows advancing one token at a time."""
-    return _score(IndexKind.MATTR, text, n=n)
+    return evaluate(text, IndexSpec(IndexKind.MATTR, n=n))[0]
 
 
 def msttr(text, n: int) -> float:
     """Mean TTR over disjoint consecutive length-n segments, remainder dropped."""
-    return _score(IndexKind.MSTTR, text, n=n)
+    return evaluate(text, IndexSpec(IndexKind.MSTTR, n=n))[0]
 
 
 def mtld(text, factor: float = 0.72) -> float:
-    return _score(IndexKind.MTLD, text, factor=factor)
+    return evaluate(text, IndexSpec(IndexKind.MTLD, factor=factor))[0]
 
 
 def mtld_detailed(text, factor: float = 0.72):
@@ -524,12 +519,12 @@ def mtld_detailed(text, factor: float = 0.72):
 
 def mttrrs(text, n: int = 50, s: int = 10, seed=None) -> float:
     """Mean TTR over s with-replacement samples of n tokens."""
-    return _score(IndexKind.MTTRRS, text, seed, n=n, s=s)
+    return evaluate(text, IndexSpec(IndexKind.MTTRRS, n=n, s=s), seed)[0]
 
 
 def mttrss(text, n: int = 50, s: int = 10, seed=None) -> float:
     """Mean TTR over s contiguous segments with uniformly drawn starts."""
-    return _score(IndexKind.MTTRSS, text, seed, n=n, s=s)
+    return evaluate(text, IndexSpec(IndexKind.MTTRSS, n=n, s=s), seed)[0]
 
 
 def gini_simpson(text) -> float:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, replace
+from html import escape
 from itertools import combinations
 from typing import Optional
 
@@ -206,7 +207,7 @@ def _emit_svg(series, path, width=800, height=500, margin=60):
         color = palette[i % len(palette)]
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"><title>{name}</title></polyline>'
+            f'stroke-width="1.5"><title>{escape(name, quote=False)}</title></polyline>'
         )
     lines.append("</svg>")
     try:

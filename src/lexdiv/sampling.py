@@ -56,7 +56,6 @@ import numpy as np
 from .corpus import Corpus, Text, tokens_of
 from .indices import (
     INDEXES,
-    IndexError_,
     IndexKind,
     IndexSpec,
     _count_matrix,
@@ -272,10 +271,11 @@ def _fixed_rows(rows, b):
     return rows
 
 
-def _full_column(arrs, seeds, key, score) -> list:
-    """Each text's truncation, scored once (m = L, or k = 1)."""
-    cells = [(partial(_fixed_rows, arr[None]), 1, seed(*key, "full"))
-             for arr, seed in zip(arrs, seeds)]
+def _fixed_column(rows, seeds, key, score) -> list:
+    """Each text's cell that draws nothing: its ``rows`` scored once, with
+    the stream under ``key`` for the kernel."""
+    cells = [(partial(_fixed_rows, r), 1, seed(*key))
+             for r, seed in zip(rows, seeds)]
     return _packed_means(cells, score)
 
 
@@ -289,30 +289,13 @@ def _drawn_column(arrs, seeds, key, iterations, draw, score) -> list:
     return _packed_means(cells, score)
 
 
-def _random_positions(rng, truncate_to: int, m: int, b: int, ordered: bool):
-    """The first m positions of b fresh permutations, one row each."""
-    positions = np.tile(np.arange(truncate_to), (b, 1))
-    rng.permuted(positions, axis=1, out=positions)
-    return np.sort(positions[:, :m], axis=1) if ordered else positions[:, :m]
-
-
-def _alternating_positions(rng, k: int, n_snippets: int, b: int):
-    """The positions of the k samples of each of b iterations, iteration by
-    iteration: the k-token snippets are permuted within, and sample j takes
-    the j-th token of every permuted snippet."""
-    perm = np.tile(np.arange(k), (b * n_snippets, 1))
-    rng.permuted(perm, axis=1, out=perm)
-    positions = perm.reshape(b, n_snippets, k) + np.arange(n_snippets)[:, None] * k
-    return positions.transpose(0, 2, 1).reshape(b * k, n_snippets)
-
-
 def _parallel_columns(arrs, conditions, iterations, spec, seeds) -> list:
+    score = partial(evaluate_rows, spec=spec)
     columns = []
     for d in conditions:
         seg_len = len(arrs[0]) // d
-        cells = [(partial(_fixed_rows, arr[:d * seg_len].reshape(d, seg_len)),
-                  1, seed("parallel", d)) for arr, seed in zip(arrs, seeds)]
-        columns.append(_packed_means(cells, partial(evaluate_rows, spec=spec)))
+        segments = [arr[:d * seg_len].reshape(d, seg_len) for arr in arrs]
+        columns.append(_fixed_column(segments, seeds, ("parallel", d), score))
     return columns
 
 
@@ -327,7 +310,12 @@ _ALTERNATING_EXACT = _RANDOM_EXACT | {IndexKind.MATTR, IndexKind.MSTTR}
 
 
 def _random_draw(m, ordered, rng, arr, b):
-    return arr[_random_positions(rng, len(arr), m, b, ordered)]
+    """The first m tokens of b fresh permutations of ``arr``, one row each,
+    restored to text order when ``ordered``."""
+    positions = np.tile(np.arange(len(arr)), (b, 1))
+    rng.permuted(positions, axis=1, out=positions)
+    positions = positions[:, :m]
+    return arr[np.sort(positions, axis=1) if ordered else positions]
 
 
 def _count_draw(m, rng, population, b):
@@ -356,7 +344,8 @@ def _random_columns(arrs, conditions, iterations, spec, seeds,
     for m in conditions:
         if m == big_l:
             # full extract: a single deterministic score, no permutation
-            columns.append(_full_column(arrs, seeds, ("random", m), score))
+            columns.append(_fixed_column([arr[None] for arr in arrs], seeds,
+                                         ("random", m, "full"), score))
         elif spec.kind in _RANDOM_EXACT:
             columns.append(exact[m])
         elif counts is None:
@@ -419,8 +408,14 @@ def _alternating_exact(arr, k: int, sample_len: int, spec) -> float:
     return math.fsum(types) / (n * len(types))
 
 
-def _dealt_draw(k, sample_len, rng, arr, b):
-    return arr[_alternating_positions(rng, k, sample_len, b)]
+def _dealt_draw(k, n_snippets, rng, arr, b):
+    """The k samples of each of b iterations, iteration by iteration: the
+    k-token snippets of ``arr`` are permuted within, and sample j takes the
+    j-th token of every permuted snippet."""
+    perm = np.tile(np.arange(k), (b * n_snippets, 1))
+    rng.permuted(perm, axis=1, out=perm)
+    positions = perm.reshape(b, n_snippets, k) + np.arange(n_snippets)[:, None] * k
+    return arr[positions.transpose(0, 2, 1).reshape(b * k, n_snippets)]
 
 
 def _alternating_columns(arrs, conditions, iterations, spec, seeds) -> list:
@@ -429,7 +424,8 @@ def _alternating_columns(arrs, conditions, iterations, spec, seeds) -> list:
     for k in conditions:
         sample_len = len(arrs[0]) // k
         if k == 1:
-            columns.append(_full_column(arrs, seeds, ("alternating", k), score))
+            columns.append(_fixed_column([arr[None] for arr in arrs], seeds,
+                                         ("alternating", k, "full"), score))
         elif spec.kind in _ALTERNATING_EXACT:
             columns.append([_alternating_exact(arr, k, sample_len, spec)
                             for arr in arrs])
@@ -474,18 +470,14 @@ METHODS = {
 }
 
 
-def _check(text, method: str, truncate_to: int, conditions, iterations: int,
-           spec: IndexSpec) -> None:
-    """Refuse a text shorter than the truncation, and a condition below 1
-    or whose samples are longer than the truncation or shorter than the
-    index minimum.  ``spec`` has its defaults."""
+def _check(texts, method: str, truncate_to: int, conditions,
+           iterations: int, spec: IndexSpec) -> None:
+    """Refuse, once for a run, iterations below 1, a bad spec, and a
+    condition below 1 or whose samples are longer than the truncation or
+    shorter than the index minimum; then refuse a text shorter than the
+    truncation, naming it.  ``spec`` has its defaults."""
     if iterations < 1:
         raise SamplingError(f"iterations must be >= 1, got {iterations}")
-    n_tokens = len(tokens_of(text))
-    if truncate_to > n_tokens:
-        raise SamplingError(
-            f"text shorter than truncation length ({n_tokens} < {truncate_to})"
-        )
     spec.validate()
     needed = min_tokens_required(spec)
     for c in conditions:
@@ -500,6 +492,12 @@ def _check(text, method: str, truncate_to: int, conditions, iterations: int,
                 f"condition {c}: sample length {length} below the "
                 f"{spec.kind.value} minimum of {needed}"
             )
+    for text in texts:
+        n_tokens = len(tokens_of(text))
+        if truncate_to > n_tokens:
+            name = f"text {text.id!r}: " if isinstance(text, Text) else ""
+            raise SamplingError(f"{name}text shorter than truncation length "
+                                f"({n_tokens} < {truncate_to})")
 
 
 def _score_texts(texts, method: str, truncate_to: int, conditions,
@@ -521,7 +519,7 @@ def _row(text, method: str, truncate_to: int, conditions, iterations: int,
     must be >= 1 and give samples between the index minimum and the
     truncation in length."""
     spec = spec.with_defaults()
-    _check(text, method, truncate_to, conditions, iterations, spec)
+    _check([text], method, truncate_to, conditions, iterations, spec)
     return _score_texts([text], method, truncate_to, conditions, iterations,
                         master_seed, spec)[0].tolist()
 
@@ -559,19 +557,15 @@ def alternating_sampling(text, truncate_to, k_values, iterations, master_seed, s
 def run_method(
     corpus: Corpus, config: SamplingConfig, spec: IndexSpec, threads: int = 1
 ) -> ScoreMatrix:
-    """Apply one evaluation method to every text: rows = texts,
-    columns = conditions.  Every text and condition is checked before any
-    is scored; ``threads > 1`` scores contiguous runs of texts in worker
-    processes, each run packed as one corpus would be."""
+    """Apply one evaluation method to every text: rows = texts, columns =
+    conditions.  Every text and condition is checked before any is scored (a
+    bad spec raises its ``IndexError_``); ``threads > 1`` scores contiguous
+    runs of texts in worker processes, each packed as one corpus would be."""
     if threads < 1:
         raise SamplingError(f"threads must be >= 1, got {threads}")
     spec = spec.with_defaults()
-    for text in corpus:
-        try:
-            _check(text, config.method, config.truncate_to, config.conditions,
-                   config.iterations, spec)
-        except (SamplingError, IndexError_) as e:
-            raise SamplingError(f"text {text.id!r}: {e}") from e
+    _check(corpus, config.method, config.truncate_to, config.conditions,
+           config.iterations, spec)
     score = partial(_score_texts, method=config.method,
                     truncate_to=config.truncate_to,
                     conditions=config.conditions, iterations=config.iterations,

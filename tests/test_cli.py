@@ -3,13 +3,16 @@ and exit codes."""
 
 import csv
 import json
+import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from lexdiv.cli import DEFAULT_SEED, CliError, _parse_conditions, main
 from lexdiv.indices import IndexKind, IndexSpec, evaluate
-from lexdiv.sampling import STREAM_LAYOUT, stream_seed
+from lexdiv.sampling import STREAM_LAYOUT, ScoreMatrix, stream_seed
+from lexdiv.stats import compare_correlations
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
 
@@ -186,6 +189,31 @@ def test_missing_corpus_dir(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_corpus_that_is_a_file_is_one_line(corpus_dir, capsys):
+    rc = main(["index", "--corpus", str(corpus_dir / "text00.txt"),
+               "--index", "ttr"])
+    assert_one_line_error(rc, capsys, "Not a directory")
+
+
+@pytest.mark.parametrize("command", ["index", "stats", "profiles",
+                                     "hdd-curve"])
+def test_output_that_is_a_directory_is_one_line(corpus_dir, tmp_path, capsys,
+                                                command):
+    """Every command checks its --out before it runs, not only the two
+    experiments."""
+    scores = tmp_path / "scores.csv"
+    assert evaluate_length(corpus_dir, scores) == 0
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    flags = {"index": ["--corpus", str(corpus_dir), "--index", "ttr"],
+             "stats": ["anova", "--from", str(scores)],
+             "profiles": ["--from", str(scores)],
+             "hdd-curve": ["--N", "60", "--f-max", "4"]}[command]
+    rc = main([command, *flags, "--out", str(adir)])
+    assert_one_line_error(rc, capsys, f"--out {adir}: is a directory")
+    assert not any(adir.iterdir()) and not any(tmp_path.glob("*.tmp"))
+
+
 def test_bad_flag_exits_2(corpus_dir):
     with pytest.raises(SystemExit) as exc:
         main(["index", "--corpus", str(corpus_dir)])  # --index missing
@@ -222,8 +250,8 @@ def test_evaluate_length_outputs(corpus_dir, tmp_path):
 def test_evaluate_length_rejects_negative_condition(corpus_dir, tmp_path, capsys):
     out = tmp_path / "neg.csv"
     rc = evaluate_length(corpus_dir, out, extra=["--conditions", "4,-1"])
-    assert rc == 1
-    assert "condition -1 must be >= 1" in capsys.readouterr().err
+    # the run's fault, not a text's: no text is named
+    assert_one_line_error(rc, capsys, "error: condition -1 must be >= 1\n")
     assert not out.exists()
 
 
@@ -293,6 +321,25 @@ def test_evaluate_length_short_text_fails_cleanly(corpus_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "short" in err
     assert not (tmp_path / "x.csv").exists()  # no partial outputs
+
+
+def test_failed_icc_write_leaves_no_output(corpus_dir, tmp_path, capsys,
+                                           monkeypatch):
+    """The scores CSV and its sidecar are written before the ICC; when the
+    ICC cannot be written, both are removed, and so is its temporary
+    file."""
+    out, icc = tmp_path / "scores.csv", tmp_path / "icc.json"
+    original = os.replace
+
+    def replace(src, dst):
+        if str(dst) == str(icc):
+            raise OSError(28, "No space left on device")
+        return original(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    rc = evaluate_length(corpus_dir, out, extra=["--icc-out", str(icc)])
+    assert_one_line_error(rc, capsys, "No space left on device")
+    assert [p.name for p in tmp_path.iterdir()] == ["texts"]
 
 
 def test_evaluate_length_rejects_repeated_conditions(corpus_dir, tmp_path, capsys):
@@ -511,6 +558,23 @@ def test_stats_compare_corr_checks_columns(tmp_path, corpus_dir, scores_csv,
     assert_one_line_error(rc, capsys, message)
 
 
+def test_stats_compare_corr_compares_named_columns(tmp_path, corpus_dir,
+                                                   scores_csv, capsys):
+    out = tmp_path / "sweep.csv"
+    main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+          "mattr", "--params", "20,40,60", "--out", str(out)])
+    rc = main(["stats", "compare-corr", "--from", str(out),
+               "--criterion", str(scores_csv), "--col-a", "60",
+               "--col-b", "40"])
+    assert rc == 0
+    result = json.loads(capsys.readouterr().out)
+    values = ScoreMatrix.from_long_csv(out).values
+    y = [2.0 + 0.4 * i for i in range(6)]
+    want = asdict(compare_correlations(values[:, 2], values[:, 1], y))
+    assert result == dict(want, col_large_candidate="60",
+                          col_small_candidate="40")
+
+
 # ------------------------------------------------------------------- others
 
 def test_profiles_subcommand(corpus_dir, tmp_path):
@@ -629,6 +693,59 @@ def test_config_file_flag_wins(corpus_dir, tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["index"] == "guiraud"
+
+
+def test_config_file_on_off_flag(corpus_dir, tmp_path, capsys):
+    """``center = false`` leaves --center off; only true and false are
+    accepted."""
+    scores, cfg = tmp_path / "scores.csv", tmp_path / "run.cfg"
+    assert evaluate_length(corpus_dir, scores) == 0
+    argv = ["profiles", "--from", str(scores), "--select", "4"]
+    outputs = {}
+    for name, config, flags in (("off", None, []), ("on", None, ["--center"]),
+                                ("false", "false", []), ("true", "true", [])):
+        out = tmp_path / f"{name}.csv"
+        prefix = []
+        if config is not None:
+            cfg.write_text(f"center = {config}\n")
+            prefix = ["--config", str(cfg)]
+        assert main([*prefix, *argv, *flags, "--out", str(out)]) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["false"] == outputs["off"] != outputs["on"] == outputs["true"]
+    cfg.write_text("center = yes\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), *argv, "--out", str(tmp_path / "x.csv")])
+    assert_one_line_error(exc.value.code, capsys,
+                          "center: expected true or false, got 'yes'", code=2)
+
+
+def test_config_file_checks_choices(corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "evaluate-length", "--corpus",
+              str(corpus_dir), "--index", "ttr", "--truncate", "280",
+              "--out", str(tmp_path / "x.csv")])
+    assert_one_line_error(exc.value.code, capsys,
+                          "method: invalid choice 'bogus'", code=2)
+
+
+def test_config_file_choices_are_the_running_commands(corpus_dir, tmp_path,
+                                                      capsys):
+    """``--format`` takes csv/json in ``index`` and csv/svg in ``profiles``
+    and ``hdd-curve``: a config value is checked against the flag of the
+    command that runs."""
+    scores, cfg = tmp_path / "scores.csv", tmp_path / "run.cfg"
+    assert evaluate_length(corpus_dir, scores) == 0
+    cfg.write_text("format = svg\n")
+    for argv in (["profiles", "--from", str(scores), "--select", "4"],
+                 ["hdd-curve", "--N", "40", "--f-max", "3"]):
+        out = tmp_path / f"{argv[0]}.svg"
+        assert main(["--config", str(cfg), *argv, "--out", str(out)]) == 0
+        assert out.read_text().startswith("<svg")
+    cfg.write_text(f"format = json\ncorpus = {corpus_dir}\n")
+    assert main(["--config", str(cfg), "index", "--index", "ttr"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 6
 
 
 def test_config_file_unknown_index_exits_2(corpus_dir, tmp_path):

@@ -111,6 +111,15 @@ def test_attach_scores_non_numeric_reports_line(corpus_dir, tmp_path):
         attach_scores(corpus, csv_path)
 
 
+def test_attach_scores_refuses_duplicate_id(corpus_dir, tmp_path):
+    corpus = load_corpus(corpus_dir)
+    csv_path = tmp_path / "scores.csv"
+    csv_path.write_text("id,score\nalpha,3.5\nbeta,2.0\nalpha,5.0\n")
+    with pytest.raises(CorpusError, match=re.escape(
+            f"{csv_path}:4: duplicate id 'alpha'")):
+        attach_scores(corpus, csv_path)
+
+
 def test_attach_scores_unmatched_row_warns(corpus_dir, tmp_path, caplog):
     corpus = load_corpus(corpus_dir)
     csv_path = tmp_path / "scores.csv"

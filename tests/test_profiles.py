@@ -1,6 +1,7 @@
 """Profile selection, column centering, presence curves, and plot emission."""
 
 import csv
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -172,6 +173,16 @@ def test_emit_svg_structure(tmp_path):
     assert svg.startswith("<svg")
     assert svg.count("<polyline") == 3
     assert "<title>f=1</title>" in svg
+
+
+def test_emit_svg_escapes_series_names(tmp_path):
+    """A text id with markup characters still gives well-formed SVG."""
+    matrix = ScoreMatrix(["a&b<c", "plain"], ["1", "2"],
+                         np.array([[0.5, 0.6], [0.7, 0.4]]))
+    out = tmp_path / "plot.svg"
+    emit_plot_data(matrix, out, format="svg")
+    titles = minidom.parse(str(out)).getElementsByTagName("title")
+    assert [t.firstChild.data for t in titles] == ["a&b<c", "plain"]
 
 
 def test_emit_curves_csv_series_names(tmp_path):

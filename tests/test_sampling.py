@@ -86,7 +86,7 @@ def test_block_draw_is_the_sequential_stream():
     for size, blocks in ((300, (40,)), (300, (1024, 1024, 952)), (7, (1, 2, 3))):
         seq, blk = np.random.default_rng(5), np.random.default_rng(5)
         want = [seq.permutation(size)[:size - 1] for _ in range(sum(blocks))]
-        got = [sampling_mod._random_positions(blk, size, size - 1, b, ordered=False)
+        got = [sampling_mod._random_draw(size - 1, False, blk, np.arange(size), b)
                for b in blocks]
         assert np.array_equal(np.concatenate(got), want)
         assert blk.bit_generator.state == seq.bit_generator.state
@@ -98,7 +98,8 @@ def test_block_draw_is_the_sequential_stream():
         perm = seq.permuted(np.tile(np.arange(k), (n_snippets, 1)), axis=1)
         positions = perm + np.arange(n_snippets)[:, None] * k
         want += [positions[:, j] for j in range(k)]
-    got = [sampling_mod._alternating_positions(blk, k, n_snippets, b) for b in blocks]
+    got = [sampling_mod._dealt_draw(k, n_snippets, blk, np.arange(k * n_snippets), b)
+           for b in blocks]
     assert np.array_equal(np.concatenate(got), want)
     assert blk.bit_generator.state == seq.bit_generator.state
 
@@ -385,15 +386,10 @@ def test_run_method_error_names_text(small_corpus):
         run_method(small_corpus, config, TTR_SPEC)
 
 
-@pytest.mark.parametrize("method, spec", [("ordered_random", MATTR_SPEC),
-                                          ("random", TTR_SPEC),
-                                          ("alternating", MATTR_SPEC)])
-def test_run_method_refuses_short_last_text_before_scoring(
-        small_corpus, monkeypatch, method, spec):
-    """Every text is checked before any cell is scored: full extracts and
-    drawn cells (``evaluate_rows``), exact random cells
-    (``_expected_types``) and exact alternating cells (``_window_types``)
-    see no call."""
+def spy_on_kernels(monkeypatch) -> list:
+    """The names of the kernels called: full extracts and drawn cells
+    (``evaluate_rows``), exact random cells (``_expected_types``) and
+    exact alternating cells (``_window_types``)."""
     calls = []
     for name in ("evaluate_rows", "_expected_types", "_window_types"):
         def spy(*args, _name=name, _original=getattr(sampling_mod, name),
@@ -401,11 +397,45 @@ def test_run_method_refuses_short_last_text_before_scoring(
             calls.append(_name)
             return _original(*args, **kwargs)
         monkeypatch.setattr(sampling_mod, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("method, spec", [("ordered_random", MATTR_SPEC),
+                                          ("random", TTR_SPEC),
+                                          ("alternating", MATTR_SPEC)])
+def test_run_method_refuses_short_last_text_before_scoring(
+        small_corpus, monkeypatch, method, spec):
+    """Every text is checked before any cell is scored, and a short one is
+    named."""
+    calls = spy_on_kernels(monkeypatch)
     short = Text("short", small_corpus.texts[0].tokens[:100])
     corpus = Corpus(small_corpus.texts + (short,))
     with pytest.raises(SamplingError, match=re.escape(
             "text 'short': text shorter than truncation length (100 < 280)")):
         run_method(corpus, small_config(method), spec)
+    assert calls == []
+
+
+@pytest.mark.parametrize("method, conditions, spec, error, message", [
+    ("random", (280, -5), MATTR_SPEC, SamplingError,
+     "condition -5 must be >= 1"),
+    ("alternating", (1, 0), MATTR_SPEC, SamplingError,
+     "condition 0 must be >= 1"),
+    ("ordered_random", (280, 20), MATTR_SPEC, SamplingError,
+     "condition 20: sample length 20 below the mattr minimum of 25"),
+    ("random", (280, 140), IndexSpec(IndexKind.MATTR, n=0), IndexError_,
+     "n must be >= 1, got 0"),
+])
+def test_run_method_refuses_bad_run_without_naming_a_text(
+        small_corpus, monkeypatch, method, conditions, spec, error, message):
+    """A bad condition or spec is the run's fault, not a text's: it is
+    refused once, naming no text, before any kernel call; a bad spec
+    raises the ``IndexError_`` of its own check."""
+    calls = spy_on_kernels(monkeypatch)
+    with pytest.raises(error) as excinfo:
+        run_method(small_corpus, small_config(method, conditions=conditions),
+                   spec)
+    assert str(excinfo.value) == message
     assert calls == []
 
 

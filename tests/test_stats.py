@@ -66,6 +66,14 @@ def test_icc_consistency_ignores_column_shifts():
     assert res.estimate == pytest.approx(ICC_CONSISTENCY, abs=1e-10)
 
 
+def test_icc_consistency_without_error_variance_is_one():
+    """Rows plus columns leave no error variance: consistency is exactly 1
+    and so are both bounds, with no F quantile taken."""
+    values = np.array([[0.0], [1.0], [2.0], [4.0]]) + np.array([[0.0, 0.5]])
+    res = icc_2_1(values, mode="consistency")
+    assert (res.estimate, res.ci_low, res.ci_high) == (1.0, 1.0, 1.0)
+
+
 def test_icc_agreement_penalizes_column_shifts():
     shifted = FIXTURE + np.array([[0.0, 0.1, 0.2, 0.3]])
     res = icc_2_1(shifted, mode="agreement")
