@@ -1,8 +1,6 @@
 """lexdiv: lexical-diversity indices and a length-sensitivity evaluation
 harness (sampling methods, parameter sweeps, agreement statistics)."""
 
-from importlib import resources
-
 from .corpus import Corpus, CorpusError, Text, attach_scores, load_corpus, truncate
 from .indices import (
     FrequencySpectrum,
@@ -62,5 +60,9 @@ __version__ = "0.1.0"
 def reference_text() -> Text:
     """The bundled 165-token noun-recoded excerpt used as a scoring fixture
     (100 types)."""
+    # imported here: where ``site`` has not loaded it already,
+    # ``importlib.resources`` costs about 8 ms of every ``import lexdiv``
+    from importlib import resources
+
     raw = resources.files("lexdiv.data").joinpath("noun_sample_165.txt").read_text()
     return Text(id="noun_sample_165", tokens=tuple(raw.split()))

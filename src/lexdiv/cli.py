@@ -548,7 +548,13 @@ def _apply_config_file(parser, commands: dict, argv):
         if "=" not in line:
             parser.error(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        defaults[key.strip().replace("-", "_")] = value.strip()
+        dest = key.strip().replace("-", "_")
+        # a key of another command's flag is ignored; one of no command's
+        # flag is refused, as argparse refuses an unknown flag
+        if not any(dest in c.flags for c in commands.values()):
+            parser.error(f"{path}:{lineno}: {key.strip()!r} names no flag "
+                         f"of any command")
+        defaults[dest] = value.strip()
     argv = argv[:i] + argv[i + 2:]
     # each value becomes the default of the running command's flag of that
     # name, checked as argparse checks it; a config value satisfies "required"

@@ -82,6 +82,8 @@ def load_corpus(dir_path, case_policy: str = "fold", min_length: int = 0) -> Cor
     if min_length < 0:
         raise CorpusError("min_length must be nonnegative")
     dir_path = Path(dir_path)
+    if not dir_path.is_dir():
+        raise CorpusError(f"corpus {dir_path} is not a directory")
     files = sorted(p for p in dir_path.iterdir() if p.is_file())
     if not files:
         raise CorpusError(f"no token files in {dir_path}")

@@ -12,9 +12,9 @@ How a cell turns its stream into samples is the stream layout, recorded as
 ``parameter_sweep``.  README's "Sampling methods" describes it and tells
 how each layout differs from the one before; the current one is
 
-- Layout 6: as layout 5, with the per-frequency terms of HD-D and of the
-  exact random and ordered-random TTR and Guiraud cells added left to
-  right (``indices._expected_types``).
+- Layout 7: as layout 6, with every sampled ordered-random MATTR and
+  MTTRSS cell its exact mean (``_ordered_window_cells``), which draws
+  nothing.
 
 Scoring is packed across texts, and changes no byte: ``run_method``
 scores one condition at a time, and the blocks of every text's cell go to
@@ -35,9 +35,11 @@ These stay Monte Carlo:
   programme of about 5 ms per (text, m), slower than sampling below about
   1,600 iterations.
 - HD-D under alternating (a Poisson-binomial programme per type), MTLD,
-  MTTRSS and MTTRRS under alternating, and every sequence index under
+  MTTRSS and MTTRRS under alternating, and MSTTR, MTLD and MTTRRS under
   ordered random: no cheap closed form.  MTTRRS under random has one, but
-  it sums a hypergeometric over every count of every type.
+  it sums a hypergeometric over every count of every type.  Ordered
+  MSTTR's segments sit at fixed ranks, so a pair table like ordered
+  MATTR's would also need the rank of each pair's first point.
 
 ``tests/test_sampling.py`` pins the layout against a per-sample loop.
 """
@@ -52,6 +54,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Corpus, Text, tokens_of
 from .indices import (
@@ -71,7 +74,7 @@ from .indices import (
 DEFAULT_ITERATIONS = 10_000
 
 # The layout of the sampling streams (see the module docstring).
-STREAM_LAYOUT = 6
+STREAM_LAYOUT = 7
 
 # Samples per draw; bounds the draw's memory to about this many rows of L.
 # Part of the stream layout: layout 2's count draws depend on the block
@@ -307,6 +310,9 @@ _LINEAR = {IndexKind.TTR: _ttr, IndexKind.GUIRAUD_R: _guiraud_r}
 # The kinds whose sampled cells hold their exact mean (layout 5).
 _RANDOM_EXACT = frozenset(_LINEAR)
 _ALTERNATING_EXACT = _RANDOM_EXACT | {IndexKind.MATTR, IndexKind.MSTTR}
+# Ordered MTTRSS draws its starts uniformly from [0, m - n], so its mean
+# is ordered MATTR's (layout 7).
+_ORDERED_WINDOWS = frozenset({IndexKind.MATTR, IndexKind.MTTRSS})
 
 
 def _random_draw(m, ordered, rng, arr, b):
@@ -323,10 +329,164 @@ def _count_draw(m, rng, population, b):
                                            method="count")
 
 
+def _missed_table(big_l: int, m: int, n: int, most: int) -> np.ndarray:
+    """T[d, k, G]: what a pair of points of one type adds to the expected
+    count of windows (n consecutive tokens) of an ordered m-sample of L
+    tokens that miss the type, where d of the two points are tokens (the
+    others the bounds -1 and L), k tokens of the type lie strictly between
+    them and G others.  The pair adds the windows drawn among those G
+    whenever its d tokens are drawn and its k are not: a window whose ends
+    lie x apart among the G has G - x places and C(x - 1, n - 2) ways to
+    draw its inside, and the rest of the sample is drawn from the L - d -
+    k - x - 1 tokens left, so T[d, k, G] = sum over x < G of (G - x) *
+    C(x - 1, n - 2) * C(L - d - 1 - k - x, m - d - n) / C(L, m).  The
+    last factor depends on k + x alone, so one row per d gives it for
+    every k; each (d, k) row of T is then a double cumulative sum over x.
+    k runs to ``most``, and a row's bytes do not depend on ``most``."""
+    log_fact = np.array([math.lgamma(i + 1) for i in range(big_l + 1)])
+
+    def log_comb(a, b):
+        # log C(a, b), and -inf where it is 0 (outside 0 <= b <= a)
+        ok = (b >= 0) & (a >= b)
+        a, b = np.where(ok, a, 0), np.where(ok, b, 0)
+        return np.where(ok, log_fact[a] - log_fact[b] - log_fact[a - b],
+                        -np.inf)
+
+    gap = np.arange(big_l)  # x
+    if n == 1:  # a one-token window: its ends are the same token
+        inside = np.where(gap == 0, 0.0, -np.inf)
+    else:
+        inside = log_comb(gap - 1, n - 2)
+    d = np.arange(3)[:, None]
+    rest = log_comb(big_l - d - 1 - np.arange(most + big_l), m - d - n)
+    rest -= log_comb(big_l, m)
+    # built in place: the table is the only array of its size
+    table = np.zeros((3, most + 1, big_l + 1))
+    terms = table[..., 1:]
+    np.add(inside, sliding_window_view(rest, big_l, axis=1), out=terms)
+    np.exp(terms, out=terms)
+    np.cumsum(terms, axis=2, out=terms)
+    np.cumsum(terms, axis=2, out=terms)
+    return table
+
+
+# Most tokens whose type points ``_ordered_window_cells`` finds at once,
+# and most same-type pairs it holds at once: 0.5 MB per int64 array.
+_PAIR_BUDGET = 1 << 16
+# Most ``_missed_table`` entries it holds at once (32 MB), though never
+# fewer than one table's.
+_TABLE_BUDGET = 1 << 22
+
+
+def _type_points(codes: np.ndarray, n: int, most: int):
+    """The points of every type of each row of a code matrix: -1, the
+    type's positions and L, in (row, type, rank) order.  Returns, for
+    each point i, the first and the end of the run of later points j of
+    its type with G >= n others between i and j, and the flat indices
+    P[i] and Q[i] that put the pair (i, j) at P[j] - Q[i] in a
+    ``_missed_table`` raveled; and, for each row, its points and its
+    types.  Within a type, u = position - rank never falls and G = u[j] -
+    u[i], so i's partners are a suffix of its type's points."""
+    rows, big_l = codes.shape
+    width = int(codes.max()) + 1
+    groups = (codes + np.arange(rows)[:, None] * width).ravel()
+    counts = np.bincount(groups, minlength=rows * width)
+    held = np.flatnonzero(counts)
+    sizes = counts[held] + 2
+    ends = np.cumsum(sizes)
+    group = np.repeat(np.arange(len(held)), sizes)
+    rank = np.arange(ends[-1]) - (ends - sizes)[group]
+    real = (rank > 0) & (rank < sizes[group] - 1)
+    position = np.full(ends[-1], -1)
+    position[real] = np.argsort(groups, kind="stable") % big_l
+    position[ends - 1] = big_l
+    u = position - rank
+    # keys ascend across types too (0 <= u + 1 <= L), and key + n stays
+    # below the next type's keys (u + 1 + n <= 2L)
+    key = group * (2 * big_l + 2) + u + 1
+    first = np.searchsorted(key, key + n)
+    row_len, plane = big_l + 1, (most + 1) * (big_l + 1)  # G, then k, then d
+    p = rank * row_len + u + plane * real
+    q = (rank + 1) * row_len + u - plane * real
+    types = np.bincount(held // width, minlength=rows)
+    points = np.bincount(held // width, weights=sizes, minlength=rows)
+    return first, ends[group], p, q, points.astype(np.int64), types
+
+
+def _missed_sums(arrs, tables, n: int, most: int):
+    """For each raveled ``_missed_table`` of ``tables``, each text's sum
+    of its terms over every pair of points of one type with G >= n (only
+    those hold a window); and each text's type count.  Each text's terms
+    are one ``reduceat`` segment in (type, rank, partner) order, so its
+    sum does not depend on the texts around it: texts go to a pass
+    together while their tokens fit ``_PAIR_BUDGET``, and their pairs go
+    in runs of whole texts that fit it (a text alone where it does not)."""
+    big_l = len(arrs[0])
+    missed = [[] for _ in tables]
+    types = []
+    per_pass = max(1, _PAIR_BUDGET // big_l)
+    for start in range(0, len(arrs), per_pass):
+        first, stop, p, q, points, row_types = _type_points(
+            np.stack(arrs[start:start + per_pass]), n, most)
+        types.extend(row_types.tolist())
+        partners = stop - first
+        point_end = np.cumsum(points)
+        pairs = np.add.reduceat(partners, point_end - points)
+        pair_end = np.cumsum(pairs)
+        text = 0
+        while text < len(points):
+            base = pair_end[text] - pairs[text]
+            last = max(text + 1, int(np.searchsorted(
+                pair_end, base + _PAIR_BUDGET, side="right")))
+            lo, hi = point_end[text] - points[text], point_end[last - 1]
+            counts = partners[lo:hi]
+            j = np.repeat(first[lo:hi] - (np.cumsum(counts) - counts), counts)
+            j += np.arange(len(j))
+            flat = p[j] - np.repeat(q[lo:hi], counts)
+            segments = pairs[text:last]
+            # no pair holds a window where every type fills more than
+            # L - n tokens, and ``reduceat`` takes no empty segment
+            held_pairs = segments > 0
+            heads = (np.cumsum(segments) - segments)[held_pairs]
+            for table, out in zip(tables, missed):
+                sums = np.zeros(len(segments))
+                if heads.size:
+                    sums[held_pairs] = np.add.reduceat(table[flat], heads)
+                out.extend(sums.tolist())
+            text = last
+    return missed, types
+
+
+def _ordered_window_cells(arrs, sizes, n: int) -> list:
+    """The exact ordered-random MATTR(n) cell of each text at each sample
+    length m of ``sizes``, ``out[j][t]``: (V * W - missed) / (n * W) with
+    W = m - n + 1 windows, V types, and ``missed`` the expected count of
+    (window, type) pairs where the window misses the type, from
+    ``_missed_sums``.  The lengths go in groups whose tables fit
+    ``_TABLE_BUDGET`` (one length alone where its table does not), and
+    each group finds the pairs anew, so a run holds at most one group's
+    tables."""
+    big_l = len(arrs[0])
+    most = max(int(np.bincount(arr).max()) for arr in arrs)
+    per_group = max(1, _TABLE_BUDGET // (3 * (most + 1) * (big_l + 1)))
+    cells = []
+    for at in range(0, len(sizes), per_group):
+        group = sizes[at:at + per_group]
+        missed, types = _missed_sums(
+            arrs, [_missed_table(big_l, m, n, most).ravel() for m in group],
+            n, most)
+        for m, out in zip(group, missed):
+            windows = m - n + 1
+            cells.append([(v * windows - x) / (n * windows)
+                          for v, x in zip(types, out)])
+    return cells
+
+
 def _random_columns(arrs, conditions, iterations, spec, seeds,
                     ordered: bool) -> list:
     big_l = len(arrs[0])
     sampled = [m for m in conditions if m < big_l]
+    exact = {}
     if spec.kind in _RANDOM_EXACT and sampled:
         # the expected type count of an m-sample, for every m and text at
         # once; HD-D(m) is its TTR
@@ -338,6 +498,9 @@ def _random_columns(arrs, conditions, iterations, spec, seeds,
                 out.extend(types)
         exact = {m: [_LINEAR[spec.kind](t, m) for t in types]
                  for m, types in zip(sampled, expected)}
+    elif ordered and spec.kind in _ORDERED_WINDOWS and sampled:
+        exact = dict(zip(sampled, _ordered_window_cells(arrs, sampled,
+                                                         spec.n)))
     counts = INDEXES[spec.kind].counts
     score = partial(evaluate_rows, spec=spec)
     columns = []
@@ -346,7 +509,7 @@ def _random_columns(arrs, conditions, iterations, spec, seeds,
             # full extract: a single deterministic score, no permutation
             columns.append(_fixed_column([arr[None] for arr in arrs], seeds,
                                          ("random", m, "full"), score))
-        elif spec.kind in _RANDOM_EXACT:
+        elif m in exact:
             columns.append(exact[m])
         elif counts is None:
             # one stream per (text, length), shared by random and ordered
@@ -464,7 +627,8 @@ METHODS = {
     "random": Method(partial(_random_columns, ordered=False), divides=False,
                      exact=_RANDOM_EXACT),
     "ordered_random": Method(partial(_random_columns, ordered=True),
-                             divides=False, exact=_RANDOM_EXACT),
+                             divides=False,
+                             exact=_RANDOM_EXACT | _ORDERED_WINDOWS),
     "alternating": Method(_alternating_columns, divides=True,
                           exact=_ALTERNATING_EXACT),
 }

@@ -190,9 +190,9 @@ def test_missing_corpus_dir(tmp_path, capsys):
 
 
 def test_corpus_that_is_a_file_is_one_line(corpus_dir, capsys):
-    rc = main(["index", "--corpus", str(corpus_dir / "text00.txt"),
-               "--index", "ttr"])
-    assert_one_line_error(rc, capsys, "Not a directory")
+    path = corpus_dir / "text00.txt"
+    rc = main(["index", "--corpus", str(path), "--index", "ttr"])
+    assert_one_line_error(rc, capsys, f"corpus {path} is not a directory")
 
 
 @pytest.mark.parametrize("command", ["index", "stats", "profiles",
@@ -275,7 +275,7 @@ def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_pat
     assert set(meta["versions"]) == {"lexdiv", "numpy", "python"}
     assert meta["versions"]["numpy"] == np.__version__
     assert meta["config"]["threads"] == 1
-    assert meta["matrix_meta"]["stream_layout"] == 6
+    assert meta["matrix_meta"]["stream_layout"] == 7
     assert meta["matrix_meta"]["estimator"] == "exact"  # random TTR
 
 
@@ -746,6 +746,20 @@ def test_config_file_choices_are_the_running_commands(corpus_dir, tmp_path,
     cfg.write_text(f"format = json\ncorpus = {corpus_dir}\n")
     assert main(["--config", str(cfg), "index", "--index", "ttr"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 6
+
+
+def test_config_file_refuses_a_key_of_no_flag(corpus_dir, tmp_path, capsys):
+    """A misspelt key is refused as argparse refuses an unknown flag; a
+    key of another command's flag is left alone."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("index = ttr\ncorpsu = /nonexistent\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "weights", "--N", "4"])
+    assert_one_line_error(exc.value.code, capsys,
+                          f"{cfg}:2: 'corpsu' names no flag of any command",
+                          code=2)
+    cfg.write_text(f"index = ttr\ncorpus = {corpus_dir}\n")
+    assert main(["--config", str(cfg), "weights", "--N", "4"]) == 0
 
 
 def test_config_file_unknown_index_exits_2(corpus_dir, tmp_path):

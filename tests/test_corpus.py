@@ -77,6 +77,14 @@ def test_empty_dir_is_error(tmp_path):
         load_corpus(d)
 
 
+@pytest.mark.parametrize("name", ["alpha.txt", "missing"])
+def test_corpus_path_that_is_no_directory_is_error(corpus_dir, name):
+    path = corpus_dir / name
+    with pytest.raises(CorpusError) as excinfo:
+        load_corpus(path)
+    assert str(excinfo.value) == f"corpus {path} is not a directory"
+
+
 def test_undecodable_file_is_error(corpus_dir):
     (corpus_dir / "bad.txt").write_bytes(b"\xff\xfe\x00ab")
     with pytest.raises(CorpusError, match="unreadable"):

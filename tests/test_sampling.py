@@ -27,6 +27,7 @@ from lexdiv.indices import (
     evaluate,
     evaluate_rows,
     hdd,
+    mattr,
 )
 from lexdiv.sampling import (
     SamplingConfig,
@@ -47,6 +48,9 @@ from .conftest import make_zipf_corpus
 TTR_SPEC = IndexSpec(kind=IndexKind.TTR)
 HDD_SPEC = IndexSpec(kind=IndexKind.HDD, n=42)
 MATTR_SPEC = IndexSpec(kind=IndexKind.MATTR, n=25)
+# Monte Carlo under random and ordered random, so its cells score drawn
+# token samples
+MSTTR_SPEC = IndexSpec(kind=IndexKind.MSTTR, n=25)
 # Monte Carlo under every sampling method, so its cells score drawn samples
 MTLD_SPEC = IndexSpec(kind=IndexKind.MTLD)
 
@@ -181,17 +185,17 @@ def test_sample_identity_sequence_index_differs(reference):
 def test_ordered_samples_restore_text_order(monkeypatch, numbers_text):
     """On the 1..303 pseudo-text, every ordered-random sample must be
     strictly increasing, and the unordered sample must be its permutation.
-    (Order-free indices draw type counts instead, so a sequence index is
-    the one that sees token samples.)"""
+    (Order-free indices draw type counts instead, and ordered MATTR is
+    exact, so MSTTR is the index that sees token samples.)"""
     seen = capture_samples(monkeypatch)
-    ordered_random_sampling(numbers_text, 303, (151,), 5, 9, MATTR_SPEC)
+    ordered_random_sampling(numbers_text, 303, (151,), 5, 9, MSTTR_SPEC)
     ordered = [s for s in seen if len(s) == 151]
     assert len(ordered) == 5
     for s in ordered:
         assert np.all(np.diff(s) > 0)
 
     seen.clear()
-    random_sampling(numbers_text, 303, (151,), 5, 9, MATTR_SPEC)
+    random_sampling(numbers_text, 303, (151,), 5, 9, MSTTR_SPEC)
     unordered = [s for s in seen if len(s) == 151]
     for r, o in zip(unordered, ordered):
         assert not np.all(np.diff(r) > 0)
@@ -347,16 +351,19 @@ def test_run_method_deterministic(small_corpus, method):
 
 
 def test_run_method_thread_independent(small_corpus):
-    """Each worker packs its own run of texts, so a drawing index, MTLD
-    and an exact cell score the same bytes whatever the split, here of 7
-    texts into runs of 3-4 and 2-3.  At 20 ordered-random iterations one
-    process steps MTLD's 140-row blocks in lockstep, and the workers walk
-    theirs of 40-80 rows in Python."""
+    """Each worker packs its own run of texts, so a drawing index, MTLD,
+    ordered MSTTR and the exact cells (among them ordered MTTRSS, whose
+    pair table and sums each worker builds for its own texts) score the
+    same bytes whatever the split, here of 7 texts into runs of 3-4 and
+    2-3.  At 20 ordered-random iterations one process steps MTLD's 140-row
+    blocks in lockstep, and the workers walk theirs of 40-80 rows in
+    Python."""
     corpus = Corpus(small_corpus.texts[:7])
     assert 2 * 4 * 20 < indices_mod._LOCKSTEP_LANES <= 2 * 7 * 20
     for method, spec, iterations in (
             ("random", HDD_SPEC, 10),
             ("ordered_random", IndexSpec(IndexKind.MTTRSS, n=25, s=3), 10),
+            ("ordered_random", MSTTR_SPEC, 10),
             ("alternating", MTLD_SPEC, 10), ("random", TTR_SPEC, 10),
             ("ordered_random", MTLD_SPEC, 20)):
         config = small_config(method, iterations=iterations)
@@ -440,8 +447,8 @@ def test_run_method_refuses_bad_run_without_naming_a_text(
 
 
 @pytest.mark.parametrize("method, spec", [
-    ("ordered_random", MATTR_SPEC),
-    ("ordered_random", IndexSpec(IndexKind.MTTRSS, n=25, s=3)),
+    ("ordered_random", MSTTR_SPEC),
+    ("ordered_random", MTLD_SPEC),
     ("random", IndexSpec(IndexKind.MSTTR, n=25)),
     ("alternating", MTLD_SPEC)])
 def test_condition_scores_every_text_in_one_kernel_call(
@@ -492,7 +499,7 @@ def test_no_kernel_call_takes_more_than_a_block(small_corpus, monkeypatch):
     monkeypatch.setitem(indices_mod.INDEXES, IndexKind.HERDAN_C,
                         replace(herdan, counts=counts_spy))
     monkeypatch.setattr(sampling_mod, "_BLOCK", 7)
-    for method, spec in (("ordered_random", MATTR_SPEC),
+    for method, spec in (("ordered_random", MSTTR_SPEC),
                          ("random", IndexSpec(IndexKind.HERDAN_C)),
                          ("alternating", MTLD_SPEC),
                          ("parallel", IndexSpec(IndexKind.MSTTR, n=10))):
@@ -591,10 +598,11 @@ def position_block_samples(rng, arr, config, c):
 
 
 # The (method, kind) pairs whose sampled cells hold their exact mean
-# (stream layout 5).
+# (stream layouts 5 and 7).
 EXACT_KINDS = {
     "random": {IndexKind.TTR, IndexKind.GUIRAUD_R},
-    "ordered_random": {IndexKind.TTR, IndexKind.GUIRAUD_R},
+    "ordered_random": {IndexKind.TTR, IndexKind.GUIRAUD_R, IndexKind.MATTR,
+                       IndexKind.MTTRSS},
     "alternating": {IndexKind.TTR, IndexKind.GUIRAUD_R, IndexKind.MATTR,
                     IndexKind.MSTTR},
 }
@@ -617,8 +625,44 @@ def expected_types(arr, method, c, windows):
             for window in windows]
 
 
+def comb(a, b):
+    """C(a, b), 0 outside 0 <= b <= a, and C(-1, -1) = 1: a one-token
+    window has no inside to draw."""
+    if a == b == -1:
+        return 1
+    return math.comb(a, b) if 0 <= b <= a else 0
+
+
+def ordered_window_cell(arr, m, n):
+    """The ordered-random MATTR(n) cell of an m-sample in rationals, in
+    the pair form: each type's points are -1, its positions and L, and a
+    pair of them with d tokens, k points of the type strictly between and
+    G others adds sum over x < G of (G - x) C(x - 1, n - 2)
+    C(L - d - 1 - k - x, m - d - n) / C(L, m) windows that miss the type.
+    Ordered MTTRSS has the same mean."""
+    big_l, windows = len(arr), m - n + 1
+    missed = 0
+    types = np.unique(arr).tolist()
+    for t in types:
+        points = [-1, *np.flatnonzero(arr == t).tolist(), big_l]
+        for i, j in itertools.combinations(range(len(points)), 2):
+            d = (i > 0) + (j < len(points) - 1)
+            k = j - i - 1
+            gap = points[j] - points[i] - 1 - k
+            missed += sum((gap - x) * comb(x - 1, n - 2)
+                          * comb(big_l - d - 1 - k - x, m - d - n)
+                          for x in range(gap))
+    total = math.comb(big_l, m)
+    return Fraction(len(types) * windows * total - missed,
+                    n * windows * total)
+
+
 def exact_cell(arr, method, c, spec):
-    """An exact pair's sampled cell from `expected_types`."""
+    """An exact pair's sampled cell from `expected_types`, or from
+    `ordered_window_cell`."""
+    if method == "ordered_random" and spec.kind in (IndexKind.MATTR,
+                                                    IndexKind.MTTRSS):
+        return float(ordered_window_cell(arr, c, spec.n))
     length = len(arr) // c if method == "alternating" else c
     if spec.kind in (IndexKind.TTR, IndexKind.GUIRAUD_R):
         types = float(expected_types(arr, method, c, [slice(None)])[0])
@@ -748,10 +792,23 @@ EXACT_SPECS = (TTR_SPEC, IndexSpec(IndexKind.GUIRAUD_R),
 def test_exact_cells_match_enumeration(tokens):
     """Every exact cell equals the mean over every equally likely sample:
     every m-subset for random and ordered random, every dealing of the
-    k-snippets for alternating."""
+    k-snippets for alternating.  Ordered MATTR and MTTRSS are checked at
+    every m with windows of 1, 2 and m tokens; an MTTRSS segment starts
+    uniformly at any window, so its mean over the subsets is MATTR's."""
     text = Text(id="t", tokens=tuple(tokens))
     size = len(tokens)
     codes = _encode(tokens)
+    subsets = {m: codes[np.array(list(itertools.combinations(range(size), m)))]
+               for m in range(1, size)}
+    for m, samples in subsets.items():
+        for n in sorted({1, 2, m} & set(range(1, m + 1))):
+            rows = evaluate_rows(samples, IndexSpec(IndexKind.MATTR, n=n))
+            want = math.fsum(rows) / len(rows)
+            for kind in (IndexKind.MATTR, IndexKind.MTTRSS):
+                assert kind in EXACT_KINDS["ordered_random"]
+                got, = ordered_random_sampling(text, size, (m,), 1, 0,
+                                               IndexSpec(kind, n=n))
+                assert got == pytest.approx(want, rel=0, abs=1e-12), (kind, m, n)
     for spec in EXACT_SPECS:
         def mean(samples):
             return math.fsum(evaluate(x, spec)[0] for x in samples) / len(samples)
@@ -761,8 +818,7 @@ def test_exact_cells_match_enumeration(tokens):
             for sampler in (random_sampling, ordered_random_sampling):
                 cells = sampler(text, size, lengths, 1, 0, spec)
                 for m, got in zip(lengths, cells):
-                    subsets = itertools.combinations(range(size), m)
-                    want = mean([codes[list(idx)] for idx in subsets])
+                    want = mean(subsets[m])
                     assert got == pytest.approx(want, rel=0, abs=1e-12), (spec, m)
         ks = tuple(k for k in (2, 3, 4) if size // k >= 2)
         cells = alternating_sampling(text, size, ks, 1, 0, spec)
@@ -799,7 +855,9 @@ def test_alternating_window_types_match_direct_products():
 
 @pytest.mark.parametrize("method", ["random", "ordered_random", "alternating"])
 def test_exact_cells_ignore_seed_iterations_and_threads(small_corpus, method):
-    for spec in EXACT_SPECS:
+    """Every cell, but for the full-extract MTTRSS cell: that is one score
+    drawn from its own stream."""
+    for spec in EXACT_SPECS + (IndexSpec(IndexKind.MTTRSS, n=2),):
         if spec.kind not in EXACT_KINDS[method]:
             continue
         spec = IndexSpec(spec.kind, n=spec.n and 25)
@@ -810,8 +868,61 @@ def test_exact_cells_ignore_seed_iterations_and_threads(small_corpus, method):
                                                   iterations=3), spec),
             run_method(small_corpus, small_config(method), spec, threads=2),
         )
+        cols = slice(1, None) if spec.kind is IndexKind.MTTRSS else slice(None)
         for other in others:
-            assert other.values.tobytes() == base.values.tobytes(), spec
+            assert (other.values[:, cols].tobytes()
+                    == base.values[:, cols].tobytes()), spec
+
+
+def test_ordered_window_cells_match_monte_carlo():
+    """Exact ordered-random MATTR and MTTRSS cells of 300-token Zipf texts
+    lie within 4 standard errors of a Monte Carlo estimate: sorted
+    uniform m-subsets scored by `mattr`."""
+    corpus = make_zipf_corpus(3, 300, 300, seed=11)
+    config = SamplingConfig("ordered_random", 300, (300, 150, 75), 1)
+    exact = run_method(corpus, config, MATTR_SPEC)
+    mttrss = run_method(corpus, config, IndexSpec(IndexKind.MTTRSS, n=25, s=3))
+    assert mttrss.values[:, 1:].tobytes() == exact.values[:, 1:].tobytes()
+    rng = np.random.default_rng(5)
+    for text, row in zip(corpus, exact.values):
+        codes = _encode(text.tokens)
+        for m, got in zip((150, 75), row[1:]):
+            draws = [mattr(codes[np.sort(rng.choice(300, m, replace=False))], 25)
+                     for _ in range(1000)]
+            se = np.std(draws, ddof=1) / math.sqrt(len(draws))
+            assert abs(got - np.mean(draws)) < 4 * se, (text.id, m)
+
+
+def test_ordered_window_cells_ignore_the_budgets(small_corpus, monkeypatch):
+    """Texts share a pass while their tokens fit ``_PAIR_BUDGET`` and
+    their pairs a run while they fit it; a text's terms are summed alone
+    all the same, so any budget gives the same bytes, down to one text
+    per pass and per run.  A run holds only the tables that fit
+    ``_TABLE_BUDGET`` at once (one where a single table does not fit),
+    and the grouping of the sample lengths leaves the bytes as they were."""
+    config = small_config("ordered_random", conditions=(280, 140, 70, 30))
+    spec = IndexSpec(IndexKind.MATTR, n=30)
+    want = run_method(small_corpus, config, spec).values.tobytes()
+    for budget in (1, 1000, 3000, 20_000):
+        monkeypatch.setattr(sampling_mod, "_PAIR_BUDGET", budget)
+        got = run_method(small_corpus, config, spec).values.tobytes()
+        assert got == want, budget
+    held = []
+    missed_sums = sampling_mod._missed_sums
+
+    def spy(arrs, tables, n, most):
+        held.append(len(tables))
+        return missed_sums(arrs, tables, n, most)
+
+    monkeypatch.setattr(sampling_mod, "_missed_sums", spy)
+    one = 3 * (max(np.bincount(_encode(t.tokens[:280])).max()
+                   for t in small_corpus) + 1) * 281
+    for budget, groups in ((1, [1, 1, 1]), (2 * one, [2, 1]),
+                           (3 * one, [3])):
+        monkeypatch.setattr(sampling_mod, "_TABLE_BUDGET", budget)
+        held.clear()
+        got = run_method(small_corpus, config, spec).values.tobytes()
+        assert (got, held) == (want, groups), budget
 
 
 # -------------------------------------------------------------- ScoreMatrix
