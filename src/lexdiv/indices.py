@@ -345,96 +345,194 @@ def _over_prev(kernel):
     return rows
 
 
-def _mtld_factors(prev: list, factor: float) -> float:
-    """One MTLD pass over a row's previous-occurrence list: a full factor each
-    time the running TTR of the growing segment drops below ``factor``, and
-    a partial (1 - TTR) / (1 - factor) for the tail.  A position whose
+def _mtld_factors(prev: list, factor: float, start: int = 0, types: int = 0,
+                  ends=None):
+    """One MTLD walk over ``prev``, a lane's previous occurrences relative
+    to the first position walked, from a segment that began at ``start``
+    (<= 0) and holds ``types`` types: a full factor each time the running
+    TTR of the growing segment drops below ``factor``.  A position whose
     previous occurrence lies before the segment's start adds a type, and
-    (t + 1) / (c + 1) >= t / c also holds for correctly rounded division, so
-    the TTR can first drop below ``factor`` only at a repeat: testing it
-    there alone gives the same floats as testing it at every token."""
-    factors = 0.0
-    start = types = count = 0
+    (t + 1) / (c + 1) >= t / c also holds for correctly rounded division,
+    so the TTR can first drop below ``factor`` only at a repeat: testing
+    it there alone gives the same floats as testing it at every token.
+    Returns ``(full factors, start, types, joined)``.  Given ``ends`` (a
+    chunk lane's segment ends, stepped from a fresh segment at position
+    0), the walk stops at its first segment end where the chunk lane ended
+    one too (``joined``): from there on the two agree."""
+    full = 0
+    count = -start
     for p in prev:
         count += 1
         if p < start:
             types += 1
         elif types / count < factor:
-            factors += 1.0
+            full += 1
             start += count
             types = count = 0
-    if count:
-        factors += (1.0 - types / count) / (1.0 - factor)
-    return factors
+            if ends is not None and ends[start - 1]:
+                return full, start, types, True
+    return full, start, types, False
 
 
-# Fewest lanes (2 x rows x factors) that ``_mtld_rows`` steps in lockstep.
-# The lockstep's numpy calls per position cost about as much as walking
-# 200 lanes in Python (rows of 75-300 tokens, one factor), and at 256
-# lanes it takes 0.77-0.88 of the walk's time.
+def _mtld_total(full: int, types: int, count: int, factor: float) -> float:
+    """A lane's full factors plus its tail's partial (1 - TTR) / (1 -
+    factor), for a tail of ``count`` tokens holding ``types`` types."""
+    return full + ((1.0 - types / count) / (1.0 - factor) if count else 0.0)
+
+
+# Fewest chunk lanes (factors x chunks of both directions of every row)
+# that ``_mtld_rows`` steps in lockstep.  The lockstep's numpy calls per
+# position cost about as much as walking 200 lanes in Python (rows of
+# 75-300 tokens, one factor), and at 256 lanes it takes 0.77-0.88 of the
+# walk's time.
 _LOCKSTEP_LANES = 256
 
+# Longest chunk of a lane that the lockstep steps: a longer lane is cut
+# into chunks of this many positions.
+_CHUNK = 1024
 
-def _mtld_thresholds(factor: float, n: int) -> list:
-    """``thr[c]``, for c = 1..n, is the least type count t with ``not (t / c
-    < factor)`` under the walk's own division, so a segment of c tokens
-    ends at a repeat exactly when its type count is below ``thr[c]``
-    (t / c is monotone in t).  The search starts at int(factor * c), which
-    is never above that t: it would take a rounding of factor * c by a
-    whole unit, so c near 2**52.  ``thr[0]`` is unused."""
-    thr = [0] * (n + 1)
-    for c in range(1, n + 1):
-        t = int(factor * c)
-        while t / c < factor:
-            t += 1
-        thr[c] = t
+# Most chunk positions (both directions of every row, padding included)
+# that ``_mtld_rows`` scores in one pass: a pass holds a few tens of bytes
+# for each, plus a byte per factor for its segment ends.
+_PASS_POSITIONS = 1 << 20
+
+
+def _mtld_thresholds(factors: list, n: int) -> np.ndarray:
+    """``thr[j, c]``, for c = 1..n, is the least type count t with ``not (t
+    / c < factors[j])`` under the walk's own division, so a segment of c
+    tokens ends at a repeat exactly when its type count is below ``thr[j,
+    c]`` (t / c is monotone in t).  The search starts at int(factor * c),
+    which is never above that t: it would take a rounding of factor * c by
+    a whole unit, so c near 2**52.  ``thr[j, 0]`` is unused."""
+    factor = np.array(factors)[:, None]
+    c = np.arange(1, n + 1)
+    thr = np.zeros((len(factors), n + 1), dtype=np.int64)
+    thr[:, 1:] = factor * c
+    low = thr[:, 1:] / c < factor
+    while low.any():
+        thr[:, 1:] += low
+        low = thr[:, 1:] / c < factor
     return thr
 
 
-def _mtld_lockstep(walks: np.ndarray, factors: list) -> np.ndarray:
-    """``_mtld_factors`` of every column of ``walks`` (n positions x
-    columns) under every factor, ``out[j, w]``, with every (factor, column)
-    lane stepped one position at a time in numpy.  A lane keeps its
-    segment start and type count; the factors share the walk lists by
-    broadcasting.  A segment's first token is new and (t + 1) / (c + 1) >=
-    t / c, so a lane's TTR can first drop below its factor only at a
-    repeat, and the threshold test needs no repeat mask.  Each position's
-    segment ends are kept and counted once at the end.  The tail partial
-    uses the walk's float expressions."""
-    n, width = walks.shape
-    dtype = walks.dtype
-    # table[j, k] = thr[n - k] of factors[j]: a segment of c = i + 1 - start
-    # tokens at position i reads flat index j * (n + 1) + n - 1 - i + start
-    table = np.array([_mtld_thresholds(f, n)[::-1] for f in factors],
-                     dtype=dtype).ravel()
+def _mtld_lockstep(steps: np.ndarray, factors: list):
+    """Step every (factor, column) lane of ``steps`` (n positions x columns
+    of previous occurrences relative to the column's first position, where
+    every lane begins a segment) one position at a time in numpy.  A lane
+    keeps its segment start and type count; the factors share the columns
+    by broadcasting.  A segment's first token is new and (t + 1) / (c + 1)
+    >= t / c, so a lane's TTR can first drop below its factor only at a
+    repeat, and the threshold test needs no repeat mask.  Returns
+    ``ends[i, j, w]``, whether lane (j, w) ended a segment at position i,
+    and each lane's last segment start and type count."""
+    n, width = steps.shape
+    dtype = steps.dtype
+    # table[j, k] = thr[j, n - k]: a segment of c = i + 1 - start tokens at
+    # position i reads flat index j * (n + 1) + n - 1 - i + start
+    table = _mtld_thresholds(factors, n)[:, ::-1].astype(dtype).ravel()
     base = np.arange(len(factors), dtype=dtype)[:, None] * (n + 1) + (n - 1)
     start = np.zeros((len(factors), width), dtype=dtype)
     types = np.zeros_like(start)
     ends = np.empty((n, *start.shape), dtype=bool)
-    for i, p in enumerate(walks):
+    for i, p in enumerate(steps):
         # an explicit cast: a bool operand's implicit one costs more here
         np.add(types, p < start, out=types, casting="unsafe")
         np.less(types, table.take(start + (base - i)), out=ends[i])
         np.copyto(start, i + 1, where=ends[i])
         np.copyto(types, 0, where=ends[i])
-    count = n - start
-    # a lane whose last segment ended at the last token has no tail: its
+    return ends, start, types
+
+
+def _mtld_chunked(walks: np.ndarray, first, lengths, factors: list,
+                  chunk: int) -> np.ndarray:
+    """``out[j, w]``: the factors of lane w (the ``lengths[w]`` positions of
+    column w of ``walks`` from ``first[w]``) under ``factors[j]``.  Every
+    lane is cut into chunks of ``chunk`` positions, the last padded, and
+    all chunks are stepped together, each from a fresh segment
+    (``_mtld_lockstep``); lanes that fill their column as one chunk are
+    stepped in place.  A padded position counts as a new type, so it ends
+    no segment and comes off the last one's type count.  A lane's first
+    chunk starts where the lane does, so its state is the lane's; at each
+    later chunk, ``_mtld_factors`` walks on from the lane's state until it
+    ends a segment where the chunk's lane ended one too, and the lane then
+    takes the chunk's remaining segment ends and its last segment."""
+    n, lanes = walks.shape
+    pieces = -(-lengths // chunk)
+    head = np.cumsum(pieces) - pieces  # each lane's first chunk column
+    if chunk == n and (lengths == n).all():
+        steps, real = walks, lengths
+    else:
+        # each chunk's start within its lane, and its positions there
+        offset = (np.arange(pieces.sum()) - np.repeat(head, pieces)) * chunk
+        real = np.minimum(chunk, np.repeat(lengths, pieces) - offset)
+        i = np.arange(chunk)[:, None]
+        at = np.minimum(i, real - 1, dtype=walks.dtype)
+        at += np.repeat(first, pieces) + offset
+        steps = walks[at, np.repeat(np.arange(lanes), pieces)]
+        del at
+        steps -= offset
+        steps[i >= real] = -1
+    ends, start, types = _mtld_lockstep(steps, factors)
+    types -= (chunk - real).astype(types.dtype)
+    count = real - start
+    # a lane whose last segment ended at its last token has no tail: its
     # TTR is left at 1, so its partial is 0
     ttr = np.divide(types, count, out=np.ones(count.shape), where=count > 0)
-    partial = (1.0 - ttr) / (1.0 - np.array(factors)[:, None])
-    return ends.sum(axis=0) + partial
+    totals = ends.sum(axis=0)
+    out = (totals + (1.0 - ttr) / (1.0 - np.array(factors)[:, None]))[:, head]
+    joins = np.flatnonzero(pieces > 1).tolist()
+    if not joins:
+        return out
+    totals, start, types = totals.tolist(), start.tolist(), types.tolist()
+    real, head, pieces = real.tolist(), head.tolist(), pieces.tolist()
+    # ends[i, j, c] is flat[i * stride + j * width + c]
+    width = ends.shape[2]
+    stride = ends.shape[1] * width
+    flat = memoryview(ends.view(np.uint8)).cast("B")
+    for w in joins:
+        lists = {}  # the walk lists of lane w's chunks, for every factor
+        for j, factor in enumerate(factors):
+            c = head[w]
+            full, begin, held = totals[j][c], start[j][c], types[j][c]
+            for c in range(c + 1, c + pieces[w]):
+                begin -= chunk  # from here on relative to chunk c
+                if begin < 0:
+                    if c not in lists:
+                        lists[c] = steps[:real[c], c].tolist()
+                    chunk_ends = flat[j * width + c::stride]
+                    walked, begin, held, joined = _mtld_factors(
+                        lists[c], factor, begin, held, chunk_ends)
+                    full += walked
+                    if not joined:
+                        continue
+                    full += totals[j][c] - sum(chunk_ends[:begin])
+                else:
+                    full += totals[j][c]
+                begin, held = start[j][c], types[j][c]
+            out[j, w] = _mtld_total(full, held, real[c] - begin, factor)
+    return out
 
 
-def _mtld_rows(codes: np.ndarray, factors: list) -> list:
-    """Bidirectional MTLD of each row under each factor: ``out[j][b]`` is
-    row b's ``(score, flags)`` under ``factors[j]``.  One
-    ``_prev_occurrence`` call serves both passes: a position's next
-    occurrence is the position whose previous occurrence it is (n if none),
-    and the next occurrences, mirrored, are the reversed row's previous
-    occurrences.  A call of ``_LOCKSTEP_LANES`` or more lanes (2 x rows x
-    factors) steps them all together (``_mtld_lockstep``); a narrower one
-    walks each lane in Python (``_mtld_factors``), which costs less than
-    the lockstep's numpy calls per position.  Both give the same floats."""
+def _mtld_lanes(codes, lengths, factors: list) -> list:
+    """The factors of both passes over each row of a code matrix, or of a
+    list of code rows of any lengths, under each factor: ``out[j]`` holds
+    every row's forward total under ``factors[j]``, then every row's
+    backward one.  A list is padded to a matrix with a code of its own.  One ``_prev_occurrence`` call serves both passes:
+    a position's next occurrence is the position whose previous occurrence
+    it is (n if none), and the next occurrences, mirrored, are the
+    reversed row's previous occurrences.  Column w < rows of ``walks``
+    holds row w's forward lane from position 0, column rows + w its
+    backward lane, which ends at position n, each as previous occurrences
+    relative to the lane's first position.  Lanes that make
+    ``_LOCKSTEP_LANES`` or more chunk lanes are stepped together
+    (``_mtld_chunked``); fewer are walked one by one in Python
+    (``_mtld_factors``), which costs less than the lockstep's numpy calls
+    per position.  Both give the same floats."""
+    if not isinstance(codes, np.ndarray):
+        matrix = np.full((len(codes), lengths.max()),
+                         max(int(row.max()) for row in codes) + 1)
+        matrix[np.arange(lengths.max()) < lengths[:, None]] = np.concatenate(codes)
+        codes = matrix
     rows, n = codes.shape
     prev = _prev_occurrence(codes)
     # one flat scatter: a first occurrence's -1 lands in the spare column n
@@ -443,25 +541,59 @@ def _mtld_rows(codes: np.ndarray, factors: list) -> list:
     nxt = np.full((rows, n + 1), n, dtype=prev.dtype)
     flat = (prev + np.arange(rows)[:, None] * (n + 1)).ravel()
     nxt.ravel()[flat] = np.tile(np.arange(n), rows)
-    # column w < rows walks row w forward, column rows + w backward
     walks = np.empty((n, 2 * rows), dtype=prev.dtype)
     walks[:, :rows] = prev.T
-    walks[:, rows:] = (n - 1) - nxt[:, n - 1::-1].T
+    walks[:, rows:] = (lengths - 1).astype(prev.dtype) - nxt[:, n - 1::-1].T
     del prev, nxt, flat
-    if 2 * rows * len(factors) >= _LOCKSTEP_LANES:
-        passes = _mtld_lockstep(walks, factors).tolist()
-    else:
-        lists = walks.T.tolist()
-        passes = [[_mtld_factors(w, factor) for w in lists]
-                  for factor in factors]
+    first = np.concatenate([np.zeros_like(lengths), n - lengths])
+    lengths = np.tile(lengths, 2)
+    chunk = min(_CHUNK, n)
+    if len(factors) * (-(-lengths // chunk)).sum() >= _LOCKSTEP_LANES:
+        return _mtld_chunked(walks, first, lengths, factors, chunk).tolist()
+    lanes = [w[a:a + m] for w, a, m in zip(
+        walks.T.tolist(), first.tolist(), lengths.tolist())]
     out = []
-    for lanes in passes:
+    for factor in factors:
+        totals = []
+        for lane in lanes:
+            full, start, types, _ = _mtld_factors(lane, factor)
+            totals.append(_mtld_total(full, types, len(lane) - start, factor))
+        out.append(totals)
+    return out
+
+
+def _mtld_rows(codes, factors: list) -> list:
+    """Bidirectional MTLD of each row of a code matrix, or of a list of code
+    rows of any lengths, under each factor: ``out[j][b]`` is row b's
+    ``(score, flags)`` under ``factors[j]``.  The rows are scored in
+    passes of whole rows (``_mtld_lanes``), each of at most
+    ``_PASS_POSITIONS`` chunk positions over both directions (one row
+    alone where it does not fit), which bounds a pass's memory; a lane
+    scores the same in any pass."""
+    if isinstance(codes, np.ndarray):
+        lengths = np.full(len(codes), codes.shape[1])
+    else:
+        lengths = np.array([len(row) for row in codes])
+    chunk = min(_CHUNK, int(lengths.max(initial=1)))
+    cost = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(2 * chunk * -(-lengths // chunk), out=cost[1:])
+    ahead, back = [[] for _ in factors], [[] for _ in factors]
+    lo = 0
+    while lo < len(lengths):
+        hi = max(lo + 1, int(np.searchsorted(
+            cost, cost[lo] + _PASS_POSITIONS, side="right")) - 1)
+        passes = _mtld_lanes(codes[lo:hi], lengths[lo:hi], factors)
+        for j, lanes in enumerate(passes):
+            ahead[j] += lanes[:hi - lo]
+            back[j] += lanes[hi - lo:]
+        lo = hi
+    out = []
+    for forward, backward in zip(ahead, back):
         scored = []
-        for ahead, back in zip(lanes[:rows], lanes[rows:]):
+        for a, b, m in zip(forward, backward, lengths.tolist()):
             # a pass that counts no factor at all scores the text length
-            score = ((n / ahead if ahead else float(n))
-                     + (n / back if back else float(n))) / 2.0
-            flags = () if ahead and back else ("undefined_factors",)
+            score = ((m / a if a else float(m)) + (m / b if b else float(m))) / 2.0
+            flags = () if a and b else ("undefined_factors",)
             scored.append((score, flags))
         out.append(scored)
     return out
@@ -549,7 +681,10 @@ class IndexDef:
     row scores per spec.  Work that no parameter value changes (the
     previous occurrences, MTLD's walk lists, the count matrix) is done once
     for all the specs, so a parameter sweep hands it all of a text's
-    values and the sampling engine one.  Every scoring path (``evaluate``,
+    values and the sampling engine one.  A ``ragged`` kind's ``rows`` also
+    takes a list of 1-D code rows of any lengths and draws nothing, so a
+    parameter sweep hands it every text at once (MTLD); every other kind
+    is swept one text per call.  Every scoring path (``evaluate``,
     ``evaluate_rows``, ``evaluate_specs``, the scalar functions) goes
     through it.  An order-free index is its ``counts(counts, length,
     specs)`` kernel, which scores each row of a count matrix (``counts[b,
@@ -575,6 +710,7 @@ class IndexDef:
     sweep: Optional[str] = None
     sweep_values: tuple = ()
     weights: Optional[Callable] = None
+    ragged: bool = False
 
     def __post_init__(self):
         if self.counts is not None:
@@ -640,7 +776,7 @@ INDEXES = {
             for scored in _mtld_rows(codes, [spec.factor for spec in specs])],
         score=lambda codes, spec, rng: _mtld_rows(codes, [spec.factor])[0][0],
         label="{kind}[factor={factor}]", defaults={"factor": 0.72},
-        sweep="factor", sweep_values=MTLD_FACTOR_SWEEP),
+        sweep="factor", sweep_values=MTLD_FACTOR_SWEEP, ragged=True),
 }
 
 # Indices invariant under any permutation of the tokens: those with a
@@ -695,19 +831,28 @@ def evaluate_rows(codes: np.ndarray, spec: IndexSpec, rng=None) -> list:
     return evaluate_specs(codes, [spec], [rng])[0]
 
 
-def evaluate_specs(codes: np.ndarray, specs, rngs) -> list:
+def evaluate_specs(codes, specs, rngs) -> list:
     """Score every row of a code matrix under each of several specs of one
     kind: one list of row scores per spec, as ``evaluate_rows(codes,
     specs[j], rngs[j])`` gives it, but with the work that no parameter
-    value changes done once (``IndexDef.rows``)."""
+    value changes done once (``IndexDef.rows``).  A ``ragged`` kind also
+    takes a non-empty list of 1-D code rows of any lengths."""
     specs = [spec.with_defaults() for spec in specs]
     if len({spec.kind for spec in specs}) != 1 or len(rngs) != len(specs):
         raise IndexError_("need one or more specs of one kind, one rng each")
+    index = INDEXES[specs[0].kind]
+    if isinstance(codes, np.ndarray):
+        shortest, lowest = codes.shape[1], codes.min(initial=0)
+    elif index.ragged and codes:
+        shortest = min(len(row) for row in codes)
+        lowest = min(row.min(initial=0) for row in codes)
+    else:
+        raise IndexError_(f"{specs[0].kind.value} needs a code matrix")
     for spec in specs:
-        spec.validate(codes.shape[1])
-    if codes.size and codes.min() < 0:
+        spec.validate(shortest)
+    if lowest < 0:
         raise IndexError_("token codes must be non-negative")
-    return INDEXES[specs[0].kind].rows(codes, specs, rngs)
+    return index.rows(codes, specs, rngs)
 
 
 def min_tokens_required(spec: IndexSpec) -> int:

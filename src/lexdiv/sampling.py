@@ -775,7 +775,8 @@ def parameter_sweep(
     sweep the sample/segment/window length.  Every value is checked before
     any text is scored.  A text is scored under all the values in one call
     (``indices.evaluate_specs``), which does its value-independent work
-    once; each (text, value) still has its own stream.
+    once; each (text, value) still has its own stream.  A ``ragged`` kind
+    (MTLD), which draws nothing, scores every text in that one call.
     """
     kind = IndexKind(kind)
     index = INDEXES[kind]
@@ -799,12 +800,16 @@ def parameter_sweep(
             f"parameter values {too_big} exceed the length of texts {bad}"
         )
 
-    values = np.empty((len(corpus), len(param_values)))
-    for i, text in enumerate(corpus):
-        seeds = [stream_seed(master_seed, text.id, "sweep", str(p))
-                 for p in param_values]
-        scores = evaluate_specs(_encode(text.tokens)[None], specs, seeds)
-        values[i] = [row[0] for row in scores]
+    rows = [_encode(text.tokens) for text in corpus]
+    if index.ragged:
+        values = np.array(evaluate_specs(rows, specs, [None] * len(specs))).T
+    else:
+        values = np.empty((len(corpus), len(param_values)))
+        for i, (text, row) in enumerate(zip(corpus, rows)):
+            seeds = [stream_seed(master_seed, text.id, "sweep", str(p))
+                     for p in param_values]
+            scores = evaluate_specs(row[None], specs, seeds)
+            values[i] = [column[0] for column in scores]
     return ScoreMatrix(
         row_ids=[t.id for t in corpus],
         col_labels=[str(p) for p in param_values],

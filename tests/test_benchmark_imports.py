@@ -1,12 +1,17 @@
 """The benchmark harness in ``perfbench/`` reaches into ``lexdiv`` by name.
 These tests read its sources without running them and check that every
 name it takes from the package still exists, so a refactor that renames
-or moves one fails here rather than in a benchmark run."""
+or moves one fails here rather than in a benchmark run.  They also check
+that the library calls the harness times hold all of a command's
+scoring."""
 
 import ast
+import functools
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -47,3 +52,56 @@ def test_cli_has_the_functions_launch_wraps():
 
     for name in LAUNCH_WRAPS:
         assert callable(getattr(lexdiv.cli, name, None)), name
+
+
+def _counted(kernel, calls, inside):
+    @functools.wraps(kernel)
+    def wrapper(*args, **kwargs):
+        calls.append(inside[0])
+        return kernel(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("index, params", [
+    ("mattr", "20,40"), ("msttr", "20,40"), ("mttrss", "20,40"),
+    ("mttrrs", "20,40"), ("hdd", "21,42"), ("mtld", "0.7,0.72,0.75")])
+def test_evaluate_parameter_scores_only_inside_parameter_sweep(
+        tmp_path, monkeypatch, index, params):
+    """``launch.py`` times an ``evaluate-parameter`` command's scoring as
+    the time inside its ``parameter_sweep`` call, so the command must call
+    no index kernel (an ``IndexDef``'s ``rows``, ``counts`` or ``score``)
+    outside it, whatever outputs it writes."""
+    import lexdiv.cli
+    from lexdiv.indices import INDEXES
+
+    corpus = tmp_path / "texts"
+    corpus.mkdir()
+    rng = np.random.default_rng(5)
+    for i in range(4):
+        tokens = [f"w{v}" for v in rng.zipf(1.4, 200 + 50 * i) % 300]
+        (corpus / f"t{i}.txt").write_text(" ".join(tokens), encoding="utf-8")
+    calls, inside = [], [False]
+    for kind, entry in INDEXES.items():
+        spied = {name: _counted(getattr(entry, name), calls, inside)
+                 for name in ("counts", "score") if getattr(entry, name)}
+        if entry.counts is None:  # a count kernel's rows are derived from it
+            spied["rows"] = _counted(entry.rows, calls, inside)
+        monkeypatch.setitem(INDEXES, kind, replace(entry, **spied))
+    sweep = lexdiv.cli.parameter_sweep
+
+    def timed(*args, **kwargs):
+        inside[0] = True
+        try:
+            return sweep(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(lexdiv.cli, "parameter_sweep", timed)
+    out = tmp_path / "sweep"
+    rc = lexdiv.cli.main([
+        "evaluate-parameter", "--corpus", str(corpus), "--index", index,
+        "--params", params, "--seed", "3", "--out", f"{out}.csv",
+        "--icc-out", f"{out}.icc.json",
+        "--profiles-out", f"{out}.profiles.csv"])
+    assert rc == 0
+    assert calls and all(calls), calls

@@ -500,6 +500,95 @@ def test_mtld_exact_ratio_factors_and_one_token_rows(lanes):
                        for f in EXACT_RATIO_FACTORS], cols
 
 
+def walked_total(toks, factor):
+    """One lane walked whole by ``_mtld_factors``, from previous occurrences
+    found with a dict."""
+    last, prev = {}, []
+    for i, tok in enumerate(toks):
+        prev.append(last.get(tok, -1))
+        last[tok] = i
+    full, start, types, _ = indices_mod._mtld_factors(prev, factor)
+    return indices_mod._mtld_total(full, types, len(toks) - start, factor)
+
+
+def segment_ends(toks, factor):
+    """Where the naive pass ends each of its full segments."""
+    ends, segment = [], []
+    for i, tok in enumerate(toks):
+        segment.append(tok)
+        if len(set(segment)) / len(segment) < factor:
+            ends.append(i)
+            segment = []
+    return ends
+
+
+def assert_chunked_lanes(rows, chunk):
+    """Every lane of one call that steps ``rows`` in lockstep, cut into
+    chunks of ``chunk`` tokens, against the lane walked whole and the
+    naive pass, and every row's score against the naive MTLD."""
+    codes = [np.array(row) for row in rows]
+    factors = list(EXACT_RATIO_FACTORS)
+    specs = [IndexSpec(IndexKind.MTLD, factor=f) for f in factors]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indices_mod, "_CHUNK", chunk)
+        mp.setattr(indices_mod, "_LOCKSTEP_LANES", 0)
+        lanes = indices_mod._mtld_lanes(codes, np.array(list(map(len, rows))),
+                                        factors)
+        scores = evaluate_specs(codes, specs, [None] * len(specs))
+    for j, factor in enumerate(factors):
+        for b, row in enumerate(rows):
+            for got, seq in ((lanes[j][b], row),
+                             (lanes[j][len(rows) + b], row[::-1])):
+                want = naive_mtld_pass(seq, factor)
+                assert got == walked_total(seq, factor) == want, (seq, factor)
+            assert scores[j][b] == naive_mtld(row, factor)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 17), st.integers(1, 6), st.data())
+def test_mtld_chunked_lanes_match_the_walk(chunk, alphabet, data):
+    """Lanes of 1-120 tokens and unequal lengths in one call, cut into
+    chunks of 1-17 tokens, each chunk stepped from a fresh segment and
+    joined by the walk, score as each lane walked whole."""
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=120),
+        min_size=1, max_size=6))
+    assert_chunked_lanes(rows, chunk)
+
+
+def test_mtld_chunked_lanes_edge_cases():
+    """The chunk boundaries that a join must get right, each shown to
+    occur (on the forward lane, under factor 1/2 or 3/4)."""
+    chunk = 4
+    repeats = [0] * 12  # a whole number of chunks
+    assert len(repeats) % chunk == 0
+    # under 3/4 a segment ends at every second token, so on the last token
+    # of chunks 0 and 1
+    assert {3, 7} <= set(segment_ends(repeats, 0.75))
+    spanning = list(range(9)) + [0] * 12  # one segment over chunks 0-4
+    assert segment_ends(spanning, 0.5)[0] // chunk >= 2
+    short = [0, 1, 0]  # shorter than one chunk
+    assert_chunked_lanes([repeats, spanning, short, [5]], chunk)
+
+
+def test_only_a_ragged_kind_takes_rows_of_any_length():
+    """MTLD scores a list of rows of several lengths as it scores each
+    row alone; a kind that needs a code matrix refuses the list, and the
+    rows are checked as a matrix's are."""
+    assert [kind for kind, index in INDEXES.items() if index.ragged] == [
+        IndexKind.MTLD]
+    rows = [np.array([0, 1, 0, 2]), np.array([3, 3]), np.array([1])]
+    spec = IndexSpec(IndexKind.MTLD, factor=0.7)
+    assert evaluate_specs(rows, [spec], [None]) == [
+        [evaluate(row, spec)[0] for row in rows]]
+    with pytest.raises(IndexError_, match="mattr needs a code matrix"):
+        evaluate_specs(rows, [IndexSpec(IndexKind.MATTR, n=1)], [None])
+    with pytest.raises(IndexError_, match="needs at least 1 tokens, got 0"):
+        evaluate_specs(rows + [np.array([], dtype=int)], [spec], [None])
+    with pytest.raises(IndexError_, match="non-negative"):
+        evaluate_specs(rows + [np.array([0, -1])], [spec], [None])
+
+
 def test_mtld_all_distinct_flags_undefined():
     toks = [f"w{i}" for i in range(30)]
     score, flags = mtld_detailed(toks, 0.72)

@@ -1045,6 +1045,10 @@ def test_parameter_sweep_matches_per_value_scoring(kind, texts, data):
     (IndexKind.MTTRSS, [10, 20, 40]), (IndexKind.MTLD, [0.7, 0.72, 0.75])])
 def test_parameter_sweep_finds_previous_occurrences_once_per_text(
         small_corpus, monkeypatch, kind, values):
+    """A kind that needs a code matrix finds each text's previous
+    occurrences in a call of its own; MTLD takes rows of any length, so
+    its sweep finds every text's at once, from one matrix padded to the
+    longest text."""
     calls = []
     original = indices_mod._prev_occurrence
 
@@ -1054,18 +1058,25 @@ def test_parameter_sweep_finds_previous_occurrences_once_per_text(
 
     monkeypatch.setattr(indices_mod, "_prev_occurrence", spy)
     parameter_sweep(small_corpus, kind, values, master_seed=1)
-    assert calls == [(1, len(text)) for text in small_corpus]
+    if kind is IndexKind.MTLD:
+        assert calls == [(len(small_corpus), max(map(len, small_corpus)))]
+    else:
+        assert calls == [(1, len(text)) for text in small_corpus]
 
 
 def test_mtld_path_follows_the_call_width(small_corpus, monkeypatch):
     """A packed 1,000-row ordered-random MTLD condition steps its lanes in
-    lockstep, and a sweep's one-row calls walk each lane in Python."""
+    lockstep and walks none.  A one-text sweep has fewer chunk lanes than
+    ``_LOCKSTEP_LANES`` and walks each lane whole in Python.  A sweep of
+    every text, here cut into chunks of 100 tokens (8 texts x 2 directions
+    x 4 chunks x 10 factors = 640 chunk lanes), steps them in lockstep and
+    walks only to join a chunk to the segment open at its start."""
     walks = []
     original = indices_mod._mtld_factors
 
-    def spy(prev, factor):
-        walks.append(len(prev))
-        return original(prev, factor)
+    def spy(prev, factor, start=0, types=0, ends=None):
+        walks.append((len(prev), start < 0))
+        return original(prev, factor, start, types, ends)
 
     monkeypatch.setattr(indices_mod, "_mtld_factors", spy)
     config = small_config("ordered_random", conditions=(140, 70),
@@ -1075,7 +1086,77 @@ def test_mtld_path_follows_the_call_width(small_corpus, monkeypatch):
     assert walks == []
     text = small_corpus.texts[0]
     parameter_sweep(Corpus((text,)), IndexKind.MTLD, list(MTLD_FACTOR_SWEEP))
-    assert walks == [len(text)] * (2 * len(MTLD_FACTOR_SWEEP))
+    assert walks == [(len(text), False)] * (2 * len(MTLD_FACTOR_SWEEP))
+    walks.clear()
+    monkeypatch.setattr(indices_mod, "_CHUNK", 100)
+    assert all(300 < len(text) <= 400 for text in small_corpus)
+    parameter_sweep(small_corpus, IndexKind.MTLD, list(MTLD_FACTOR_SWEEP))
+    assert walks and all(joining and size <= 100 for size, joining in walks)
+
+
+@pytest.fixture(scope="module")
+def long_corpus():
+    """13 texts of 200-2,600 tokens: a sweep of all of them over the ten
+    default factors has 600 chunk lanes of at most 1,024 tokens, so it
+    steps them in lockstep and joins their chunks, where a sweep of one
+    of them has at most 60 and walks."""
+    corpus = make_zipf_corpus(13, 200, 2600, seed=11)
+    chunks = sum(-(-len(text) // indices_mod._CHUNK) for text in corpus)
+    assert 2 * chunks * len(MTLD_FACTOR_SWEEP) >= indices_mod._LOCKSTEP_LANES
+    assert max(map(len, corpus)) > 2 * indices_mod._CHUNK
+    return corpus
+
+
+def test_mtld_sweep_does_not_depend_on_its_packing(long_corpus):
+    """An MTLD sweep scores every text in one kernel call, yet each text
+    scores the same bytes as in a sweep of its own, and in any order."""
+    want = parameter_sweep(long_corpus, IndexKind.MTLD).values
+    for i, text in enumerate(long_corpus):
+        alone = parameter_sweep(Corpus((text,)), IndexKind.MTLD).values
+        assert alone.tobytes() == want[i].tobytes(), text.id
+    reversed_corpus = Corpus(long_corpus.texts[::-1])
+    got = parameter_sweep(reversed_corpus, IndexKind.MTLD).values
+    assert got.tobytes() == want[::-1].tobytes()
+
+
+def test_mtld_sweep_ignores_the_pass_budget(long_corpus, monkeypatch):
+    """A pass holds whole rows, as many as fit ``_PASS_POSITIONS`` chunk
+    positions (both directions, padding included), one alone where a row
+    does not fit; any budget gives the same bytes, down to one text per
+    pass, and so does any chunk length."""
+    want = parameter_sweep(long_corpus, IndexKind.MTLD).values.tobytes()
+    passes = []
+    original = indices_mod._prev_occurrence
+
+    def spy(codes):
+        passes.append(len(codes))
+        return original(codes)
+
+    monkeypatch.setattr(indices_mod, "_prev_occurrence", spy)
+    chunk, default = indices_mod._CHUNK, indices_mod._PASS_POSITIONS
+    cost = [2 * chunk * -(-len(text) // chunk) for text in long_corpus]
+    counts = []
+    for budget in (1, max(cost), sum(cost) // 3, sum(cost)):
+        monkeypatch.setattr(indices_mod, "_PASS_POSITIONS", budget)
+        passes.clear()
+        got = parameter_sweep(long_corpus, IndexKind.MTLD).values.tobytes()
+        assert got == want, budget
+        rows, held = [], 0
+        for c in cost:
+            if rows and held + c <= budget:
+                rows[-1] += 1
+                held += c
+            else:
+                rows.append(1)
+                held = c
+        assert passes == rows, budget
+        counts.append(len(rows))
+    assert counts[0] == 13 and 1 < counts[2] < 13 and counts[3] == 1
+    monkeypatch.setattr(indices_mod, "_PASS_POSITIONS", default)
+    for chunk in (1, 7, 300, 4096):
+        monkeypatch.setattr(indices_mod, "_CHUNK", chunk)
+        got = parameter_sweep(long_corpus, IndexKind.MTLD).values.tobytes()
+        assert got == want, chunk
 
 
 def test_hdd_sweep_takes_presences_and_counts_of_counts_once_per_text(
