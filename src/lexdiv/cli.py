@@ -8,12 +8,9 @@ from the library modules.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -21,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .corpus import CorpusError, load_corpus, read_scores
+from .corpus import (CorpusError, csv_text, load_corpus, read_scores, read_text,
+                     write_atomic)
 from .indices import (
     INDEXES,
     MAAS_VARIANTS,
@@ -91,24 +89,10 @@ class RunConfig:
     outputs: dict = field(default_factory=dict)
 
 
-def _atomic_write(path, write_fn):
-    """Write via temp file + rename; no partial outputs on failure."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_or_print(path, text: str, end: str = "\n"):
     """Write text atomically to path, or print it when there is no path."""
     if path:
-        _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+        write_atomic(path, text)
     else:
         print(text, end=end)
 
@@ -120,11 +104,8 @@ def _write_sidecar(out_path, config: RunConfig, extra=None):
             "config": asdict(config)}
     if extra:
         meta.update(extra)
-    side = Path(str(out_path) + ".meta.json")
-    _atomic_write(
-        side,
-        lambda tmp: Path(tmp).write_text(json.dumps(meta, indent=2, sort_keys=True)),
-    )
+    write_atomic(str(out_path) + ".meta.json",
+                 json.dumps(meta, indent=2, sort_keys=True))
 
 
 def _resolve_seed(args) -> int:
@@ -187,6 +168,8 @@ def _parse_conditions(raw, cast=int):
         start, stop, step = (number(p) for p in parts)
         if step <= 0:
             raise CliError(f"range step must be > 0, got {raw!r}")
+        if start > stop:
+            raise CliError(f"range {raw!r} is empty: start exceeds stop")
         out = []
         value = start
         while value <= stop + 1e-9:
@@ -216,15 +199,9 @@ def cmd_index(args):
         _write_or_print(args.out, json.dumps(rows, indent=2))
         return 0
 
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["text_id", "index", "param", "score", "flags"]
-    )
-    writer.writeheader()
-    for row in rows:
-        row = dict(row, score=repr(row["score"]))
-        writer.writerow(row)
-    _write_or_print(args.out, buf.getvalue(), end="")
+    _write_or_print(args.out, csv_text(
+        list(rows[0]), (dict(row, score=repr(row["score"])).values()
+                        for row in rows)), end="")
     return 0
 
 
@@ -305,24 +282,21 @@ def _emit_experiment(matrix: ScoreMatrix, args, run_config: RunConfig,
     """Scores CSV (+ sidecar), optional ICC JSON and profile CSV, all atomic."""
     written = []
     try:
-        _atomic_write(args.out, lambda tmp: matrix.to_long_csv(tmp))
-        written.append(Path(args.out))
+        matrix.to_long_csv(args.out)
+        written.append(args.out)
         _write_sidecar(args.out, run_config, extra={"matrix_meta": matrix.meta})
-        written.append(Path(str(args.out) + ".meta.json"))
+        written.append(str(args.out) + ".meta.json")
         if getattr(args, "icc_out", None):
             result = icc_2_1(matrix, mode=icc_mode)
-            payload = json.dumps(asdict(result), indent=2)
-            _atomic_write(args.icc_out,
-                          lambda tmp: Path(tmp).write_text(payload))
-            written.append(Path(args.icc_out))
+            write_atomic(args.icc_out, json.dumps(asdict(result), indent=2))
+            written.append(args.icc_out)
         if getattr(args, "profiles_out", None):
             _write_profiles(matrix, args.profiles_out, args.select,
                             center=icc_mode == "consistency")
-            written.append(Path(args.profiles_out))
+            written.append(args.profiles_out)
     except BaseException:
         for path in written:
-            if path.exists():
-                path.unlink()
+            Path(path).unlink(missing_ok=True)
         raise
 
 
@@ -371,7 +345,7 @@ def _write_profiles(matrix: ScoreMatrix, path, count: int, center: bool,
     sub = subset_rows(matrix, select_profiles(matrix, count=count))
     if center:
         sub = center_columns(sub)
-    _atomic_write(path, lambda tmp: emit_plot_data(sub, tmp, format=fmt))
+    emit_plot_data(sub, path, format=fmt)
 
 
 def cmd_profiles(args):
@@ -383,15 +357,15 @@ def cmd_profiles(args):
 def cmd_hdd_curve(args):
     if args.n_step < 1 or args.f_max < 1:
         raise CliError("--n-step and --f-max must be >= 1")
-    if args.n_min > args.N:
-        raise CliError(f"--n-min {args.n_min} exceeds --N {args.N}")
+    for flag, value in (("--n-min", args.n_min), ("--f-max", args.f_max)):
+        if value > args.N:
+            raise CliError(f"{flag} {value} exceeds --N {args.N}")
     curves = hdd_presence_curves(
         n_tokens=args.N,
         f_values=range(1, args.f_max + 1),
         n_values=range(args.n_min, args.N + 1, args.n_step),
     )
-    _atomic_write(args.out, lambda tmp: emit_plot_data(curves, tmp,
-                                                       format=args.format))
+    emit_plot_data(curves, args.out, format=args.format)
     return 0
 
 
@@ -535,11 +509,9 @@ def _apply_config_file(parser, commands: dict, argv):
     except IndexError:
         parser.error("--config needs a file argument")
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        parser.error(f"--config {path}: {e.strerror}")
-    except UnicodeDecodeError:
-        parser.error(f"--config {path}: not UTF-8 text")
+        lines = read_text(path, prefix="--config ").splitlines()
+    except CorpusError as e:
+        parser.error(str(e))
     defaults = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()

@@ -1,9 +1,12 @@
-"""Corpus ingestion: tokenized text files, case policy, length filtering."""
+"""Corpus ingestion, and the one reader and one writer of lexdiv's files."""
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
+import os
+import secrets
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -15,6 +18,61 @@ CASE_POLICIES = ("fold", "preserve")
 
 class CorpusError(Exception):
     pass
+
+
+def read_text(path, prefix: str = "") -> str:
+    """The text of a UTF-8 file, a leading byte-order mark dropped and
+    newlines kept as they are (as ``csv`` needs them).  A file that cannot
+    be read or decoded is a ``CorpusError`` naming it, after ``prefix``."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except OSError as e:
+        reason = e.strerror or str(e)
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise CorpusError(f"{prefix}{path}: {reason}")
+
+
+def read_rows(path, header: list, expected: str):
+    """``(line, row)`` for each row of a CSV file whose stripped header is
+    ``header``, blank rows skipped; ``line`` is the row's last line in the
+    file.  A wrong header is refused as "expected ``expected``", and a row
+    of another width naming its line."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    got = next(reader, None)
+    if got is None or [h.strip() for h in got] != header:
+        raise CorpusError(f"{path}: expected {expected}, got {got}")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CorpusError(f"{path}:{reader.line_num}: malformed row {row}")
+        yield reader.line_num, row
+
+
+def csv_text(header: list, rows) -> str:
+    """The CSV text of ``header`` and ``rows``, lines ended by ``\\r\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, newlines as they are, whole or
+    not at all: into a temporary file beside it, then renamed over it."""
+    tmp = Path(path).with_name(f"{secrets.token_hex(8)}.tmp")
+    # a new name, as mkstemp's, with the umask's mode, as open() gives
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -91,10 +149,7 @@ def load_corpus(dir_path, case_policy: str = "fold", min_length: int = 0) -> Cor
     texts = []
     seen = {}
     for path in files:
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as e:
-            raise CorpusError(f"unreadable file {path}: {e}") from e
+        raw = read_text(path, prefix="unreadable file ")
         text_id = path.stem
         if text_id in seen:
             raise CorpusError(f"duplicate id {text_id!r}: {seen[text_id]} and {path}")
@@ -118,28 +173,16 @@ def load_corpus(dir_path, case_policy: str = "fold", min_length: int = 0) -> Cor
 def read_scores(csv_path) -> dict:
     """Scores by text id from a CSV with header ``id,score`` and one
     ``id,score`` row per text; a malformed row is an error naming its line."""
-    csv_path = Path(csv_path)
     scores = {}
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["id", "score"]:
-            raise CorpusError(f"{csv_path}: expected header 'id,score', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CorpusError(f"{csv_path}:{lineno}: malformed row {row}")
-            text_id, raw = row[0], row[1]
-            if text_id in scores:
-                raise CorpusError(
-                    f"{csv_path}:{lineno}: duplicate id {text_id!r}")
-            try:
-                scores[text_id] = float(raw)
-            except ValueError:
-                raise CorpusError(
-                    f"{csv_path}:{lineno}: non-numeric score {raw!r}"
-                ) from None
+    for lineno, (text_id, raw) in read_rows(csv_path, ["id", "score"],
+                                            "header 'id,score'"):
+        if text_id in scores:
+            raise CorpusError(f"{csv_path}:{lineno}: duplicate id {text_id!r}")
+        try:
+            scores[text_id] = float(raw)
+        except ValueError:
+            raise CorpusError(
+                f"{csv_path}:{lineno}: non-numeric score {raw!r}") from None
     return scores
 
 

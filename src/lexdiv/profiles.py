@@ -3,7 +3,6 @@ curves, and plain CSV/SVG emission."""
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, replace
 from html import escape
@@ -12,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from .corpus import csv_text, write_atomic
 from .indices import presences
 from .sampling import ScoreMatrix
 
@@ -138,30 +138,21 @@ def subset_rows(matrix: ScoreMatrix, selection: ProfileSelection) -> ScoreMatrix
 
 
 def emit_plot_data(data, path, format: str = "csv"):
-    """Write plot-ready data: long-form CSV ``series,x,y`` or a bare SVG
-    multi-line chart."""
+    """Write plot-ready data, whole or not at all: long-form CSV
+    ``series,x,y`` or a bare SVG multi-line chart."""
     series = _series_of(data)
     if format == "csv":
-        _emit_csv(series, path)
+        text = csv_text(["series", "x", "y"],
+                        ([name, repr(float(x)), repr(float(y))]
+                         for name, xs, ys in series for x, y in zip(xs, ys)))
     elif format == "svg":
-        _emit_svg(series, path)
+        text = _svg_text(series)
     else:
         raise ProfilesError(f"unknown format {format!r}")
+    write_atomic(path, text)
 
 
-def _emit_csv(series, path):
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["series", "x", "y"])
-            for name, xs, ys in series:
-                for x, y in zip(xs, ys):
-                    writer.writerow([name, repr(float(x)), repr(float(y))])
-    except OSError as e:
-        raise ProfilesError(f"cannot write {path}: {e}") from e
-
-
-def _emit_svg(series, path, width=800, height=500, margin=60):
+def _svg_text(series, width=800, height=500, margin=60):
     if series:
         all_x = [x for _, xs, _ in series for x in xs]
         all_y = [y for _, _, ys in series for y in ys]
@@ -210,8 +201,4 @@ def _emit_svg(series, path, width=800, height=500, margin=60):
             f'stroke-width="1.5"><title>{escape(name, quote=False)}</title></polyline>'
         )
     lines.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
-    except OSError as e:
-        raise ProfilesError(f"cannot write {path}: {e}") from e
+    return "\n".join(lines)

@@ -46,7 +46,6 @@ These stay Monte Carlo:
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -56,7 +55,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Corpus, Text, tokens_of
+from .corpus import Corpus, Text, csv_text, read_rows, tokens_of, write_atomic
 from .indices import (
     INDEXES,
     IndexKind,
@@ -145,40 +144,35 @@ class ScoreMatrix:
             raise SamplingError("score matrix contains non-finite cells")
 
     def to_long_csv(self, path):
-        """Write one ``text_id,condition,score`` row per cell.  Repeated row
-        ids or column labels are refused, as ``from_long_csv`` refuses them."""
+        """Write one ``text_id,condition,score`` row per cell, whole or not
+        at all.  Repeated row ids or column labels are refused, as
+        ``from_long_csv`` refuses them."""
         check_unique_labels("row ids", self.row_ids)
         check_unique_labels("column labels", self.col_labels)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["text_id", "condition", "score"])
-            for i, rid in enumerate(self.row_ids):
-                for j, col in enumerate(self.col_labels):
-                    writer.writerow([rid, col, repr(float(self.values[i, j]))])
+        write_atomic(path, csv_text(
+            ["text_id", "condition", "score"],
+            ([rid, col, repr(float(self.values[i, j]))]
+             for i, rid in enumerate(self.row_ids)
+             for j, col in enumerate(self.col_labels))))
 
     @classmethod
     def from_long_csv(cls, path):
+        """The matrix of a long CSV.  An unreadable file, a wrong header or
+        row width is a ``CorpusError``; a bad cell is a ``SamplingError``."""
         rows: dict = {}
         cols: list = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["text_id", "condition", "score"]:
-                raise SamplingError(f"{path}: expected long-form score CSV")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 3:
-                    raise SamplingError(f"{path}:{lineno}: malformed row {row}")
-                rid, col, score = row
-                if col not in cols:
-                    cols.append(col)
-                cells = rows.setdefault(rid, {})
-                if col in cells:
-                    raise SamplingError(f"{path}: duplicate cell ({rid}, {col})")
-                try:
-                    cells[col] = float(score)
-                except ValueError:
-                    raise SamplingError(
-                        f"{path}:{lineno}: non-numeric score {score!r}") from None
+        for lineno, (rid, col, score) in read_rows(
+                path, ["text_id", "condition", "score"], "long-form score CSV"):
+            if col not in cols:
+                cols.append(col)
+            cells = rows.setdefault(rid, {})
+            if col in cells:
+                raise SamplingError(f"{path}: duplicate cell ({rid}, {col})")
+            try:
+                cells[col] = float(score)
+            except ValueError:
+                raise SamplingError(
+                    f"{path}:{lineno}: non-numeric score {score!r}") from None
         if not rows:
             raise SamplingError(f"{path}: no score rows")
         row_ids = list(rows)
@@ -740,8 +734,10 @@ def run_method(
 
         runs = [texts[len(texts) * i // threads:len(texts) * (i + 1) // threads]
                 for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            values = np.concatenate(list(pool.map(score, [r for r in runs if r])))
+        runs = [r for r in runs if r]
+        # one worker per run: a pool forks all its workers at once
+        with ProcessPoolExecutor(max_workers=len(runs)) as pool:
+            values = np.concatenate(list(pool.map(score, runs)))
     else:
         values = score(texts)
     return ScoreMatrix(

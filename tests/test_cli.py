@@ -4,6 +4,7 @@ and exit codes."""
 import csv
 import json
 import os
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -15,6 +16,8 @@ from lexdiv.sampling import STREAM_LAYOUT, ScoreMatrix, stream_seed
 from lexdiv.stats import compare_correlations
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
 
 
 @pytest.fixture()
@@ -154,6 +157,35 @@ def test_index_errors_are_one_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("24:240", "range must be start:stop:step, got '24:240'"),
+    ("20:5:5", "range '20:5:5' is empty: start exceeds stop"),
+])
+def test_parse_conditions_refuses_a_bad_range(raw, message):
+    with pytest.raises(CliError, match=re.escape(message)):
+        _parse_conditions(raw)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate-parameter", "--index", "mattr", "--params", "20:5:5"],
+    ["evaluate-length", "--index", "ttr", "--method", "random",
+     "--truncate", "280", "--conditions", "30:20:5"],
+])
+def test_empty_range_is_refused_naming_it(corpus_dir, tmp_path, capsys,
+                                          argv):
+    out = tmp_path / "scores.csv"
+    rc = main([*argv, "--corpus", str(corpus_dir), "--out", str(out)])
+    raw = argv[argv.index("--params" if "--params" in argv
+                          else "--conditions") + 1]
+    assert_one_line_error(rc, capsys, f"range {raw!r} is empty")
+    assert not out.exists()
+
+
+def test_missing_corpus_is_one_line(capsys):
+    rc = main(["index", "--index", "ttr"])
+    assert_one_line_error(rc, capsys, "--corpus is required")
+
+
 def test_parse_conditions_rejects_non_positive_step():
     calls = []
 
@@ -187,6 +219,20 @@ def test_missing_corpus_dir(tmp_path, capsys):
     rc = main(["index", "--corpus", str(tmp_path / "nope"), "--index", "ttr"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_byte_order_mark_leaves_scores_as_they_were(corpus_dir, tmp_path):
+    """A corpus file saved with a byte-order mark scores byte for byte as
+    the same file without one."""
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for path in corpus_dir.iterdir():
+        (marked / path.name).write_bytes(BOM + path.read_bytes())
+    outs = [tmp_path / "plain.csv", tmp_path / "marked.csv"]
+    for corpus, out in zip((corpus_dir, marked), outs):
+        assert main(["index", "--corpus", str(corpus), "--index", "ttr",
+                     "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_corpus_that_is_a_file_is_one_line(corpus_dir, capsys):
@@ -542,6 +588,50 @@ def test_stats_compare_corr_checks_criterion_rows(tmp_path, corpus_dir, capsys,
     assert err.count("\n") == 1
 
 
+def test_stats_compare_corr_names_texts_without_criterion(
+        tmp_path, corpus_dir, capsys):
+    out = tmp_path / "sweep.csv"
+    main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+          "mattr", "--params", "20,40", "--out", str(out)])
+    crit = tmp_path / "crit.csv"
+    crit.write_text("id,score\n" + "".join(f"text{i:02d},{i}\n"
+                                          for i in range(4)))
+    rc = main(["stats", "compare-corr", "--from", str(out),
+               "--criterion", str(crit)])
+    assert_one_line_error(rc, capsys,
+                          "criterion missing for texts: ['text04', 'text05']")
+
+
+@pytest.mark.parametrize("csv_kind", ["scores", "criterion"])
+def test_non_utf8_csv_is_one_line(tmp_path, corpus_dir, scores_csv, capsys,
+                                  csv_kind):
+    out = tmp_path / "sweep.csv"
+    main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+          "mattr", "--params", "20,40", "--out", str(out)])
+    bad = out if csv_kind == "scores" else scores_csv
+    bad.write_bytes(bad.read_bytes().replace(b"text01", b"text\xff1"))
+    rc = main(["stats", "compare-corr", "--from", str(out),
+               "--criterion", str(scores_csv)])
+    assert_one_line_error(rc, capsys, f"{bad}: not UTF-8 text")
+
+
+def test_csv_inputs_take_a_byte_order_mark_and_blank_rows(
+        tmp_path, corpus_dir, scores_csv, capsys):
+    """A score CSV and a criterion CSV each with a byte-order mark and a
+    blank row give the same result as without them."""
+    out = tmp_path / "sweep.csv"
+    main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+          "mattr", "--params", "20,40", "--out", str(out)])
+    argv = ["stats", "compare-corr", "--from", str(out),
+            "--criterion", str(scores_csv)]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    for path in (out, scores_csv):
+        path.write_bytes(BOM + path.read_bytes().replace(b"\n", b"\n\n", 2))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("cols, message", [
     (["--col-a", "20", "--col-b", "nope"],
      "no column 'nope'; the columns are 20, 40"),
@@ -660,6 +750,7 @@ def test_evaluate_length_threads_below_one_is_one_line(corpus_dir, tmp_path,
     (["--n-step", "0"], "--n-step and --f-max must be >= 1"),
     (["--f-max", "0"], "--n-step and --f-max must be >= 1"),
     (["--n-min", "61"], "--n-min 61 exceeds --N 60"),
+    (["--f-max", "61"], "--f-max 61 exceeds --N 60"),
 ])
 def test_hdd_curve_rejects_empty_or_invalid_grid(tmp_path, capsys, flags,
                                                  message):
@@ -760,6 +851,20 @@ def test_config_file_refuses_a_key_of_no_flag(corpus_dir, tmp_path, capsys):
                           code=2)
     cfg.write_text(f"index = ttr\ncorpus = {corpus_dir}\n")
     assert main(["--config", str(cfg), "weights", "--N", "4"]) == 0
+
+
+def test_config_file_takes_a_byte_order_mark(corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(BOM + f"corpus = {corpus_dir}\nindex = ttr\n".encode())
+    assert main(["--config", str(cfg), "index"]) == 0
+    assert capsys.readouterr().out.startswith("text_id,index,param")
+
+
+def test_config_flag_without_file_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config"])
+    assert_one_line_error(exc.value.code, capsys,
+                          "--config needs a file argument", code=2)
 
 
 def test_config_file_unknown_index_exits_2(corpus_dir, tmp_path):

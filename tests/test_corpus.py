@@ -8,8 +8,10 @@ from lexdiv.corpus import (
     Text,
     attach_scores,
     load_corpus,
+    read_scores,
     tokens_of,
     truncate,
+    write_atomic,
 )
 
 
@@ -89,6 +91,32 @@ def test_undecodable_file_is_error(corpus_dir):
     (corpus_dir / "bad.txt").write_bytes(b"\xff\xfe\x00ab")
     with pytest.raises(CorpusError, match="unreadable"):
         load_corpus(corpus_dir)
+
+
+def test_read_scores_names_the_line_of_the_file(tmp_path):
+    """A quoted id may span lines; a later row is named by its line in the
+    file, not by its row count."""
+    csv_path = tmp_path / "scores.csv"
+    csv_path.write_text('id,score\n"two\nlines",1\n\nbeta,high\n')
+    with pytest.raises(CorpusError, match=re.escape(
+            f"{csv_path}:5: non-numeric score 'high'")):
+        read_scores(csv_path)
+
+
+def test_write_atomic_leaves_nothing_when_the_write_fails(tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_text("old")
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(out, "a\nb\udc80\n")  # a lone surrogate has no UTF-8
+    assert out.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_atomic_gives_the_mode_open_gives(tmp_path):
+    write_atomic(tmp_path / "atomic.txt", "x")
+    (tmp_path / "plain.txt").write_text("x")
+    assert ((tmp_path / "atomic.txt").stat().st_mode
+            == (tmp_path / "plain.txt").stat().st_mode)
 
 
 def test_attach_scores(corpus_dir, tmp_path):

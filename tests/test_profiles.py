@@ -195,6 +195,16 @@ def test_emit_curves_csv_series_names(tmp_path):
     assert {r[0] for r in rows[1:]} == {"f=1", "f=2"}
 
 
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_emit_failed_write_leaves_nothing(tmp_path, fmt):
+    """A write that fails partway (a lone surrogate in the last series name
+    has no UTF-8) leaves neither the target nor a temporary file."""
+    matrix = ScoreMatrix(["a", "b\udc80"], ["1", "2"], np.ones((2, 2)))
+    with pytest.raises(UnicodeEncodeError):
+        emit_plot_data(matrix, tmp_path / f"plot.{fmt}", format=fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_unknown_format(tmp_path):
     with pytest.raises(ProfilesError, match="format"):
         emit_plot_data(matrix_with_extremes(), tmp_path / "x.png", format="png")

@@ -373,6 +373,37 @@ def test_run_method_thread_independent(small_corpus):
             assert other.values.tobytes() == one.values.tobytes(), (spec, threads)
 
 
+def test_run_method_starts_no_more_workers_than_runs(small_corpus,
+                                                    monkeypatch):
+    """A pool starts all its workers at once, so ``threads`` above the text
+    count asks for one worker per non-empty run of texts."""
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, runs):
+            return map(fn, runs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    corpus = Corpus(small_corpus.texts[:3])
+    config = small_config("random", iterations=5)
+    matrix = run_method(corpus, config, TTR_SPEC, threads=8)
+    assert asked == [3]
+    assert (matrix.values.tobytes()
+            == run_method(corpus, config, TTR_SPEC).values.tobytes())
+
+
 def test_run_method_rejects_threads_below_one(small_corpus):
     with pytest.raises(SamplingError, match="threads must be >= 1, got 0"):
         run_method(small_corpus, small_config("random"), TTR_SPEC, threads=0)
@@ -938,6 +969,15 @@ def test_score_matrix_csv_round_trip(tmp_path, small_corpus):
     assert back.row_ids == matrix.row_ids
     assert back.col_labels == matrix.col_labels
     assert np.array_equal(back.values, matrix.values)  # exact round trip
+
+
+def test_score_matrix_csv_failed_write_leaves_nothing(tmp_path):
+    """A write that fails partway (a lone surrogate in the last row id has
+    no UTF-8) leaves neither the target nor a temporary file."""
+    matrix = ScoreMatrix(["a", "b\udc80"], ["1", "2"], np.ones((2, 2)))
+    with pytest.raises(UnicodeEncodeError):
+        matrix.to_long_csv(tmp_path / "scores.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_score_matrix_statistics_ignore_memory_layout():

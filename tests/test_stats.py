@@ -139,6 +139,8 @@ def test_pearson_matches_numpy():
 def test_pearson_errors():
     with pytest.raises(StatsError):
         pearson([1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(StatsError, match="equal-length vectors"):
+        pearson([1.0, 2.0, 3.0], [1.0, 2.0])
     with pytest.raises(StatsError, match="zero variance"):
         pearson([1.0, 1.0, 1.0], [0.1, 0.5, 0.9])
 
@@ -148,6 +150,8 @@ def test_spearman_brown_reference_value():
     assert spearman_brown(0.69) == pytest.approx(0.8166, abs=5e-4)
     assert spearman_brown(0.0) == 0.0
     assert spearman_brown(1.0) == 1.0
+    with pytest.raises(StatsError, match="undefined at r = -1"):
+        spearman_brown(-1.0)
 
 
 # Reference largest-vs-smallest comparisons (criterion correlations with
@@ -221,6 +225,13 @@ def test_steiger_t_domain():
     with pytest.raises(StatsError, match="radicand"):
         # r_between incompatible with the other two correlations
         steiger_t(0.9, -0.9, 0.99, 50)
+
+
+def test_zou_ci_domain():
+    with pytest.raises(StatsError, match="need n >= 4"):
+        zou_ci(0.5, 0.3, 0.4, 3)
+    with pytest.raises(StatsError, match=r"must be in \(-1, 1\), got -1.0"):
+        zou_ci(0.5, -1.0, 0.4, 50)
 
 
 @given(
