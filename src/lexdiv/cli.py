@@ -27,6 +27,7 @@ from .indices import (
     IndexKind,
     IndexSpec,
     evaluate,
+    index_kind,
     token_weights,
 )
 from .numerics import NumericsError
@@ -127,27 +128,9 @@ def _load_corpus(args):
                        min_length=args.min_length)
 
 
-def _index_kind(name: str) -> IndexKind:
-    """The --index type; an unknown name is a run-time error."""
-    try:
-        return IndexKind(name)
-    except ValueError:
-        raise CliError(
-            f"unknown index {name!r}; choose from "
-            f"{', '.join(k.value for k in IndexKind)}"
-        ) from None
-
-
 def _spec_from(args) -> IndexSpec:
-    spec = IndexSpec(
-        kind=args.index,
-        n=args.n,
-        s=args.s,
-        factor=args.factor,
-        maas_variant=getattr(args, "maas_variant", "natural_log_a"),
-    )
-    spec.validate()
-    return spec.with_defaults()
+    return IndexSpec(kind=args.index, n=args.n, s=args.s, factor=args.factor,
+                     maas_variant=args.maas_variant)
 
 
 def _parse_conditions(raw, cast=int):
@@ -210,16 +193,27 @@ _METHOD_ALIASES = {**{method: method for method in METHODS},
 
 
 def _check_outputs(args):
-    """Refuse, before a command runs, what would fail only once its output
-    is written: an output whose directory does not exist, an output that
-    is a directory, and a ``--profiles-out`` with a profile count below 1."""
-    for flag, path in (("--out", getattr(args, "out", None)),
-                       ("--icc-out", getattr(args, "icc_out", None)),
-                       ("--profiles-out", getattr(args, "profiles_out", None))):
-        if path and not Path(path).parent.is_dir():
+    """Refuse, before a command runs, what would fail or be overwritten only
+    once its outputs are written: an output whose directory does not
+    exist, an output that is a directory, two outputs that name one file
+    (an experiment's ``--out`` sidecar among them), and a
+    ``--profiles-out`` with a profile count below 1."""
+    outputs = [(flag, path) for flag, path in (
+        ("--out", getattr(args, "out", None)),
+        ("--icc-out", getattr(args, "icc_out", None)),
+        ("--profiles-out", getattr(args, "profiles_out", None))) if path]
+    for flag, path in outputs:
+        if not Path(path).parent.is_dir():
             raise CliError(f"{flag} {path}: no directory {Path(path).parent}")
-        if path and Path(path).is_dir():
+        if Path(path).is_dir():
             raise CliError(f"{flag} {path}: is a directory")
+    if hasattr(args, "icc_out"):  # an experiment: --out has a sidecar
+        outputs.insert(1, ("the sidecar of --out", f"{args.out}.meta.json"))
+    named = {}
+    for flag, path in outputs:
+        first = named.setdefault(Path(path).resolve(), flag)
+        if first != flag:
+            raise CliError(f"{flag} {path}: same file as {first}")
     if getattr(args, "profiles_out", None) and args.select < 1:
         raise CliError(f"--select: profile count must be >= 1, got {args.select}")
 
@@ -382,7 +376,8 @@ def _add_corpus_args(p):
 
 
 def _add_index_arg(p):
-    p.add_argument("--index", required=True, type=_index_kind,
+    # an unknown name is a run-time error, not argparse's usage error
+    p.add_argument("--index", required=True, type=index_kind,
                    choices=[kind.value for kind in IndexKind])
 
 
@@ -543,7 +538,7 @@ def _apply_config_file(parser, commands: dict, argv):
         elif flag.type is not None:
             try:
                 value = flag.type(value)
-            except (CliError, ValueError) as e:
+            except (IndexError_, ValueError) as e:
                 parser.error(f"{path}: {dest}: {e}")
         if flag.choices is not None and value not in flag.choices:
             parser.error(f"{path}: {dest}: invalid choice {value!r}; "

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Union
 
@@ -49,9 +49,20 @@ class IndexKind(str, enum.Enum):
 MAAS_VARIANTS = ("natural_log_a", "base10_a_squared")
 
 
+def index_kind(name) -> IndexKind:
+    """The kind of a name; an unknown name is an ``IndexError_``."""
+    try:
+        return IndexKind(name)
+    except ValueError:
+        raise IndexError_(f"unknown index {name!r}; choose from "
+                          f"{', '.join(k.value for k in IndexKind)}") from None
+
+
 @dataclass(frozen=True)
 class IndexSpec:
-    """An index kind and its parameters; the stochastic indices also take
+    """An index kind (or its name) and its parameters, complete and checked
+    when made: a parameter left out takes the kind's ``IndexDef.defaults``
+    and a bad one is an ``IndexError_``.  The stochastic indices also take
     a seed or Generator where they are scored."""
 
     kind: IndexKind
@@ -60,15 +71,11 @@ class IndexSpec:
     factor: Optional[float] = None
     maas_variant: str = "natural_log_a"
 
-    def with_defaults(self) -> "IndexSpec":
-        missing = {name: value for name, value in INDEXES[self.kind].defaults.items()
-                   if getattr(self, name) is None}
-        return replace(self, **missing) if missing else self
-
-    def validate(self, n_tokens: Optional[int] = None):
-        """Reject bad parameters and, given a text length, a text too short
-        for the spec (``min_tokens_required``).  Every scoring door calls
-        this; the kernels check nothing."""
+    def __post_init__(self):
+        object.__setattr__(self, "kind", index_kind(self.kind))
+        for name, value in INDEXES[self.kind].defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         if self.n is not None and self.n < 1:
             raise IndexError_(f"n must be >= 1, got {self.n}")
         if self.s is not None and self.s < 1:
@@ -77,19 +84,21 @@ class IndexSpec:
             raise IndexError_(f"factor must be in (0, 1), got {self.factor}")
         if self.maas_variant not in MAAS_VARIANTS:
             raise IndexError_(f"unknown maas variant {self.maas_variant!r}")
-        if n_tokens is not None:
-            need = min_tokens_required(self)
-            if n_tokens < need:
-                raise IndexError_(f"{self.label()} needs at least {need} "
-                                  f"tokens, got {n_tokens}")
+
+    def validate(self, n_tokens: int):
+        """Reject a text too short for the spec (``min_tokens_required``).
+        Every scoring door calls this; the kernels check nothing."""
+        need = min_tokens_required(self)
+        if n_tokens < need:
+            raise IndexError_(f"{self.label()} needs at least {need} "
+                              f"tokens, got {n_tokens}")
 
     def label(self) -> str:
-        spec = self.with_defaults()
         # the default Maas variant goes unnamed, so default labels stay short
-        variant = ("" if spec.maas_variant == MAAS_VARIANTS[0]
-                   else f"[{spec.maas_variant}]")
-        return INDEXES[spec.kind].label.format(
-            kind=spec.kind.value, n=spec.n, s=spec.s, factor=spec.factor,
+        variant = ("" if self.maas_variant == MAAS_VARIANTS[0]
+                   else f"[{self.maas_variant}]")
+        return INDEXES[self.kind].label.format(
+            kind=self.kind.value, n=self.n, s=self.s, factor=self.factor,
             variant=variant)
 
 
@@ -254,8 +263,8 @@ def _prev_occurrence(codes: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------- row kernels
 # Each scores every row of a matrix (codes, counts or previous occurrences)
-# under one spec and returns a list of floats.  The spec is checked and
-# every row long enough (IndexSpec.validate).
+# under one spec and returns a list of floats.  Every row is long enough
+# for the spec (IndexSpec.validate).
 
 def _type_count_scores(formula, counts: np.ndarray, length: int) -> list:
     """Score each row of a count matrix of length-token samples by its type
@@ -676,8 +685,8 @@ class IndexDef:
 
     ``rows(codes, specs, rngs)`` is the index: it scores each row of a
     matrix of small non-negative token codes under each of a list of
-    resolved specs of its kind that ``IndexSpec.validate`` passed for the
-    row length, ``rngs[j]`` driving ``specs[j]``, and returns one list of
+    specs of its kind that ``IndexSpec.validate`` passed for the row
+    length, ``rngs[j]`` driving ``specs[j]``, and returns one list of
     row scores per spec.  Work that no parameter value changes (the
     previous occurrences, MTLD's walk lists, the count matrix) is done once
     for all the specs, so a parameter sweep hands it all of a text's
@@ -685,11 +694,11 @@ class IndexDef:
     takes a list of 1-D code rows of any lengths and draws nothing, so a
     parameter sweep hands it every text at once (MTLD); every other kind
     is swept one text per call.  Every scoring path (``evaluate``,
-    ``evaluate_rows``, ``evaluate_specs``, the scalar functions) goes
-    through it.  An order-free index is its ``counts(counts, length,
-    specs)`` kernel, which scores each row of a count matrix (``counts[b,
-    t]``: occurrences of type t in row b, a sample of ``length`` tokens)
-    under each spec and returns one list of row scores per spec, as
+    ``evaluate_specs``, the scalar functions) goes through it.  An
+    order-free index is its ``counts(counts, length, specs)`` kernel,
+    which scores each row of a count matrix (``counts[b, t]``:
+    occurrences of type t in row b, a sample of ``length`` tokens) under
+    each spec and returns one list of row scores per spec, as
     ``rows`` does (HD-D finds the counts-of-counts and the presences of
     all its sample sizes at once); its ``rows`` is derived here as that
     kernel applied to the count matrix of the code rows, so random
@@ -809,7 +818,6 @@ def evaluate(text, spec: IndexSpec, rng=None):
     lets a sampling harness hand each evaluation its own derived stream.
     """
     codes = _codes_row(text)
-    spec = spec.with_defaults()
     spec.validate(codes.shape[1])
     index = INDEXES[spec.kind]
     if index.score is not None:
@@ -817,27 +825,20 @@ def evaluate(text, spec: IndexSpec, rng=None):
     return index.rows(codes, [spec], [rng])[0][0], ()
 
 
-def evaluate_rows(codes: np.ndarray, spec: IndexSpec, rng=None) -> list:
+def evaluate_specs(codes, specs, rngs) -> list:
     """Score every row of a matrix of small non-negative token codes, each
-    row one text.  The stochastic indices draw all rows' positions from
-    ``rng`` (a seed, a Generator or an object with a Generator's
-    ``integers``) in one call, rows in order, so a row
-    scores as ``evaluate`` would with the stream in the state the rows
-    before it left it
+    row one text, under each of several specs of one kind: one list of row
+    scores per spec, with the work that no parameter value changes done
+    once (``IndexDef.rows``).  A ``ragged`` kind also takes a non-empty
+    list of 1-D code rows of any lengths.  ``rngs[j]`` (a seed, a
+    Generator or an object with a Generator's ``integers``) drives
+    ``specs[j]``: a stochastic index draws all rows' positions from it in
+    one call, rows in order, so a row scores as ``evaluate`` would with
+    the stream in the state the rows before it left it
     (``tests/test_sampling.py::test_block_draw_is_the_sequential_stream``
     pins the numpy property this rests on).  A negative code would share
-    a count column or sort key with another row's code, so it is rejected.
-    """
-    return evaluate_specs(codes, [spec], [rng])[0]
-
-
-def evaluate_specs(codes, specs, rngs) -> list:
-    """Score every row of a code matrix under each of several specs of one
-    kind: one list of row scores per spec, as ``evaluate_rows(codes,
-    specs[j], rngs[j])`` gives it, but with the work that no parameter
-    value changes done once (``IndexDef.rows``).  A ``ragged`` kind also
-    takes a non-empty list of 1-D code rows of any lengths."""
-    specs = [spec.with_defaults() for spec in specs]
+    a count column or sort key with another row's code, so it is
+    rejected."""
     if len({spec.kind for spec in specs}) != 1 or len(rngs) != len(specs):
         raise IndexError_("need one or more specs of one kind, one rng each")
     index = INDEXES[specs[0].kind]
@@ -857,6 +858,5 @@ def evaluate_specs(codes, specs, rngs) -> list:
 
 def min_tokens_required(spec: IndexSpec) -> int:
     """Smallest text length the index spec can score."""
-    spec = spec.with_defaults()
     need = INDEXES[spec.kind].min_tokens
     return spec.n if need == "n" else need

@@ -29,8 +29,9 @@ These stay Monte Carlo:
 
 - HD-D under random and ordered random, and MATTR, MSTTR and MTTRSS under
   random: each exact cell is HD-D(n) of the truncation in every column, so
-  the rows are constant and the ICC's error variance is 0; how to report
-  that ICC is not decided.
+  the rows are constant and the ICC's error variance is 0.
+  ``IccResult.zero_error_variance`` says so, but the benchmark's ICC
+  reference has no bounds for such a matrix.
 - Herdan and Maas: the distribution of the type count needs a dynamic
   programme of about 5 ms per (text, m), slower than sampling below about
   1,600 iterations.
@@ -65,7 +66,6 @@ from .indices import (
     _expected_types,
     _guiraud_r,
     _ttr,
-    evaluate_rows,
     evaluate_specs,
     min_tokens_required,
 )
@@ -216,15 +216,15 @@ class _Streams:
         return np.concatenate(drawn)
 
 
-def _packed_means(cells: list, score) -> list:
-    """The mean of ``score`` over the rows of each cell.  A cell ``(draw,
-    iterations, rng)`` draws blocks of up to ``_BLOCK`` iterations, each
-    ``draw(b)`` giving a block's rows.  The blocks go to ``score(rows,
-    rng=streams)`` in cell order, whole where they fit, at most ``_BLOCK``
-    rows per call; ``streams`` (``_Streams``) draws each cell's rows from
-    its ``rng``.  A cell draws a block only once its earlier rows are
-    scored, so every stream meets the draws of a one-cell run in the same
-    order."""
+def _packed_means(cells: list, spec: IndexSpec, score) -> list:
+    """The mean score under ``spec`` over the rows of each cell.  A cell
+    ``(draw, iterations, rng)`` draws blocks of up to ``_BLOCK``
+    iterations, each ``draw(b)`` giving a block's rows.  The blocks go to
+    ``score(rows, [spec], [streams])``, in ``IndexDef.rows``'s form, in
+    cell order, whole where they fit, at most ``_BLOCK`` rows per call;
+    ``streams`` (``_Streams``) draws each cell's rows from its ``rng``.
+    A cell draws a block only once its earlier rows are scored, so every
+    stream meets the draws of a one-cell run in the same order."""
     gens = [rng for _, _, rng in cells]
     scores = [[] for _ in cells]
     queue = []  # (cell, rows) waiting to be scored
@@ -235,7 +235,8 @@ def _packed_means(cells: list, score) -> list:
         # a lone block is scored as it is, not copied
         blocks = [rows for _, rows in queue]
         out = score(blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
-                    rng=_Streams(gens, [(cell, len(rows)) for cell, rows in queue]))
+                    [spec], [_Streams(gens, [(cell, len(rows))
+                                             for cell, rows in queue])])[0]
         first = 0
         for cell, rows in queue:
             scores[cell].extend(out[first:first + len(rows)])
@@ -268,31 +269,30 @@ def _fixed_rows(rows, b):
     return rows
 
 
-def _fixed_column(rows, seeds, key, score) -> list:
+def _fixed_column(rows, seeds, key, spec) -> list:
     """Each text's cell that draws nothing: its ``rows`` scored once, with
     the stream under ``key`` for the kernel."""
     cells = [(partial(_fixed_rows, r), 1, seed(*key))
              for r, seed in zip(rows, seeds)]
-    return _packed_means(cells, score)
+    return _packed_means(cells, spec, evaluate_specs)
 
 
-def _drawn_column(arrs, seeds, key, iterations, draw, score) -> list:
+def _drawn_column(arrs, seeds, key, iterations, draw, spec, score) -> list:
     """Each text's Monte Carlo cell under ``key``: ``draw(rng, arr, b)``
     gives b iterations' rows from the cell's stream."""
     cells = []
     for arr, seed in zip(arrs, seeds):
         rng = np.random.default_rng(seed(*key))
         cells.append((partial(draw, rng, arr), iterations, rng))
-    return _packed_means(cells, score)
+    return _packed_means(cells, spec, score)
 
 
 def _parallel_columns(arrs, conditions, iterations, spec, seeds) -> list:
-    score = partial(evaluate_rows, spec=spec)
     columns = []
     for d in conditions:
         seg_len = len(arrs[0]) // d
         segments = [arr[:d * seg_len].reshape(d, seg_len) for arr in arrs]
-        columns.append(_fixed_column(segments, seeds, ("parallel", d), score))
+        columns.append(_fixed_column(segments, seeds, ("parallel", d), spec))
     return columns
 
 
@@ -496,13 +496,12 @@ def _random_columns(arrs, conditions, iterations, spec, seeds,
         exact = dict(zip(sampled, _ordered_window_cells(arrs, sampled,
                                                          spec.n)))
     counts = INDEXES[spec.kind].counts
-    score = partial(evaluate_rows, spec=spec)
     columns = []
     for m in conditions:
         if m == big_l:
             # full extract: a single deterministic score, no permutation
             columns.append(_fixed_column([arr[None] for arr in arrs], seeds,
-                                         ("random", m, "full"), score))
+                                         ("random", m, "full"), spec))
         elif m in exact:
             columns.append(exact[m])
         elif counts is None:
@@ -510,7 +509,7 @@ def _random_columns(arrs, conditions, iterations, spec, seeds,
             # random
             columns.append(_drawn_column(
                 arrs, seeds, ("random", m), iterations,
-                partial(_random_draw, m, ordered), score))
+                partial(_random_draw, m, ordered), spec, evaluate_specs))
         else:
             # layout 2: an order-free score reads only the sample's type
             # counts.  Every text gets as many count columns as the one
@@ -520,8 +519,8 @@ def _random_columns(arrs, conditions, iterations, spec, seeds,
             populations = [np.bincount(arr, minlength=width) for arr in arrs]
             columns.append(_drawn_column(
                 populations, seeds, ("random", m), iterations,
-                partial(_count_draw, m),
-                lambda rows, rng, m=m: counts(rows, m, [spec])[0]))
+                partial(_count_draw, m), spec,
+                lambda rows, specs, rngs, m=m: counts(rows, m, specs)))
     return columns
 
 
@@ -576,20 +575,19 @@ def _dealt_draw(k, n_snippets, rng, arr, b):
 
 
 def _alternating_columns(arrs, conditions, iterations, spec, seeds) -> list:
-    score = partial(evaluate_rows, spec=spec)
     columns = []
     for k in conditions:
         sample_len = len(arrs[0]) // k
         if k == 1:
             columns.append(_fixed_column([arr[None] for arr in arrs], seeds,
-                                         ("alternating", k, "full"), score))
+                                         ("alternating", k, "full"), spec))
         elif spec.kind in _ALTERNATING_EXACT:
             columns.append([_alternating_exact(arr, k, sample_len, spec)
                             for arr in arrs])
         else:
             columns.append(_drawn_column(
                 arrs, seeds, ("alternating", k), iterations,
-                partial(_dealt_draw, k, sample_len), score))
+                partial(_dealt_draw, k, sample_len), spec, evaluate_specs))
     return columns
 
 
@@ -630,13 +628,12 @@ METHODS = {
 
 def _check(texts, method: str, truncate_to: int, conditions,
            iterations: int, spec: IndexSpec) -> None:
-    """Refuse, once for a run, iterations below 1, a bad spec, and a
-    condition below 1 or whose samples are longer than the truncation or
-    shorter than the index minimum; then refuse a text shorter than the
-    truncation, naming it.  ``spec`` has its defaults."""
+    """Refuse, once for a run, iterations below 1 and a condition below 1
+    or whose samples are longer than the truncation or shorter than the
+    index minimum; then refuse a text shorter than the truncation, naming
+    it."""
     if iterations < 1:
         raise SamplingError(f"iterations must be >= 1, got {iterations}")
-    spec.validate()
     needed = min_tokens_required(spec)
     for c in conditions:
         if c < 1:
@@ -676,7 +673,6 @@ def _row(text, method: str, truncate_to: int, conditions, iterations: int,
     """One text's score under each condition of a method.  Every condition
     must be >= 1 and give samples between the index minimum and the
     truncation in length."""
-    spec = spec.with_defaults()
     _check([text], method, truncate_to, conditions, iterations, spec)
     return _score_texts([text], method, truncate_to, conditions, iterations,
                         master_seed, spec)[0].tolist()
@@ -716,12 +712,11 @@ def run_method(
     corpus: Corpus, config: SamplingConfig, spec: IndexSpec, threads: int = 1
 ) -> ScoreMatrix:
     """Apply one evaluation method to every text: rows = texts, columns =
-    conditions.  Every text and condition is checked before any is scored (a
-    bad spec raises its ``IndexError_``); ``threads > 1`` scores contiguous
-    runs of texts in worker processes, each packed as one corpus would be."""
+    conditions.  Every text and condition is checked before any is scored;
+    ``threads > 1`` scores contiguous runs of texts in worker processes,
+    each packed as one corpus would be."""
     if threads < 1:
         raise SamplingError(f"threads must be >= 1, got {threads}")
-    spec = spec.with_defaults()
     _check(corpus, config.method, config.truncate_to, config.conditions,
            config.iterations, spec)
     score = partial(_score_texts, method=config.method,
@@ -785,8 +780,6 @@ def parameter_sweep(
 
     specs = [IndexSpec(kind, s=s, **{index.sweep: index.sweep_type(p)})
              for p in param_values]
-    for spec in specs:
-        spec.validate()
     needed = [min_tokens_required(spec) for spec in specs]
     too_big = [p for p, need in zip(param_values, needed)
                if need > corpus.min_text_length]

@@ -20,6 +20,12 @@ ICC_MODES = ("agreement", "consistency")
 
 @dataclass(frozen=True)
 class IccResult:
+    """An ICC(2,1) and its F-based bounds.  ``zero_error_variance`` is
+    ``ms_error == 0``: rows and columns explain every cell, as when each
+    row is constant.  Bounds of [1, 1] are then the limit of the F-based
+    interval as the error variance goes to 0, not an interval computed
+    from an F quantile."""
+
     mode: str
     estimate: float
     ci_low: float
@@ -29,6 +35,7 @@ class IccResult:
     ms_error: float
     n_rows: int
     n_cols: int
+    zero_error_variance: bool
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,7 @@ def icc_2_1(matrix, mode: str = "agreement", alpha: float = 0.05) -> IccResult:
         mode=mode, estimate=float(estimate),
         ci_low=float(min(low, estimate)), ci_high=float(max(high, estimate)),
         ms_rows=float(msr), ms_cols=float(msc), ms_error=float(mse),
-        n_rows=n, n_cols=k,
+        n_rows=n, n_cols=k, zero_error_variance=bool(mse == 0.0),
     )
 
 

@@ -3,11 +3,13 @@ These tests read its sources without running them and check that every
 name it takes from the package still exists, so a refactor that renames
 or moves one fails here rather than in a benchmark run.  They also check
 that the library calls the harness times hold all of a command's
-scoring."""
+scoring, and run the benchmark's own self-test."""
 
 import ast
 import functools
 import importlib
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +47,16 @@ def test_perfbench_lexdiv_names_resolve(path):
         module = importlib.import_module(module_name)
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, f"{path.name}: {module_name} lacks {missing}"
+
+
+def test_benchmark_selftest_passes():
+    """``perfbench/selftest.py`` runs every workload at a tiny size and
+    feeds each check a perturbed matrix; a change that breaks the
+    benchmark or its checks fails here."""
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=PERFBENCH.parent, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
 
 
 def test_cli_has_the_functions_launch_wraps():

@@ -504,6 +504,35 @@ def test_missing_output_directory_refused_before_scoring(
                       if p.parent != corpus_dir) == ["adir", "texts"]
 
 
+@pytest.mark.parametrize("command", EXPERIMENTS, ids=lambda c: c[0])
+@pytest.mark.parametrize("flag, name, first", [
+    ("--icc-out", "scores.csv", "--out"),
+    ("--profiles-out", "scores.csv", "--out"),
+    ("--profiles-out", "icc.json", "--icc-out"),
+    ("--icc-out", "scores.csv.meta.json", "the sidecar of --out"),
+    ("--profiles-out", "scores.csv.meta.json", "the sidecar of --out"),
+])
+def test_outputs_naming_one_file_refused_before_scoring(
+        corpus_dir, tmp_path, capsys, monkeypatch, command, flag, name,
+        first):
+    """Two outputs of one command that resolve to the same file, the
+    scores' sidecar included, are refused with both flags before any
+    scoring: otherwise the later write replaces the earlier."""
+    refuse_library_calls(monkeypatch)
+    (tmp_path / "adir").mkdir()
+    same = tmp_path / "adir" / ".." / name
+    paths = {"--out": tmp_path / "scores.csv",
+             "--icc-out": tmp_path / "icc.json",
+             "--profiles-out": tmp_path / "profiles.csv", flag: same}
+    argv = [*command, "--corpus", str(corpus_dir)]
+    for option, path in paths.items():
+        argv += [option, str(path)]
+    rc = main(argv)
+    assert_one_line_error(rc, capsys, f"{flag} {same}: same file as {first}")
+    assert sorted(p.name for p in tmp_path.rglob("*")
+                  if p.parent != corpus_dir) == ["adir", "texts"]
+
+
 # ------------------------------------------------------- evaluate-parameter
 
 def test_evaluate_parameter_and_stats(corpus_dir, tmp_path, scores_csv, capsys):

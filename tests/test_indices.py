@@ -5,6 +5,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from lexdiv.indices import (
     _encode,
     _prev_occurrence,
     evaluate,
-    evaluate_rows,
     evaluate_specs,
     gini_simpson,
     guiraud_r,
@@ -196,6 +196,22 @@ def test_presences_match_scalar_reference_exhaustively():
         sizes = (42, 64, 65, 420)
         assert (presences(big_n, sizes, freqs).tolist()
                 == [scalar_presences(big_n, n, freqs) for n in sizes])
+
+
+def test_presences_ignore_the_prefix_budget(monkeypatch):
+    """A block of rows at a time is multiplied, as many as fit
+    ``_PREFIX_CELLS`` prefix products: one row per block, a few rows, or
+    the default give the same bits, on both branches (f <= max(64, n) and
+    a larger f <= N - n)."""
+    grids = [(300, [0, 1, 42, 64, 120, 299, 300]),
+             (5800, [0, 1, 42, 64, 65, 420, 2900, 5757])]
+    want = [presences(big_n, sizes, np.arange(1, big_n + 1)).tobytes()
+            for big_n, sizes in grids]
+    for budget in (1, 3 * 5800, indices_mod._PREFIX_CELLS):
+        monkeypatch.setattr(indices_mod, "_PREFIX_CELLS", budget)
+        got = [presences(big_n, sizes, np.arange(1, big_n + 1)).tobytes()
+               for big_n, sizes in grids]
+        assert got == want, budget
 
 
 def test_presences_domain():
@@ -390,9 +406,9 @@ def test_stochastic_indices_match_segment_loops(toks, data):
     for kind, loop in loops.items():
         rng = np.random.default_rng(seed)
         want = [loop(list(row), n, s, rng) for row in (codes, codes[::-1])]
-        got = evaluate_rows(np.stack([codes, codes[::-1]]),
-                            IndexSpec(kind, n=n, s=s),
-                            rng=np.random.default_rng(seed))
+        got = evaluate_specs(np.stack([codes, codes[::-1]]),
+                             [IndexSpec(kind, n=n, s=s)],
+                             [np.random.default_rng(seed)])[0]
         assert got == want, kind
 
 
@@ -477,10 +493,10 @@ def test_mtld_rows_match_per_row_evaluate(rows, cols, alphabet, factor, data):
         min_size=rows, max_size=rows)))
     spec = IndexSpec(IndexKind.MTLD, factor=factor)
     want = [evaluate(row, spec)[0] for row in codes]
-    assert evaluate_rows(codes, spec) == want
+    assert evaluate_specs(codes, [spec], [None]) == [want]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(indices_mod, "_LOCKSTEP_LANES", 0)
-        assert evaluate_rows(codes, spec) == want
+        assert evaluate_specs(codes, [spec], [None]) == [want]
 
 
 @pytest.mark.parametrize("lanes", [indices_mod._LOCKSTEP_LANES, 0],
@@ -653,7 +669,7 @@ def test_evaluate_rows_rejects_negative_codes(kind):
     # another row's types
     codes = np.array([[0, 1, 2, 1], [-1, 0, 0, 1]])
     with pytest.raises(IndexError_, match="non-negative"):
-        evaluate_rows(codes, IndexSpec(kind, n=2, s=1), rng=0)
+        evaluate_specs(codes, [IndexSpec(kind, n=2, s=1)], [0])
 
 
 # ----------------------------------------------------------------- evaluate
@@ -685,25 +701,38 @@ def test_evaluate_stochastic_uses_seed(reference):
 
 
 def test_spec_defaults_and_labels():
-    spec = IndexSpec(kind=IndexKind.HDD).with_defaults()
-    assert spec.n == 42
-    spec = IndexSpec(kind=IndexKind.MATTR).with_defaults()
-    assert spec.n == 50
-    spec = IndexSpec(kind=IndexKind.MTLD).with_defaults()
-    assert spec.factor == 0.72
-    spec = IndexSpec(kind=IndexKind.MTTRSS).with_defaults()
+    """A spec is complete when made: a kind given by name becomes its
+    IndexKind, and a parameter left out takes the kind's default."""
+    for kind, index in INDEXES.items():
+        assert IndexSpec(kind) == IndexSpec(kind, **index.defaults)
+        assert IndexSpec(kind.value).kind is kind
+    assert IndexSpec(kind=IndexKind.HDD).n == 42
+    assert IndexSpec(kind=IndexKind.MATTR).n == 50
+    assert IndexSpec(kind=IndexKind.MTLD).factor == 0.72
+    spec = IndexSpec(kind=IndexKind.MTTRSS)
     assert (spec.n, spec.s) == (50, 10)
     assert spec.label() == "mttrss[n=50,s=10]"
+    assert IndexSpec("hdd").label() == "hdd[n=42]"
     assert IndexSpec(kind=IndexKind.TTR).label() == "ttr"
 
 
 def test_spec_validation():
-    with pytest.raises(IndexError_):
-        IndexSpec(kind=IndexKind.HDD, n=0).validate()
-    with pytest.raises(IndexError_):
-        IndexSpec(kind=IndexKind.MTLD, factor=1.2).validate()
-    with pytest.raises(IndexError_):
-        IndexSpec(kind=IndexKind.MAAS_A, maas_variant="nope").validate()
+    """A bad kind or parameter is refused when the spec is made, so no
+    spec that exists is bad."""
+    kinds = ", ".join(kind.value for kind in IndexKind)
+    for params, message in (
+            ({"kind": "nope"}, f"unknown index 'nope'; choose from {kinds}"),
+            ({"kind": IndexKind.HDD, "n": 0}, "n must be >= 1, got 0"),
+            ({"kind": IndexKind.MTTRSS, "s": -2}, "s must be >= 1, got -2"),
+            ({"kind": IndexKind.MTLD, "factor": 1.2},
+             "factor must be in (0, 1), got 1.2"),
+            ({"kind": IndexKind.MAAS_A, "maas_variant": "nope"},
+             "unknown maas variant 'nope'")):
+        with pytest.raises(IndexError_) as excinfo:
+            IndexSpec(**params)
+        assert str(excinfo.value) == message
+    with pytest.raises(IndexError_, match="n must be >= 1, got 0"):
+        replace(IndexSpec(IndexKind.MATTR), n=0)
 
 
 SCALAR_FUNCTIONS = {
@@ -722,28 +751,32 @@ SCALAR_FUNCTIONS = {
 
 @pytest.mark.parametrize("kind", list(IndexKind))
 def test_every_door_rejects_bad_input(kind):
-    """A row shorter than the spec's minimum, and each bad parameter the
-    kind takes, raise IndexError_ through the scalar function, evaluate,
-    evaluate_rows and evaluate_specs (after a good spec) alike."""
-    spec = IndexSpec(kind).with_defaults()
+    """A row shorter than the spec's minimum raises IndexError_ through the
+    scalar function, evaluate and evaluate_specs (after a good spec)
+    alike; each bad parameter the kind takes raises it where the spec is
+    made, by the caller or by the scalar function."""
+    spec = IndexSpec(kind)
     text = [f"w{i % 7}" for i in range(60)]
-    cases = [(spec, text[:min_tokens_required(spec) - 1], "needs at least")]
-    bad = {"n": 0, "s": 0, "factor": 1.0}
-    cases += [(replace(spec, **{name: bad[name]}), text, f"{name} must")
-              for name in INDEXES[kind].defaults]
-    if kind == IndexKind.MAAS_A:
-        cases.append((replace(spec, maas_variant="nope"), text, "variant"))
     routes = (
         SCALAR_FUNCTIONS[kind],
         lambda toks, spec: evaluate(toks, spec, rng=0),
-        lambda toks, spec: evaluate_rows(_encode(toks)[None], spec, rng=0),
         lambda toks, spec: evaluate_specs(_encode(toks)[None],
                                           [IndexSpec(kind), spec], [0, 0]),
     )
-    for bad_spec, toks, message in cases:
-        for route in routes:
-            with pytest.raises(IndexError_, match=message):
-                route(toks, bad_spec)
+    for route in routes:
+        with pytest.raises(IndexError_, match="needs at least"):
+            route(text[:min_tokens_required(spec) - 1], spec)
+    bad = {"n": 0, "s": 0, "factor": 1.0}
+    cases = [({name: bad[name]}, f"{name} must")
+             for name in INDEXES[kind].defaults]
+    if kind == IndexKind.MAAS_A:
+        cases.append(({"maas_variant": "nope"}, "variant"))
+    for params, message in cases:
+        with pytest.raises(IndexError_, match=message):
+            IndexSpec(kind, **params)
+        with pytest.raises(IndexError_, match=message):
+            SCALAR_FUNCTIONS[kind](text, SimpleNamespace(**{**vars(spec),
+                                                            **params}))
 
 
 def test_evaluate_specs_needs_one_kind_and_one_rng_per_spec():
@@ -785,7 +818,7 @@ def test_global_kinds_are_global(reference):
     rng = np.random.default_rng(4)
     rng.shuffle(toks)
     for kind in GLOBAL_KINDS:
-        spec = IndexSpec(kind=kind).with_defaults()
+        spec = IndexSpec(kind=kind)
         a, _ = evaluate(reference.tokens, spec)
         b, _ = evaluate(toks, spec)
         assert a == pytest.approx(b, abs=1e-12), kind

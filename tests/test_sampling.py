@@ -6,6 +6,7 @@ import math
 import re
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from lexdiv.indices import (
     IndexSpec,
     _encode,
     evaluate,
-    evaluate_rows,
+    evaluate_specs,
     hdd,
     mattr,
 )
@@ -56,16 +57,16 @@ MTLD_SPEC = IndexSpec(kind=IndexKind.MTLD)
 
 
 def capture_samples(monkeypatch):
-    """Record every token sample handed to the scorer, `evaluate_rows`,
+    """Record every token sample handed to the scorer, `evaluate_specs`,
     one row of each block at a time."""
     seen = []
-    original = sampling_mod.evaluate_rows
+    original = sampling_mod.evaluate_specs
 
-    def spy(samples, spec, rng=None):
+    def spy(samples, specs, rngs):
         seen.extend(np.array(sample) for sample in samples)
-        return original(samples, spec, rng)
+        return original(samples, specs, rngs)
 
-    monkeypatch.setattr(sampling_mod, "evaluate_rows", spy)
+    monkeypatch.setattr(sampling_mod, "evaluate_specs", spy)
     return seen
 
 
@@ -426,10 +427,10 @@ def test_run_method_error_names_text(small_corpus):
 
 def spy_on_kernels(monkeypatch) -> list:
     """The names of the kernels called: full extracts and drawn cells
-    (``evaluate_rows``), exact random cells (``_expected_types``) and
+    (``evaluate_specs``), exact random cells (``_expected_types``) and
     exact alternating cells (``_window_types``)."""
     calls = []
-    for name in ("evaluate_rows", "_expected_types", "_window_types"):
+    for name in ("evaluate_specs", "_expected_types", "_window_types"):
         def spy(*args, _name=name, _original=getattr(sampling_mod, name),
                 **kwargs):
             calls.append(_name)
@@ -455,24 +456,26 @@ def test_run_method_refuses_short_last_text_before_scoring(
 
 
 @pytest.mark.parametrize("method, conditions, spec, error, message", [
-    ("random", (280, -5), MATTR_SPEC, SamplingError,
-     "condition -5 must be >= 1"),
-    ("alternating", (1, 0), MATTR_SPEC, SamplingError,
-     "condition 0 must be >= 1"),
-    ("ordered_random", (280, 20), MATTR_SPEC, SamplingError,
+    ("random", (280, -5), partial(IndexSpec, IndexKind.MATTR, n=25),
+     SamplingError, "condition -5 must be >= 1"),
+    ("alternating", (1, 0), partial(IndexSpec, IndexKind.MATTR, n=25),
+     SamplingError, "condition 0 must be >= 1"),
+    ("ordered_random", (280, 20), partial(IndexSpec, IndexKind.MATTR, n=25),
+     SamplingError,
      "condition 20: sample length 20 below the mattr minimum of 25"),
-    ("random", (280, 140), IndexSpec(IndexKind.MATTR, n=0), IndexError_,
-     "n must be >= 1, got 0"),
+    ("random", (280, 140), partial(IndexSpec, IndexKind.MATTR, n=0),
+     IndexError_, "n must be >= 1, got 0"),
 ])
 def test_run_method_refuses_bad_run_without_naming_a_text(
         small_corpus, monkeypatch, method, conditions, spec, error, message):
     """A bad condition or spec is the run's fault, not a text's: it is
-    refused once, naming no text, before any kernel call; a bad spec
-    raises the ``IndexError_`` of its own check."""
+    refused once, naming no text, before any kernel call.  ``spec``
+    builds the run's spec, so a bad one raises the ``IndexError_`` of
+    its own check when it is made, before the run can start."""
     calls = spy_on_kernels(monkeypatch)
     with pytest.raises(error) as excinfo:
         run_method(small_corpus, small_config(method, conditions=conditions),
-                   spec)
+                   spec())
     assert str(excinfo.value) == message
     assert calls == []
 
@@ -514,11 +517,11 @@ def test_no_kernel_call_takes_more_than_a_block(small_corpus, monkeypatch):
     parallel segments all reach the kernel at most ``_BLOCK`` rows at a
     time, whole blocks where they fit."""
     sizes = []
-    original = sampling_mod.evaluate_rows
+    original = sampling_mod.evaluate_specs
 
-    def spy(codes, spec, rng=None):
+    def spy(codes, specs, rngs):
         sizes.append(len(codes))
-        return original(codes, spec, rng)
+        return original(codes, specs, rngs)
 
     herdan = INDEXES[IndexKind.HERDAN_C]
 
@@ -526,7 +529,7 @@ def test_no_kernel_call_takes_more_than_a_block(small_corpus, monkeypatch):
         sizes.append(len(counts))
         return herdan.counts(counts, length, specs)
 
-    monkeypatch.setattr(sampling_mod, "evaluate_rows", spy)
+    monkeypatch.setattr(sampling_mod, "evaluate_specs", spy)
     monkeypatch.setitem(indices_mod.INDEXES, IndexKind.HERDAN_C,
                         replace(herdan, counts=counts_spy))
     monkeypatch.setattr(sampling_mod, "_BLOCK", 7)
@@ -759,7 +762,6 @@ def test_counts_kernel_matches_row_scoring(data):
         min_size=1, max_size=4), label="rows")
     counts = np.array([np.bincount(row, minlength=n_types) for row in rows])
     for spec in ORDER_FREE_SPECS:
-        spec = spec.with_defaults()
         got = INDEXES[spec.kind].counts(counts, length, [spec])[0]
         want = [evaluate(np.random.default_rng(i).permutation(row), spec)[0]
                 for i, row in enumerate(np.array(rows))]
@@ -833,7 +835,8 @@ def test_exact_cells_match_enumeration(tokens):
                for m in range(1, size)}
     for m, samples in subsets.items():
         for n in sorted({1, 2, m} & set(range(1, m + 1))):
-            rows = evaluate_rows(samples, IndexSpec(IndexKind.MATTR, n=n))
+            rows, = evaluate_specs(samples, [IndexSpec(IndexKind.MATTR, n=n)],
+                                   [None])
             want = math.fsum(rows) / len(rows)
             for kind in (IndexKind.MATTR, IndexKind.MTTRSS):
                 assert kind in EXACT_KINDS["ordered_random"]
@@ -1076,7 +1079,8 @@ def test_parameter_sweep_matches_per_value_scoring(kind, texts, data):
         for j, p in enumerate(values):
             spec = IndexSpec(kind, s=3, **{index.sweep: p})
             seed = stream_seed(3, text.id, "sweep", str(p))
-            want = evaluate_rows(_encode(text.tokens)[None], spec, seed)[0]
+            want = evaluate_specs(_encode(text.tokens)[None], [spec],
+                                  [seed])[0][0]
             assert matrix.values[i, j] == want
 
 

@@ -87,6 +87,19 @@ def test_icc_perfect_agreement():
     assert res.ci_low == res.ci_high == 1.0
 
 
+@pytest.mark.parametrize("mode", ["agreement", "consistency"])
+def test_icc_says_when_error_variance_is_zero(mode):
+    """Constant rows leave no error variance, and the result says so next
+    to its [1, 1] bounds; a noisy matrix has error variance."""
+    constant_rows = np.tile(np.linspace(0.2, 0.9, 6)[:, None], (1, 3))
+    res = icc_2_1(constant_rows, mode=mode)
+    assert res.zero_error_variance is True
+    assert (res.ms_error, res.ci_low, res.ci_high) == (0.0, 1.0, 1.0)
+    res = icc_2_1(FIXTURE, mode=mode)
+    assert res.zero_error_variance is False and res.ms_error > 0.0
+    assert res.ci_low < res.ci_high
+
+
 def test_icc_errors():
     with pytest.raises(StatsError, match="mode"):
         icc_2_1(FIXTURE, mode="absolute")
