@@ -76,10 +76,15 @@ class IndexSpec:
         for name, value in INDEXES[self.kind].defaults.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
-        if self.n is not None and self.n < 1:
-            raise IndexError_(f"n must be >= 1, got {self.n}")
-        if self.s is not None and self.s < 1:
-            raise IndexError_(f"s must be >= 1, got {self.s}")
+        for name in ("n", "s"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            # a bool is an int to Python, but no length
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise IndexError_(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise IndexError_(f"{name} must be >= 1, got {value}")
         if self.factor is not None and not (0.0 < self.factor < 1.0):
             raise IndexError_(f"factor must be in (0, 1), got {self.factor}")
         if self.maas_variant not in MAAS_VARIANTS:
@@ -304,12 +309,13 @@ def _mattr_rows(prev: np.ndarray, n: int) -> list:
     """MATTR of each row of previous occurrences, counting types per window
     exactly: position i is the first occurrence of its type in the windows
     starting from max(i-n+1, prev[i]+1) to min(i, N-n) (Covington & McFall
-    2010)."""
+    2010).  That is min(n, gap) windows, gap = i - prev[i], less min(gap,
+    d) for the d-th of the last n-1 positions, whose later windows would
+    run off the end."""
     big_n = prev.shape[1]
-    pos = np.arange(big_n)
-    first = np.maximum(pos - n + 1, prev + 1)
-    last = np.minimum(pos, big_n - n)
-    total = np.maximum(last - first + 1, 0).sum(axis=1)
+    gap = np.arange(big_n) - prev
+    total = np.minimum(gap, n).sum(axis=1)
+    total -= np.minimum(gap[:, big_n - n + 1:], np.arange(1, n)).sum(axis=1)
     return (total / (n * (big_n - n + 1))).tolist()
 
 
@@ -801,7 +807,7 @@ def token_weights(kind: IndexKind, n_tokens: int, n: Optional[int] = None):
     selection probabilities; MSTTR is a 0/1 mask for the complete segments;
     TTR is uniform.
     """
-    kind = IndexKind(kind)
+    kind = index_kind(kind)
     index = INDEXES[kind]
     if index.weights is None:
         raise IndexError_(f"no weight definition for {kind.value}")

@@ -12,9 +12,11 @@ How a cell turns its stream into samples is the stream layout, recorded as
 ``parameter_sweep``.  README's "Sampling methods" describes it and tells
 how each layout differs from the one before; the current one is
 
-- Layout 7: as layout 6, with every sampled ordered-random MATTR and
-  MTTRSS cell its exact mean (``_ordered_window_cells``), which draws
-  nothing.
+- Layout 8: as layout 7, with every exact alternating cell summed per
+  type over runs of windows that hold the same snippets of the type
+  (``_alternating_types``), which moves those cells by a few ulp, and
+  every sampled alternating MTTRSS cell its exact mean, which is
+  alternating MATTR's and draws nothing.
 
 Scoring is packed across texts, and changes no byte: ``run_method``
 scores one condition at a time, and the blocks of every text's cell go to
@@ -35,9 +37,9 @@ These stay Monte Carlo:
 - Herdan and Maas: the distribution of the type count needs a dynamic
   programme of about 5 ms per (text, m), slower than sampling below about
   1,600 iterations.
-- HD-D under alternating (a Poisson-binomial programme per type), MTLD,
-  MTTRSS and MTTRRS under alternating, and MSTTR, MTLD and MTTRRS under
-  ordered random: no cheap closed form.  MTTRRS under random has one, but
+- HD-D under alternating (a Poisson-binomial programme per type), MTLD
+  and MTTRRS under alternating, and MSTTR, MTLD and MTTRRS under ordered
+  random: no cheap closed form.  MTTRRS under random has one, but
   it sums a hypergeometric over every count of every type.  Ordered
   MSTTR's segments sit at fixed ranks, so a pair table like ordered
   MATTR's would also need the rank of each pair's first point.
@@ -67,13 +69,14 @@ from .indices import (
     _guiraud_r,
     _ttr,
     evaluate_specs,
+    index_kind,
     min_tokens_required,
 )
 
 DEFAULT_ITERATIONS = 10_000
 
 # The layout of the sampling streams (see the module docstring).
-STREAM_LAYOUT = 7
+STREAM_LAYOUT = 8
 
 # Samples per draw; bounds the draw's memory to about this many rows of L.
 # Part of the stream layout: layout 2's count draws depend on the block
@@ -303,10 +306,10 @@ _LINEAR = {IndexKind.TTR: _ttr, IndexKind.GUIRAUD_R: _guiraud_r}
 
 # The kinds whose sampled cells hold their exact mean (layout 5).
 _RANDOM_EXACT = frozenset(_LINEAR)
-_ALTERNATING_EXACT = _RANDOM_EXACT | {IndexKind.MATTR, IndexKind.MSTTR}
-# Ordered MTTRSS draws its starts uniformly from [0, m - n], so its mean
-# is ordered MATTR's (layout 7).
+# MTTRSS draws its starts uniformly from [0, m - n], so its mean is
+# MATTR's, under ordered random (layout 7) and alternating (layout 8).
 _ORDERED_WINDOWS = frozenset({IndexKind.MATTR, IndexKind.MTTRSS})
+_ALTERNATING_EXACT = _RANDOM_EXACT | _ORDERED_WINDOWS | {IndexKind.MSTTR}
 
 
 def _random_draw(m, ordered, rng, arr, b):
@@ -524,44 +527,64 @@ def _random_columns(arrs, conditions, iterations, spec, seeds,
     return columns
 
 
-def _window_types(snippets: np.ndarray, n: int, step: int) -> list:
-    """The expected type count of each window of n consecutive snippets,
-    one window starting every ``step`` snippets, of a sample that takes one
-    uniform token from each snippet (row of k tokens) independently.  Type
-    t is absent from a window with probability prod_s (1 - C[t, s]/k), C[t,
-    s] counting t in snippet s.  A type held by one snippet adds C[t, s]/k
-    to each window holding it.  For the others the product is exp of a
-    difference of cumulative log1p sums, or 0 when the window holds a
-    snippet of t alone."""
-    n_snip, k = snippets.shape
-    counts = _count_matrix(snippets).T
-    single = np.count_nonzero(counts, axis=1) == 1
-    starts = np.arange(0, n_snip - n + 1, step)
-    cum_single = np.zeros(n_snip + 1, dtype=np.int64)
-    np.cumsum(counts[single].sum(axis=0), out=cum_single[1:])
-    types = (cum_single[starts + n] - cum_single[starts]) / k
-    counts = counts[~single]
-    log_share = np.append(np.log1p(-np.arange(k) / k), 0.0)
-    cum_logs = np.zeros((len(counts), n_snip + 1))
-    np.cumsum(log_share[counts], axis=1, out=cum_logs[:, 1:])
-    cum_alone = np.zeros(cum_logs.shape, dtype=np.int64)
-    np.cumsum(counts == k, axis=1, out=cum_alone[:, 1:])
-    absent = np.exp(cum_logs[:, starts + n] - cum_logs[:, starts])
-    absent[cum_alone[:, starts + n] > cum_alone[:, starts]] = 0.0
-    return (types + (1.0 - absent).sum(axis=0)).tolist()
-
-
-def _alternating_exact(arr, k: int, sample_len: int, spec) -> float:
-    """The exact alternating cell: the expected type count of the whole
-    sample (TTR, Guiraud), its sliding windows (MATTR) or its complete
-    disjoint segments (MSTTR)."""
-    snippets = arr[:sample_len * k].reshape(sample_len, k)
-    n = sample_len if spec.kind in _LINEAR else spec.n
-    step = n if spec.kind is IndexKind.MSTTR else 1
-    types = _window_types(snippets, n, step)
-    if spec.kind in _LINEAR:
-        return _LINEAR[spec.kind](types[0], n)
-    return math.fsum(types) / (n * len(types))
+def _alternating_types(arrs, k: int, n: int, step: int) -> list:
+    """The expected type count of each text's alternating sample, which
+    takes one uniform token from each k-token snippet independently,
+    summed over its windows of n consecutive snippets, one starting every
+    ``step`` snippets.  A window misses type t with probability prod (1 -
+    C[t, s]/k) over the snippets s of t in it, C[t, s] counting t in s.
+    Snippet s lies in the contiguous range of windows from ceil((s - n +
+    1)/step) to floor(s/step), so as the window slides, t's snippets in it
+    change only where a window edge crosses one of them.  Each type's
+    windows thus fall into runs, each holding a contiguous range of the
+    type's (type, snippet) cells, and a text's total is the sum over its
+    runs of (run length) x (1 - product), the product's log a segmented
+    sum (``reduceat``) of log1p(-C/k) over the run's cells: -inf, and a
+    term of exactly 1, where a snippet holds t alone.  Texts go to a pass
+    together while their tokens fit ``_PAIR_BUDGET``.  A text's total is a
+    segmented sum of its own runs' terms, in (type, window) order, so it
+    does not depend on the texts around it."""
+    n_snip = len(arrs[0]) // k
+    windows = (n_snip - n) // step + 1
+    used = ((windows - 1) * step + n) * k  # the tokens some window holds
+    with np.errstate(divide="ignore"):
+        log_share = np.log1p(-np.arange(k + 1) / k)
+    totals = []
+    per_pass = max(1, _PAIR_BUDGET // len(arrs[0]))
+    for start in range(0, len(arrs), per_pass):
+        codes = np.stack([arr[:used] for arr in arrs[start:start + per_pass]])
+        rows, width = len(codes), int(codes.max()) + 1
+        span = 2 * (windows + 1)  # the bound keys of one (row, type)
+        # int32 keys where they fit, which halves the time of the sorts
+        big = rows * width * max(span, n_snip) >= 2**31
+        dtype = np.int64 if big else np.int32
+        groups = codes.astype(dtype)  # (row, type)
+        groups += np.arange(0, rows * width, width, dtype=dtype)[:, None]
+        groups *= n_snip
+        groups += np.arange(used, dtype=dtype) // k
+        cells, counts = np.unique(groups, return_counts=True)
+        group, snippet = np.divmod(cells, n_snip)
+        # each cell enters its first window and leaves after its last; a
+        # run starts at each bound and holds the cells entered and not yet
+        # left, a flag bit putting leaves before enters at a tie
+        group *= span
+        first = np.maximum(-((n - 1 - snippet) // step), 0)
+        last = np.minimum(snippet // step, windows - 1)
+        bounds = np.concatenate([group + 2 * first + 1, group + 2 * last + 2])
+        bounds.sort()
+        entered = np.cumsum(bounds & 1)
+        left = np.arange(1, len(bounds) + 1) - entered
+        bounds >>= 1
+        length = np.diff(bounds)
+        run = np.flatnonzero((length > 0) & (entered[:-1] > left[:-1]))
+        logs = np.append(log_share[counts], 0.0)
+        edges = np.stack([left[run], entered[run]], axis=1).ravel()
+        absent = np.add.reduceat(logs, edges)[::2]
+        texts = bounds[run] // ((windows + 1) * width)
+        totals.extend(np.add.reduceat(
+            length[run] * -np.expm1(absent),
+            np.searchsorted(texts, np.arange(rows))).tolist())
+    return totals
 
 
 def _dealt_draw(k, n_snippets, rng, arr, b):
@@ -582,8 +605,15 @@ def _alternating_columns(arrs, conditions, iterations, spec, seeds) -> list:
             columns.append(_fixed_column([arr[None] for arr in arrs], seeds,
                                          ("alternating", k, "full"), spec))
         elif spec.kind in _ALTERNATING_EXACT:
-            columns.append([_alternating_exact(arr, k, sample_len, spec)
-                            for arr in arrs])
+            # the expected type count of the whole sample (TTR, Guiraud),
+            # of its sliding windows (MATTR, MTTRSS) or of its complete
+            # disjoint segments (MSTTR)
+            n = sample_len if spec.kind in _LINEAR else spec.n
+            step = n if spec.kind is IndexKind.MSTTR else 1
+            windows = (sample_len - n) // step + 1
+            types = _alternating_types(arrs, k, n, step)
+            columns.append([_LINEAR[spec.kind](t, n) if spec.kind in _LINEAR
+                            else t / (n * windows) for t in types])
         else:
             columns.append(_drawn_column(
                 arrs, seeds, ("alternating", k), iterations,
@@ -769,7 +799,7 @@ def parameter_sweep(
     once; each (text, value) still has its own stream.  A ``ragged`` kind
     (MTLD), which draws nothing, scores every text in that one call.
     """
-    kind = IndexKind(kind)
+    kind = index_kind(kind)
     index = INDEXES[kind]
     if index.sweep is None:
         raise SamplingError(f"{kind.value} has no parameter to sweep")

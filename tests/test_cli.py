@@ -321,7 +321,7 @@ def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_pat
     assert set(meta["versions"]) == {"lexdiv", "numpy", "python"}
     assert meta["versions"]["numpy"] == np.__version__
     assert meta["config"]["threads"] == 1
-    assert meta["matrix_meta"]["stream_layout"] == 7
+    assert meta["matrix_meta"]["stream_layout"] == 8
     assert meta["matrix_meta"]["estimator"] == "exact"  # random TTR
 
 
@@ -333,6 +333,13 @@ def test_evaluate_length_sidecar_records_estimator(corpus_dir, tmp_path):
     assert rc == 0
     meta = json.loads((tmp_path / "mattr.csv.meta.json").read_text())
     assert meta["matrix_meta"]["estimator"] == "monte_carlo"
+    out = tmp_path / "mttrss.csv"
+    rc = main(["evaluate-length", "--corpus", str(corpus_dir), "--index",
+               "mttrss", "--n", "20", "--s", "3", "--method", "alternating",
+               "--truncate", "280", "--iters", "5", "--out", str(out)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "mttrss.csv.meta.json").read_text())
+    assert meta["matrix_meta"]["estimator"] == "exact"
 
 
 def test_evaluate_length_thread_count_invariant(corpus_dir, tmp_path):

@@ -358,6 +358,10 @@ def test_mttrss_weights_are_selection_probabilities():
 
 
 def test_weights_domain():
+    kinds = ", ".join(kind.value for kind in IndexKind)
+    with pytest.raises(IndexError_) as excinfo:
+        token_weights("nope", 10, 3)
+    assert str(excinfo.value) == f"unknown index 'nope'; choose from {kinds}"
     with pytest.raises(IndexError_):
         token_weights(IndexKind.MATTR, 5, None)
     with pytest.raises(IndexError_):
@@ -724,6 +728,16 @@ def test_spec_validation():
             ({"kind": "nope"}, f"unknown index 'nope'; choose from {kinds}"),
             ({"kind": IndexKind.HDD, "n": 0}, "n must be >= 1, got 0"),
             ({"kind": IndexKind.MTTRSS, "s": -2}, "s must be >= 1, got -2"),
+            ({"kind": IndexKind.HDD, "n": 2.5}, "n must be an integer, got 2.5"),
+            ({"kind": IndexKind.MATTR, "n": 3.0},
+             "n must be an integer, got 3.0"),
+            ({"kind": IndexKind.MATTR, "n": True},
+             "n must be an integer, got True"),
+            ({"kind": IndexKind.MATTR, "n": "3"},
+             "n must be an integer, got '3'"),
+            ({"kind": IndexKind.MTTRSS, "s": 1.5}, "s must be an integer, got 1.5"),
+            ({"kind": IndexKind.MTTRSS, "s": np.float64(2)},
+             "s must be an integer, got np.float64(2.0)"),
             ({"kind": IndexKind.MTLD, "factor": 1.2},
              "factor must be in (0, 1), got 1.2"),
             ({"kind": IndexKind.MAAS_A, "maas_variant": "nope"},
@@ -733,6 +747,9 @@ def test_spec_validation():
         assert str(excinfo.value) == message
     with pytest.raises(IndexError_, match="n must be >= 1, got 0"):
         replace(IndexSpec(IndexKind.MATTR), n=0)
+    # Python and numpy integers are integers
+    assert IndexSpec(IndexKind.MTTRSS, n=np.int64(5), s=np.int32(2)).label() \
+        == IndexSpec(IndexKind.MTTRSS, n=5, s=2).label()
 
 
 SCALAR_FUNCTIONS = {

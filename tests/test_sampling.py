@@ -428,9 +428,9 @@ def test_run_method_error_names_text(small_corpus):
 def spy_on_kernels(monkeypatch) -> list:
     """The names of the kernels called: full extracts and drawn cells
     (``evaluate_specs``), exact random cells (``_expected_types``) and
-    exact alternating cells (``_window_types``)."""
+    exact alternating cells (``_alternating_types``)."""
     calls = []
-    for name in ("evaluate_specs", "_expected_types", "_window_types"):
+    for name in ("evaluate_specs", "_expected_types", "_alternating_types"):
         def spy(*args, _name=name, _original=getattr(sampling_mod, name),
                 **kwargs):
             calls.append(_name)
@@ -632,13 +632,13 @@ def position_block_samples(rng, arr, config, c):
 
 
 # The (method, kind) pairs whose sampled cells hold their exact mean
-# (stream layouts 5 and 7).
+# (stream layouts 5, 7 and 8).
 EXACT_KINDS = {
     "random": {IndexKind.TTR, IndexKind.GUIRAUD_R},
     "ordered_random": {IndexKind.TTR, IndexKind.GUIRAUD_R, IndexKind.MATTR,
                        IndexKind.MTTRSS},
     "alternating": {IndexKind.TTR, IndexKind.GUIRAUD_R, IndexKind.MATTR,
-                    IndexKind.MSTTR},
+                    IndexKind.MSTTR, IndexKind.MTTRSS},
 }
 
 
@@ -693,7 +693,8 @@ def ordered_window_cell(arr, m, n):
 
 def exact_cell(arr, method, c, spec):
     """An exact pair's sampled cell from `expected_types`, or from
-    `ordered_window_cell`."""
+    `ordered_window_cell`.  MTTRSS draws its segment starts uniformly, so
+    its cell is MATTR's, in the window form."""
     if method == "ordered_random" and spec.kind in (IndexKind.MATTR,
                                                     IndexKind.MTTRSS):
         return float(ordered_window_cell(arr, c, spec.n))
@@ -817,7 +818,8 @@ def test_current_stream_layout_is_documented():
 
 
 EXACT_SPECS = (TTR_SPEC, IndexSpec(IndexKind.GUIRAUD_R),
-               IndexSpec(IndexKind.MATTR, n=2), IndexSpec(IndexKind.MSTTR, n=2))
+               IndexSpec(IndexKind.MATTR, n=2), IndexSpec(IndexKind.MSTTR, n=2),
+               IndexSpec(IndexKind.MTTRSS, n=2))
 
 
 @pytest.mark.parametrize("tokens", ["aabacbbcab", "abcabcabc", "aaaaabbbbb",
@@ -827,7 +829,8 @@ def test_exact_cells_match_enumeration(tokens):
     every m-subset for random and ordered random, every dealing of the
     k-snippets for alternating.  Ordered MATTR and MTTRSS are checked at
     every m with windows of 1, 2 and m tokens; an MTTRSS segment starts
-    uniformly at any window, so its mean over the subsets is MATTR's."""
+    uniformly at any window, so its mean over the subsets, and over the
+    dealings, is MATTR's."""
     text = Text(id="t", tokens=tuple(tokens))
     size = len(tokens)
     codes = _encode(tokens)
@@ -844,8 +847,12 @@ def test_exact_cells_match_enumeration(tokens):
                                                IndexSpec(kind, n=n))
                 assert got == pytest.approx(want, rel=0, abs=1e-12), (kind, m, n)
     for spec in EXACT_SPECS:
+        windows = (IndexSpec(IndexKind.MATTR, n=spec.n)
+                   if spec.kind is IndexKind.MTTRSS else spec)
+
         def mean(samples):
-            return math.fsum(evaluate(x, spec)[0] for x in samples) / len(samples)
+            return (math.fsum(evaluate(x, windows)[0] for x in samples)
+                    / len(samples))
 
         if spec.kind in EXACT_KINDS["random"]:
             lengths = tuple(range(1, size))
@@ -868,8 +875,9 @@ def test_exact_cells_match_enumeration(tokens):
 
 
 def test_alternating_window_types_match_direct_products():
-    """The cumulative log1p sums give every window's absence product as a
-    direct product over the window's snippets does."""
+    """The runs' segmented log1p sums give the expected type count summed
+    over the windows as direct products over each window's snippets do,
+    within 1e-12 per window."""
     for seed in range(12):
         rng = np.random.default_rng(seed)
         size = int(rng.integers(10, 2001))
@@ -882,16 +890,53 @@ def test_alternating_window_types_match_direct_products():
                 for step in (1, n):
                     absent = np.prod(sliding_window_view(1.0 - share, n, axis=0),
                                      axis=-1)[::step]
-                    got = sampling_mod._window_types(snippets, n, step)
-                    assert np.allclose(got, (1.0 - absent).sum(axis=1),
-                                       rtol=0, atol=1e-12), (seed, k, n, step)
+                    got, = sampling_mod._alternating_types([arr], k, n, step)
+                    assert got == pytest.approx(
+                        (1.0 - absent).sum(), rel=0,
+                        abs=1e-12 * len(absent)), (seed, k, n, step)
+
+
+def alternating_texts(count, seed):
+    """Zipf code rows of one length, as `_alternating_types` takes them."""
+    rng = np.random.default_rng(seed)
+    return [_encode(rng.zipf(1.5, 301) % int(rng.integers(2, 300)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("k, n, step", [(2, 150, 1), (2, 50, 1), (3, 7, 7),
+                                        (4, 1, 1), (5, 60, 1)])
+def test_alternating_types_ignore_the_pass(monkeypatch, k, n, step):
+    """A text's total is bit for bit the same alone, in a pass with other
+    texts, and in passes of a few texts each (``_PAIR_BUDGET``)."""
+    arrs = alternating_texts(12, k * n)
+    together = sampling_mod._alternating_types(arrs, k, n, step)
+    alone = [sampling_mod._alternating_types([arr], k, n, step)[0]
+             for arr in arrs]
+    assert np.array(together).tobytes() == np.array(alone).tobytes()
+    for texts in (1, 3, 5):
+        monkeypatch.setattr(sampling_mod, "_PAIR_BUDGET", texts * 301)
+        got = sampling_mod._alternating_types(arrs, k, n, step)
+        assert np.array(got).tobytes() == np.array(together).tobytes(), texts
+
+
+def test_alternating_exact_cells_take_one_pass_per_condition(monkeypatch):
+    """A run over 100 texts calls ``_alternating_types`` once for each
+    sampled condition, whatever the index, and no other kernel but for
+    the full extract."""
+    corpus = make_zipf_corpus(100, 120, 120, seed=4)
+    for spec in EXACT_SPECS:
+        calls = spy_on_kernels(monkeypatch)
+        run_method(corpus, SamplingConfig("alternating", 120, (1, 2, 3, 4), 5),
+                   spec)
+        assert calls == ["evaluate_specs"] + ["_alternating_types"] * 3, spec
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("method", ["random", "ordered_random", "alternating"])
 def test_exact_cells_ignore_seed_iterations_and_threads(small_corpus, method):
     """Every cell, but for the full-extract MTTRSS cell: that is one score
     drawn from its own stream."""
-    for spec in EXACT_SPECS + (IndexSpec(IndexKind.MTTRSS, n=2),):
+    for spec in EXACT_SPECS:
         if spec.kind not in EXACT_KINDS[method]:
             continue
         spec = IndexSpec(spec.kind, n=spec.n and 25)
@@ -1274,6 +1319,13 @@ def test_parameter_sweep_checks_every_value_before_scoring(small_corpus,
 def test_parameter_sweep_rejects_unparameterized(small_corpus):
     with pytest.raises(SamplingError, match="no parameter"):
         parameter_sweep(small_corpus, IndexKind.TTR, [10, 20])
+
+
+def test_parameter_sweep_rejects_unknown_kind_listing_the_kinds(small_corpus):
+    kinds = ", ".join(kind.value for kind in IndexKind)
+    with pytest.raises(IndexError_) as excinfo:
+        parameter_sweep(small_corpus, "nope")
+    assert str(excinfo.value) == f"unknown index 'nope'; choose from {kinds}"
 
 
 def test_parameter_sweep_rejects_oversized_window(small_corpus):
