@@ -84,7 +84,7 @@ class RunConfig:
     truncate_to: Optional[int] = None
     conditions: Optional[list] = None
     params: Optional[list] = None
-    iterations: int = DEFAULT_ITERATIONS
+    iterations: Optional[int] = None  # a parameter sweep draws no iterations
     master_seed: int = DEFAULT_SEED
     threads: int = 1
     outputs: dict = field(default_factory=dict)

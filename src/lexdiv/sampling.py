@@ -27,7 +27,7 @@ cell's own stream, after that cell's samples (``_Streams``), so a packed
 call scores each cell as a call of its rows alone would, and the bytes do
 not depend on how ``threads`` splits the corpus.
 
-These stay Monte Carlo:
+The exact cells are the table ``Method.exact``.  These stay Monte Carlo:
 
 - HD-D under random and ordered random, and MATTR, MSTTR and MTTRSS under
   random: each exact cell is HD-D(n) of the truncation in every column, so
@@ -37,12 +37,12 @@ These stay Monte Carlo:
 - Herdan and Maas: the distribution of the type count needs a dynamic
   programme of about 5 ms per (text, m), slower than sampling below about
   1,600 iterations.
-- HD-D under alternating (a Poisson-binomial programme per type), MTLD
-  and MTTRRS under alternating, and MSTTR, MTLD and MTTRRS under ordered
-  random: no cheap closed form.  MTTRRS under random has one, but
-  it sums a hypergeometric over every count of every type.  Ordered
-  MSTTR's segments sit at fixed ranks, so a pair table like ordered
-  MATTR's would also need the rank of each pair's first point.
+- MTLD under every sampling method, HD-D under alternating (a
+  Poisson-binomial programme per type), MTTRRS under alternating and ordered
+  random, and MSTTR under ordered random: no cheap closed form.  MTTRRS
+  under random has one, but it sums a hypergeometric over every count of
+  every type.  Ordered MSTTR's segments sit at fixed ranks, so a pair table
+  like ordered MATTR's would also need the rank of each pair's first point.
 
 ``tests/test_sampling.py`` pins the layout against a per-sample loop.
 """
@@ -290,26 +290,13 @@ def _drawn_column(arrs, seeds, key, iterations, draw, spec, score) -> list:
     return _packed_means(cells, spec, score)
 
 
-def _parallel_columns(arrs, conditions, iterations, spec, seeds) -> list:
+def _parallel_columns(arrs, conditions, iterations, spec, seeds, cells):
     columns = []
     for d in conditions:
         seg_len = len(arrs[0]) // d
         segments = [arr[:d * seg_len].reshape(d, seg_len) for arr in arrs]
         columns.append(_fixed_column(segments, seeds, ("parallel", d), spec))
     return columns
-
-
-# Kinds scored as a formula of the sample's type count and length that is
-# linear in the type count: a cell's mean is the formula of the expected
-# type count.
-_LINEAR = {IndexKind.TTR: _ttr, IndexKind.GUIRAUD_R: _guiraud_r}
-
-# The kinds whose sampled cells hold their exact mean (layout 5).
-_RANDOM_EXACT = frozenset(_LINEAR)
-# MTTRSS draws its starts uniformly from [0, m - n], so its mean is
-# MATTR's, under ordered random (layout 7) and alternating (layout 8).
-_ORDERED_WINDOWS = frozenset({IndexKind.MATTR, IndexKind.MTTRSS})
-_ALTERNATING_EXACT = _RANDOM_EXACT | _ORDERED_WINDOWS | {IndexKind.MSTTR}
 
 
 def _random_draw(m, ordered, rng, arr, b):
@@ -454,16 +441,16 @@ def _missed_sums(arrs, tables, n: int, most: int):
     return missed, types
 
 
-def _ordered_window_cells(arrs, sizes, n: int) -> list:
-    """The exact ordered-random MATTR(n) cell of each text at each sample
-    length m of ``sizes``, ``out[j][t]``: (V * W - missed) / (n * W) with
-    W = m - n + 1 windows, V types, and ``missed`` the expected count of
-    (window, type) pairs where the window misses the type, from
-    ``_missed_sums``.  The lengths go in groups whose tables fit
+def _ordered_window_cells(arrs, sizes, spec) -> list:
+    """The exact ordered-random MATTR(n) cell (n = ``spec.n``) of each text
+    at each sample length m of ``sizes``, ``out[j][t]``: (V * W - missed) /
+    (n * W) with W = m - n + 1 windows, V types, and ``missed`` the
+    expected count of (window, type) pairs where the window misses the
+    type, from ``_missed_sums``.  The lengths go in groups whose tables fit
     ``_TABLE_BUDGET`` (one length alone where its table does not), and
     each group finds the pairs anew, so a run holds at most one group's
     tables."""
-    big_l = len(arrs[0])
+    n, big_l = spec.n, len(arrs[0])
     most = max(int(np.bincount(arr).max()) for arr in arrs)
     per_group = max(1, _TABLE_BUDGET // (3 * (most + 1) * (big_l + 1)))
     cells = []
@@ -479,25 +466,24 @@ def _ordered_window_cells(arrs, sizes, n: int) -> list:
     return cells
 
 
-def _random_columns(arrs, conditions, iterations, spec, seeds,
-                    ordered: bool) -> list:
+def _expected_cells(formula, arrs, sizes, spec) -> list:
+    """``formula`` of the expected type count of an m-sample and of m, for
+    each m of ``sizes`` and every text at once.  HD-D(m) is its TTR."""
+    big_l = len(arrs[0])
+    expected = [[] for _ in sizes]
+    for start in range(0, len(arrs), _BLOCK):
+        counts = _count_matrix(np.stack(arrs[start:start + _BLOCK]))
+        for out, types in zip(expected, _expected_types(counts, big_l, sizes)):
+            out.extend(types)
+    return [[formula(t, m) for t in col] for m, col in zip(sizes, expected)]
+
+
+def _random_columns(arrs, conditions, iterations, spec, seeds, cells,
+                    ordered: bool):
     big_l = len(arrs[0])
     sampled = [m for m in conditions if m < big_l]
-    exact = {}
-    if spec.kind in _RANDOM_EXACT and sampled:
-        # the expected type count of an m-sample, for every m and text at
-        # once; HD-D(m) is its TTR
-        expected = [[] for _ in sampled]
-        for start in range(0, len(arrs), _BLOCK):
-            counts = _count_matrix(np.stack(arrs[start:start + _BLOCK]))
-            for out, types in zip(expected,
-                                  _expected_types(counts, big_l, sampled)):
-                out.extend(types)
-        exact = {m: [_LINEAR[spec.kind](t, m) for t in types]
-                 for m, types in zip(sampled, expected)}
-    elif ordered and spec.kind in _ORDERED_WINDOWS and sampled:
-        exact = dict(zip(sampled, _ordered_window_cells(arrs, sampled,
-                                                         spec.n)))
+    exact = (dict(zip(sampled, cells(arrs, sampled, spec)))
+             if cells and sampled else {})
     counts = INDEXES[spec.kind].counts
     columns = []
     for m in conditions:
@@ -597,43 +583,52 @@ def _dealt_draw(k, n_snippets, rng, arr, b):
     return arr[positions.transpose(0, 2, 1).reshape(b * k, n_snippets)]
 
 
-def _alternating_columns(arrs, conditions, iterations, spec, seeds) -> list:
+def _alternating_cells(formula, windows, arrs, ks, spec) -> list:
+    """``formula`` of the expected type count summed over the windows of
+    each text's alternating sample at each k of ``ks``, and of their total
+    length.  ``windows``: "whole" (the sample), "sliding" (of n = spec.n
+    snippets, one at each snippet) or "disjoint" (complete segments)."""
+    columns = []
+    for k in ks:
+        length = len(arrs[0]) // k
+        n = length if windows == "whole" else spec.n
+        step = n if windows == "disjoint" else 1
+        total = n * ((length - n) // step + 1)
+        columns.append([formula(t, total)
+                        for t in _alternating_types(arrs, k, n, step)])
+    return columns
+
+
+def _alternating_columns(arrs, conditions, iterations, spec, seeds, cells):
     columns = []
     for k in conditions:
-        sample_len = len(arrs[0]) // k
         if k == 1:
             columns.append(_fixed_column([arr[None] for arr in arrs], seeds,
                                          ("alternating", k, "full"), spec))
-        elif spec.kind in _ALTERNATING_EXACT:
-            # the expected type count of the whole sample (TTR, Guiraud),
-            # of its sliding windows (MATTR, MTTRSS) or of its complete
-            # disjoint segments (MSTTR)
-            n = sample_len if spec.kind in _LINEAR else spec.n
-            step = n if spec.kind is IndexKind.MSTTR else 1
-            windows = (sample_len - n) // step + 1
-            types = _alternating_types(arrs, k, n, step)
-            columns.append([_LINEAR[spec.kind](t, n) if spec.kind in _LINEAR
-                            else t / (n * windows) for t in types])
+        elif cells:
+            columns.extend(cells(arrs, [k], spec))
         else:
             columns.append(_drawn_column(
                 arrs, seeds, ("alternating", k), iterations,
-                partial(_dealt_draw, k, sample_len), spec, evaluate_specs))
+                partial(_dealt_draw, k, len(arrs[0]) // k), spec,
+                evaluate_specs))
     return columns
 
 
 @dataclass(frozen=True)
 class Method:
     """One length-reduction method.  ``columns(arrs, conditions,
-    iterations, spec, seeds)`` scores every encoded L-truncation of
+    iterations, spec, seeds, cells)`` scores every encoded L-truncation of
     ``arrs`` under each condition and returns one list of scores per
     condition, where ``seeds[i](*key)`` is the seed of text i's RNG stream
     for that key.  A condition d of a ``divides`` method names samples of
     floor(L/d) tokens; otherwise the condition is the sample length itself.
-    ``exact`` holds the index kinds whose cells are no Monte Carlo mean."""
+    ``exact`` maps a kind to ``cells(arrs, conditions, spec)``, the exact
+    columns of sampled conditions, which ``columns`` draws without one."""
 
     columns: Callable
     divides: bool
-    exact: frozenset
+    exact: dict
 
     def sample_length(self, truncate_to: int, condition: int) -> int:
         return truncate_to // condition if self.divides else condition
@@ -643,17 +638,30 @@ class Method:
         return tuple(d if self.divides else truncate_to // d for d in (1, 2, 3, 4))
 
 
+# The table of exact cells (layouts 5, 7 and 8).  TTR and Guiraud are linear
+# in the type count; MTTRSS draws its starts uniformly: its mean is MATTR's.
+_EXPECTED_CELLS = {IndexKind.TTR: partial(_expected_cells, _ttr),
+                   IndexKind.GUIRAUD_R: partial(_expected_cells, _guiraud_r)}
 METHODS = {
-    "parallel": Method(_parallel_columns, divides=True,
-                       exact=frozenset(IndexKind)),
+    "parallel": Method(_parallel_columns, divides=True, exact={}),
     "random": Method(partial(_random_columns, ordered=False), divides=False,
-                     exact=_RANDOM_EXACT),
-    "ordered_random": Method(partial(_random_columns, ordered=True),
-                             divides=False,
-                             exact=_RANDOM_EXACT | _ORDERED_WINDOWS),
-    "alternating": Method(_alternating_columns, divides=True,
-                          exact=_ALTERNATING_EXACT),
+                     exact=_EXPECTED_CELLS),
+    "ordered_random": Method(
+        partial(_random_columns, ordered=True), divides=False,
+        exact={**_EXPECTED_CELLS, IndexKind.MATTR: _ordered_window_cells,
+               IndexKind.MTTRSS: _ordered_window_cells}),
+    "alternating": Method(_alternating_columns, divides=True, exact={
+        IndexKind.TTR: partial(_alternating_cells, _ttr, "whole"),
+        IndexKind.GUIRAUD_R: partial(_alternating_cells, _guiraud_r, "whole"),
+        IndexKind.MATTR: partial(_alternating_cells, _ttr, "sliding"),
+        IndexKind.MSTTR: partial(_alternating_cells, _ttr, "disjoint"),
+        IndexKind.MTTRSS: partial(_alternating_cells, _ttr, "sliding")}),
 }
+
+
+def _scored_once(kind: IndexKind) -> str:
+    """A cell scored once is one draw of a kind that draws s segments."""
+    return "single_draw" if "s" in INDEXES[kind].defaults else "exact"
 
 
 def _check(texts, method: str, truncate_to: int, conditions,
@@ -694,7 +702,9 @@ def _score_texts(texts, method: str, truncate_to: int, conditions,
     seeds = [partial(stream_seed, master_seed,
                      text.id if isinstance(text, Text) else None)
              for text in texts]
-    columns = METHODS[method].columns(arrs, conditions, iterations, spec, seeds)
+    chosen = METHODS[method]
+    columns = chosen.columns(arrs, conditions, iterations, spec, seeds,
+                             chosen.exact.get(spec.kind))
     return np.array(columns, dtype=float).reshape(len(conditions), len(arrs)).T
 
 
@@ -765,6 +775,12 @@ def run_method(
             values = np.concatenate(list(pool.map(score, runs)))
     else:
         values = score(texts)
+    sampled = ("exact" if spec.kind in METHODS[config.method].exact
+               else "monte_carlo")
+    # parallel and full-extract columns are scored once
+    estimators = [_scored_once(spec.kind) if config.method == "parallel"
+                  or int(length) == config.truncate_to else sampled
+                  for length in config.col_labels()]
     return ScoreMatrix(
         row_ids=[t.id for t in corpus],
         col_labels=config.col_labels(),
@@ -777,8 +793,9 @@ def run_method(
             "iterations": config.iterations,
             "master_seed": config.master_seed,
             "stream_layout": STREAM_LAYOUT,
-            "estimator": ("exact" if spec.kind in METHODS[config.method].exact
-                          else "monte_carlo"),
+            "estimators": estimators,
+            "estimator": ("monte_carlo" if "monte_carlo" in estimators
+                          else "exact"),
         },
     )
 
@@ -839,5 +856,6 @@ def parameter_sweep(
             "param_values": [float(p) for p in param_values],
             "master_seed": master_seed,
             "stream_layout": STREAM_LAYOUT,
+            "estimators": [_scored_once(kind)] * len(param_values),
         },
     )

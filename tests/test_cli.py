@@ -340,6 +340,7 @@ def test_evaluate_length_sidecar_records_estimator(corpus_dir, tmp_path):
     assert rc == 0
     meta = json.loads((tmp_path / "mttrss.csv.meta.json").read_text())
     assert meta["matrix_meta"]["estimator"] == "exact"
+    assert meta["matrix_meta"]["estimators"] == ["single_draw"] + ["exact"] * 3
 
 
 def test_evaluate_length_thread_count_invariant(corpus_dir, tmp_path):
@@ -570,12 +571,17 @@ def test_evaluate_parameter_and_stats(corpus_dir, tmp_path, scores_csv, capsys):
 
 
 def test_evaluate_parameter_sidecar_records_layout(corpus_dir, tmp_path):
-    out = tmp_path / "sweep.csv"
-    rc = main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
-               "hdd", "--params", "20,40", "--out", str(out)])
-    assert rc == 0
-    meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-    assert meta["matrix_meta"]["stream_layout"] == STREAM_LAYOUT
+    """A sweep scores each (text, value) once, which is one draw of MTTRSS
+    and MTTRRS, and draws no iterations."""
+    for index, estimator in (("hdd", "exact"), ("mttrss", "single_draw")):
+        out = tmp_path / f"{index}.csv"
+        rc = main(["evaluate-parameter", "--corpus", str(corpus_dir),
+                   "--index", index, "--params", "20,40", "--out", str(out)])
+        assert rc == 0
+        meta = json.loads((tmp_path / f"{index}.csv.meta.json").read_text())
+        assert meta["matrix_meta"]["stream_layout"] == STREAM_LAYOUT
+        assert meta["matrix_meta"]["estimators"] == [estimator] * 2
+        assert meta["config"]["iterations"] is None
 
 
 def test_evaluate_parameter_rejects_repeated_params(corpus_dir, tmp_path, capsys):

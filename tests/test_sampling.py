@@ -775,7 +775,9 @@ def test_run_method_matches_per_sample_loop(data):
     """Every index under every sampling method scores as the per-sample
     loop, with blocks small enough that cells span several and a packed
     call holds rows of several texts and cells: bit for bit, or within
-    1e-12 of the closed form for the exact pairs."""
+    1e-12 of the closed form for the exact pairs.  A run whose conditions
+    are all full extracts (repeated ones, which only the library takes)
+    samples nothing, so it is exact whatever the pair."""
     size = data.draw(st.integers(6, 30), label="truncate_to")
     token = st.sampled_from("abcdefg")
     corpus = Corpus(texts=tuple(
@@ -795,6 +797,8 @@ def test_run_method_matches_per_sample_loop(data):
         iterations=data.draw(st.integers(1, 7)),
         master_seed=data.draw(st.integers(0, 2**32)),
     )
+    sampled = any(sampling_mod.METHODS[method].sample_length(size, c) < size
+                  for c in config.conditions)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling_mod, "_BLOCK", 3)
         for spec in ALL_KIND_SPECS:
@@ -804,7 +808,8 @@ def test_run_method_matches_per_sample_loop(data):
                 assert matrix.meta["estimator"] == "exact"
                 assert np.allclose(matrix.values, want, rtol=0, atol=1e-12), spec
             else:
-                assert matrix.meta["estimator"] == "monte_carlo"
+                assert matrix.meta["estimator"] == ("monte_carlo" if sampled
+                                                    else "exact")
                 assert matrix.values.tobytes() == want.tobytes(), spec
 
 
@@ -934,8 +939,8 @@ def test_alternating_exact_cells_take_one_pass_per_condition(monkeypatch):
 
 @pytest.mark.parametrize("method", ["random", "ordered_random", "alternating"])
 def test_exact_cells_ignore_seed_iterations_and_threads(small_corpus, method):
-    """Every cell, but for the full-extract MTTRSS cell: that is one score
-    drawn from its own stream."""
+    """Every column labelled ``exact``: all but the full-extract MTTRSS
+    column, one score drawn from its own stream (``single_draw``)."""
     for spec in EXACT_SPECS:
         if spec.kind not in EXACT_KINDS[method]:
             continue
@@ -947,10 +952,51 @@ def test_exact_cells_ignore_seed_iterations_and_threads(small_corpus, method):
                                                   iterations=3), spec),
             run_method(small_corpus, small_config(method), spec, threads=2),
         )
-        cols = slice(1, None) if spec.kind is IndexKind.MTTRSS else slice(None)
+        cols = [j for j, label in enumerate(base.meta["estimators"])
+                if label == "exact"]
+        assert len(cols) == (2 if spec.kind is IndexKind.MTTRSS else 3)
         for other in others:
             assert (other.values[:, cols].tobytes()
                     == base.values[:, cols].tobytes()), spec
+
+
+@pytest.mark.parametrize("method", ["parallel", "random", "ordered_random",
+                                    "alternating"])
+def test_estimators_say_how_each_column_was_made(small_corpus, monkeypatch,
+                                                 method):
+    """``monte_carlo`` labels exactly the columns that drew their samples
+    (``_drawn_column``), ``single_draw`` exactly the columns of MTTRRS and
+    MTTRSS scored once (``_fixed_column``), and ``exact`` every other: a
+    fixed score of an index that draws nothing, or an exact cell.  The
+    run-level word is ``monte_carlo`` where any column is."""
+    made = {}
+    for name in ("_drawn_column", "_fixed_column"):
+        def spy(arrs, seeds, key, *args, _name=name,
+                _original=getattr(sampling_mod, name)):
+            made.setdefault(key[1], []).append(_name)
+            return _original(arrs, seeds, key, *args)
+        monkeypatch.setattr(sampling_mod, name, spy)
+    config = small_config(method, iterations=2,
+                          **({"conditions": (1, 2, 4, 8)}
+                             if method in ("parallel", "alternating") else {}))
+    for spec in ALL_KIND_SPECS:
+        made.clear()
+        matrix = run_method(small_corpus, config, spec)
+        labels = matrix.meta["estimators"]
+        assert len(labels) == len(config.conditions)
+        for c, label in zip(config.conditions, labels):
+            kernels = made.get(c, [])
+            if kernels == ["_drawn_column"]:
+                want = "monte_carlo"
+            elif kernels == ["_fixed_column"] and spec.kind in (
+                    IndexKind.MTTRRS, IndexKind.MTTRSS):
+                want = "single_draw"
+            else:  # a fixed score, or an exact cell that used neither
+                assert kernels in ([], ["_fixed_column"]), (spec, c)
+                want = "exact"
+            assert label == want, (spec, c, kernels)
+        assert matrix.meta["estimator"] == (
+            "monte_carlo" if "monte_carlo" in labels else "exact")
 
 
 def test_ordered_window_cells_match_monte_carlo():
