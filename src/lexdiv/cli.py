@@ -252,6 +252,7 @@ def cmd_evaluate_length(args):
 def cmd_evaluate_parameter(args):
     corpus = _load_corpus(args)
     kind = args.index
+    IndexSpec(kind, s=args.s)  # refuses an --s that the kind does not use
     seed = _resolve_seed(args)
     params = _parse_conditions(args.params, cast=INDEXES[kind].sweep_type)
     check_unique_labels("column labels", params or ())

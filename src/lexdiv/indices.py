@@ -89,6 +89,18 @@ class IndexSpec:
             raise IndexError_(f"factor must be in (0, 1), got {self.factor}")
         if self.maas_variant not in MAAS_VARIANTS:
             raise IndexError_(f"unknown maas variant {self.maas_variant!r}")
+        # a parameter the kind does not use would shape no score, yet a
+        # sidecar would record it
+        unused = [f"{name}={getattr(self, name)!r}"
+                  for name in ("n", "s", "factor")
+                  if name not in INDEXES[self.kind].defaults
+                  and getattr(self, name) is not None]
+        if (self.kind is not IndexKind.MAAS_A
+                and self.maas_variant != MAAS_VARIANTS[0]):
+            unused.append(f"maas_variant={self.maas_variant!r}")
+        if unused:
+            raise IndexError_(f"{self.kind.value} does not take "
+                              f"{', '.join(unused)}")
 
     def validate(self, n_tokens: int):
         """Reject a text too short for the spec (``min_tokens_required``).

@@ -1,31 +1,34 @@
 """Length-sensitivity evaluation: parallel, random, ordered random, and
 alternating token sampling, plus the parameter sweep.
 
-Every (text, condition) pair gets its own RNG stream derived from the master
-seed, so results are independent of evaluation order and thread count.  The
-random and ordered-random methods deliberately share one stream per
-(text, length): they must analyze identical token samples, differing only in
-whether the sample keeps the permuted order or the original text order.
+Every text draws from its own RNG streams, keyed by the condition and
+derived from the master seed, so results are independent of evaluation
+order and thread count.  The random and ordered-random methods
+deliberately share one position stream per text: they must analyze
+identical token samples, differing only in whether the sample keeps the
+permuted order or the original text order.
 
 How a cell turns its stream into samples is the stream layout, recorded as
 ``STREAM_LAYOUT`` in the ``ScoreMatrix.meta`` of ``run_method`` and
 ``parameter_sweep``.  README's "Sampling methods" describes it and tells
 how each layout differs from the one before; the current one is
 
-- Layout 8: as layout 7, with every exact alternating cell summed per
-  type over runs of windows that hold the same snippets of the type
-  (``_alternating_types``), which moves those cells by a few ulp, and
-  every sampled alternating MTTRSS cell its exact mean, which is
-  alternating MATTR's and draws nothing.
+- Layout 9: as layout 8, with every random and ordered-random cell that
+  draws token positions (MATTR, MSTTR, MTTRRS, MTTRSS and MTLD under
+  random; MSTTR, MTTRRS and MTLD under ordered random) taking them from
+  one stream per text, ("random",), whose i-th permutation gives
+  iteration i of every sampled length its first m positions
+  (``_shared_columns``).  MTTRRS and MTTRSS draw their segments from the
+  cell's stream ("random", m), and every other cell is as layout 8 has
+  it.
 
-Scoring is packed across texts, and changes no byte: ``run_method``
-scores one condition at a time, and the blocks of every text's cell go to
-the index's kernel together, in corpus order, whole where they fit, at
-most ``_BLOCK`` rows per call (``_packed_means``).  Rows score
-independently, and MTTRRS and MTTRSS draw each cell's rows from that
-cell's own stream, after that cell's samples (``_Streams``), so a packed
-call scores each cell as a call of its rows alone would, and the bytes do
-not depend on how ``threads`` splits the corpus.
+Scoring is packed across texts, and changes no byte: the blocks of
+every text's cell at one condition go to the index's kernel together, in
+corpus order, whole where they fit, at most ``_BLOCK`` rows per call
+(``_Packer``).  Rows score independently, and MTTRRS and MTTRSS draw each
+cell's rows from that cell's own stream (``_Streams``), so a packed call
+scores each cell as a call of its rows alone would, and the bytes do not
+depend on how ``threads`` splits the corpus.
 
 The exact cells are the table ``Method.exact``.  These stay Monte Carlo:
 
@@ -76,12 +79,16 @@ from .indices import (
 DEFAULT_ITERATIONS = 10_000
 
 # The layout of the sampling streams (see the module docstring).
-STREAM_LAYOUT = 8
+STREAM_LAYOUT = 9
 
 # Samples per draw; bounds the draw's memory to about this many rows of L.
 # Part of the stream layout: layout 2's count draws depend on the block
 # size, and so does layout 3's order of sample and position draws.
 _BLOCK = 1024
+
+# Most token positions ``_shared_columns`` draws at once (8 MB of int64);
+# a text with more iterations draws them in runs.
+_POSITION_BUDGET = 1 << 20
 
 
 class SamplingError(Exception):
@@ -219,52 +226,68 @@ class _Streams:
         return np.concatenate(drawn)
 
 
+class _Packer:
+    """Rows of many cells scored in packed calls: ``score(rows, [spec],
+    [streams])``, in ``IndexDef.rows``'s form, at most ``_BLOCK`` rows per
+    call, rows in the order they are added; ``streams`` (``_Streams``)
+    draws each cell's rows from ``gens[cell]``.  Rows score
+    independently, so a cell's scores do not depend on the rows packed
+    with it."""
+
+    def __init__(self, gens: list, spec: IndexSpec, score):
+        self.gens, self.spec, self.score = gens, spec, score
+        self.scores = [[] for _ in gens]
+        self.queue = []  # (cell, rows) waiting to be scored
+        self.queued = 0
+
+    def add(self, cell: int, rows) -> None:
+        for part in range(0, len(rows), _BLOCK):
+            size = min(_BLOCK, len(rows) - part)
+            if self.queued + size > _BLOCK:
+                self.flush()
+            self.queue.append((cell, rows[part:part + size]))
+            self.queued += size
+
+    def flush(self) -> None:
+        # a lone block is scored as it is, not copied
+        blocks = [rows for _, rows in self.queue]
+        out = self.score(
+            blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
+            [self.spec], [_Streams(self.gens, [(cell, len(rows)) for
+                                               cell, rows in self.queue])])[0]
+        first = 0
+        for cell, rows in self.queue:
+            self.scores[cell].extend(out[first:first + len(rows)])
+            first += len(rows)
+        self.queue.clear()
+        self.queued = 0
+
+    def means(self) -> list:
+        """Each cell's mean score, once every row is added."""
+        if self.queue:
+            self.flush()
+        return [math.fsum(s) / len(s) for s in self.scores]
+
+
 def _packed_means(cells: list, spec: IndexSpec, score) -> list:
     """The mean score under ``spec`` over the rows of each cell.  A cell
     ``(draw, iterations, rng)`` draws blocks of up to ``_BLOCK``
-    iterations, each ``draw(b)`` giving a block's rows.  The blocks go to
-    ``score(rows, [spec], [streams])``, in ``IndexDef.rows``'s form, in
-    cell order, whole where they fit, at most ``_BLOCK`` rows per call;
-    ``streams`` (``_Streams``) draws each cell's rows from its ``rng``.
-    A cell draws a block only once its earlier rows are scored, so every
-    stream meets the draws of a one-cell run in the same order."""
-    gens = [rng for _, _, rng in cells]
-    scores = [[] for _ in cells]
-    queue = []  # (cell, rows) waiting to be scored
-    queued = 0
-
-    def flush():
-        nonlocal queued
-        # a lone block is scored as it is, not copied
-        blocks = [rows for _, rows in queue]
-        out = score(blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
-                    [spec], [_Streams(gens, [(cell, len(rows))
-                                             for cell, rows in queue])])[0]
-        first = 0
-        for cell, rows in queue:
-            scores[cell].extend(out[first:first + len(rows)])
-            first += len(rows)
-        queue.clear()
-        queued = 0
-
+    iterations, each ``draw(b)`` giving a block's rows, which go to a
+    ``_Packer`` in cell order; the kernel draws each cell's rows from its
+    ``rng``.  A cell draws a block only once its earlier rows are scored,
+    so every stream meets the draws of a one-cell run in the same order."""
+    packer = _Packer([rng for _, _, rng in cells], spec, score)
     for cell, (draw, iterations, _) in enumerate(cells):
         for start in range(0, iterations, _BLOCK):
-            if queue and queue[-1][0] == cell:
-                flush()
+            if packer.queue and packer.queue[-1][0] == cell:
+                packer.flush()
             block = draw(min(_BLOCK, iterations - start))
             # an alternating block holds k rows per iteration
-            for part in range(0, len(block), _BLOCK):
-                size = min(_BLOCK, len(block) - part)
-                if queued + size > _BLOCK:
-                    flush()
-                queue.append((cell, block[part:part + size]))
-                queued += size
+            packer.add(cell, block)
             # only the queue may hold drawn rows, so that the next draw
             # does not find the last block still alive
             del block
-    if queue:
-        flush()
-    return [math.fsum(s) / len(s) for s in scores]
+    return packer.means()
 
 
 def _fixed_rows(rows, b):
@@ -299,13 +322,39 @@ def _parallel_columns(arrs, conditions, iterations, spec, seeds, cells):
     return columns
 
 
-def _random_draw(m, ordered, rng, arr, b):
-    """The first m tokens of b fresh permutations of ``arr``, one row each,
-    restored to text order when ``ordered``."""
-    positions = np.tile(np.arange(len(arr)), (b, 1))
+def _permutations(rng, big_l: int, b: int) -> np.ndarray:
+    """b fresh permutations of range(L), one row each: numpy fills the rows
+    of one ``permuted`` call with the draws of successive ``permutation``
+    calls, so they do not depend on b."""
+    positions = np.tile(np.arange(big_l), (b, 1))
     rng.permuted(positions, axis=1, out=positions)
-    positions = positions[:, :m]
-    return arr[np.sort(positions, axis=1) if ordered else positions]
+    return positions
+
+
+def _shared_columns(arrs, sizes, iterations, spec, seeds, ordered) -> list:
+    """Layout 9: the Monte Carlo cell of every text at each sample length m
+    of ``sizes`` (each below L), ``out[j][t]``.  Text t draws its
+    permutations from its stream ("random",); iteration i of every m takes
+    the first m positions of the i-th, restored to text order when
+    ``ordered``, so a text's cells share their draws across lengths.  A
+    text draws at most ``_POSITION_BUDGET`` positions at once, and each
+    length's rows go to its own ``_Packer``; MTTRRS and MTTRSS draw each
+    cell's rows from the cell's stream ("random", m)."""
+    big_l = len(arrs[0])
+    packers = [_Packer([seed("random", m) for seed in seeds], spec,
+                       evaluate_specs) for m in sizes]
+    per_draw = max(1, _POSITION_BUDGET // big_l)
+    for text, (arr, seed) in enumerate(zip(arrs, seeds)):
+        rng = np.random.default_rng(seed("random"))
+        for start in range(0, iterations, per_draw):
+            positions = _permutations(rng, big_l,
+                                      min(per_draw, iterations - start))
+            for m, packer in zip(sizes, packers):
+                for part in range(0, len(positions), _BLOCK):
+                    rows = positions[part:part + _BLOCK, :m]
+                    packer.add(text, arr[np.sort(rows) if ordered else rows])
+            del positions
+    return [packer.means() for packer in packers]
 
 
 def _count_draw(m, rng, population, b):
@@ -481,36 +530,33 @@ def _expected_cells(formula, arrs, sizes, spec) -> list:
 def _random_columns(arrs, conditions, iterations, spec, seeds, cells,
                     ordered: bool):
     big_l = len(arrs[0])
-    sampled = [m for m in conditions if m < big_l]
-    exact = (dict(zip(sampled, cells(arrs, sampled, spec)))
-             if cells and sampled else {})
+    columns = {}
+    if big_l in conditions:
+        # full extract: a single deterministic score, no permutation
+        columns[big_l] = _fixed_column([arr[None] for arr in arrs], seeds,
+                                       ("random", big_l, "full"), spec)
+    sizes = [m for m in dict.fromkeys(conditions) if m < big_l]
     counts = INDEXES[spec.kind].counts
-    columns = []
-    for m in conditions:
-        if m == big_l:
-            # full extract: a single deterministic score, no permutation
-            columns.append(_fixed_column([arr[None] for arr in arrs], seeds,
-                                         ("random", m, "full"), spec))
-        elif m in exact:
-            columns.append(exact[m])
-        elif counts is None:
-            # one stream per (text, length), shared by random and ordered
-            # random
-            columns.append(_drawn_column(
-                arrs, seeds, ("random", m), iterations,
-                partial(_random_draw, m, ordered), spec, evaluate_specs))
-        else:
-            # layout 2: an order-free score reads only the sample's type
-            # counts.  Every text gets as many count columns as the one
-            # with the most types, so that its rows stack with theirs;
-            # no color is drawn from those empty columns.
-            width = max(arr.max() for arr in arrs) + 1
-            populations = [np.bincount(arr, minlength=width) for arr in arrs]
-            columns.append(_drawn_column(
-                populations, seeds, ("random", m), iterations,
-                partial(_count_draw, m), spec,
-                lambda rows, specs, rngs, m=m: counts(rows, m, specs)))
-    return columns
+    if not sizes:
+        drawn = []
+    elif cells:
+        drawn = cells(arrs, sizes, spec)
+    elif counts is None:
+        drawn = _shared_columns(arrs, sizes, iterations, spec, seeds, ordered)
+    else:
+        # layout 2: an order-free score reads only the sample's type
+        # counts.  Every text gets as many count columns as the one with
+        # the most types, so that its rows stack with theirs; no color is
+        # drawn from those empty columns.
+        width = max(arr.max() for arr in arrs) + 1
+        populations = [np.bincount(arr, minlength=width) for arr in arrs]
+        drawn = [_drawn_column(
+            populations, seeds, ("random", m), iterations,
+            partial(_count_draw, m), spec,
+            lambda rows, specs, rngs, m=m: counts(rows, m, specs))
+            for m in sizes]
+    columns.update(zip(sizes, drawn))
+    return [columns[m] for m in conditions]
 
 
 def _alternating_types(arrs, k: int, n: int, step: int) -> list:
@@ -810,11 +856,13 @@ def parameter_sweep(
     """Score untruncated texts for each parameter value (one column each).
 
     MTLD sweeps the TTR factor (default 0.66..0.75); the other indices
-    sweep the sample/segment/window length.  Every value is checked before
-    any text is scored.  A text is scored under all the values in one call
-    (``indices.evaluate_specs``), which does its value-independent work
-    once; each (text, value) still has its own stream.  A ``ragged`` kind
-    (MTLD), which draws nothing, scores every text in that one call.
+    sweep the sample/segment/window length.  ``s`` is the segment count of
+    an MTTRRS or MTTRSS sweep, and a kind that draws no segments does not
+    use it.  Every value is checked before any text is scored.  A text is
+    scored under all the values in one call (``indices.evaluate_specs``),
+    which does its value-independent work once; each (text, value) still
+    has its own stream.  A ``ragged`` kind (MTLD), which draws nothing,
+    scores every text in that one call.
     """
     kind = index_kind(kind)
     index = INDEXES[kind]
@@ -825,7 +873,8 @@ def parameter_sweep(
     if not param_values:
         raise SamplingError("param_values required for this index")
 
-    specs = [IndexSpec(kind, s=s, **{index.sweep: index.sweep_type(p)})
+    fixed = {"s": s} if "s" in index.defaults else {}
+    specs = [IndexSpec(kind, **fixed, **{index.sweep: index.sweep_type(p)})
              for p in param_values]
     needed = [min_tokens_required(spec) for spec in specs]
     too_big = [p for p, need in zip(param_values, needed)

@@ -217,7 +217,7 @@ def test_criterion_6_order_invariance():
         lengths = (80, 50)
         for kind in (IndexKind.HDD, IndexKind.TTR, IndexKind.GUIRAUD_R,
                      IndexKind.HERDAN_C, IndexKind.MAAS_A):
-            spec = IndexSpec(kind=kind, n=42)
+            spec = IndexSpec(kind=kind, n=42 if kind is IndexKind.HDD else None)
             r = random_sampling(text, 160, lengths, 30, 5, spec)
             o = ordered_random_sampling(text, 160, lengths, 30, 5, spec)
             # identical per-iteration scores make the means exactly equal

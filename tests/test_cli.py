@@ -321,7 +321,7 @@ def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_pat
     assert set(meta["versions"]) == {"lexdiv", "numpy", "python"}
     assert meta["versions"]["numpy"] == np.__version__
     assert meta["config"]["threads"] == 1
-    assert meta["matrix_meta"]["stream_layout"] == 8
+    assert meta["matrix_meta"]["stream_layout"] == 9
     assert meta["matrix_meta"]["estimator"] == "exact"  # random TTR
 
 
@@ -806,6 +806,27 @@ def test_weights_subcommand(capsys):
     rc = main(["weights", "--index", "mattr", "--N", "10", "--n", "4"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "1,2,3,4,4,4,4,3,2,1"
+
+
+def test_parameters_the_index_does_not_use_are_one_error_line(
+        corpus_dir, tmp_path, capsys):
+    """An --n, --s, --factor or --maas-variant that the index does not use
+    is refused before anything is written, so no sidecar records it."""
+    out = tmp_path / "scores.csv"
+    rc = evaluate_length(corpus_dir, out, extra=["--n", "5"])
+    assert_one_line_error(rc, capsys, "error: ttr does not take n=5\n")
+    rc = main(["evaluate-length", "--corpus", str(corpus_dir), "--index",
+               "hdd", "--maas-variant", "base10_a_squared", "--method",
+               "random", "--truncate", "280", "--out", str(out)])
+    assert_one_line_error(
+        rc, capsys, "error: hdd does not take maas_variant='base10_a_squared'\n")
+    rc = main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+               "mattr", "--params", "10,20", "--s", "5", "--out", str(out)])
+    assert_one_line_error(rc, capsys, "error: mattr does not take s=5\n")
+    assert not out.exists()
+    assert not (tmp_path / "scores.csv.meta.json").exists()
+    rc = main(["weights", "--index", "ttr", "--N", "10", "--n", "3"])
+    assert_one_line_error(rc, capsys, "error: ttr does not take n=3\n")
 
 
 def test_config_file_provides_defaults(corpus_dir, tmp_path, capsys):

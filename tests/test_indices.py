@@ -673,7 +673,9 @@ def test_evaluate_rows_rejects_negative_codes(kind):
     # another row's types
     codes = np.array([[0, 1, 2, 1], [-1, 0, 0, 1]])
     with pytest.raises(IndexError_, match="non-negative"):
-        evaluate_specs(codes, [IndexSpec(kind, n=2, s=1)], [0])
+        params = {name: value for name, value in (("n", 2), ("s", 1))
+                  if name in INDEXES[kind].defaults}
+        evaluate_specs(codes, [IndexSpec(kind, **params)], [0])
 
 
 # ----------------------------------------------------------------- evaluate
@@ -750,6 +752,31 @@ def test_spec_validation():
     # Python and numpy integers are integers
     assert IndexSpec(IndexKind.MTTRSS, n=np.int64(5), s=np.int32(2)).label() \
         == IndexSpec(IndexKind.MTTRSS, n=5, s=2).label()
+
+
+def test_spec_refuses_parameters_its_kind_does_not_use():
+    """A parameter that no score of the kind reads is refused, so that a
+    sidecar never records one: an n, s or factor outside the kind's
+    defaults, and a non-default Maas variant on any kind but Maas."""
+    for params, message in (
+            ({"kind": "ttr", "n": 5}, "ttr does not take n=5"),
+            ({"kind": "mattr", "s": 3}, "mattr does not take s=3"),
+            ({"kind": "mtld", "n": 4}, "mtld does not take n=4"),
+            ({"kind": "hdd", "factor": 0.5}, "hdd does not take factor=0.5"),
+            ({"kind": "hdd", "maas_variant": "base10_a_squared"},
+             "hdd does not take maas_variant='base10_a_squared'"),
+            ({"kind": "guiraud", "n": 2, "s": 3},
+             "guiraud does not take n=2, s=3")):
+        with pytest.raises(IndexError_) as excinfo:
+            IndexSpec(**params)
+        assert str(excinfo.value) == message
+    with pytest.raises(IndexError_, match="ttr does not take n=3"):
+        token_weights(IndexKind.TTR, 10, 3)
+    for kind, index in INDEXES.items():
+        # every parameter a kind defaults is its own
+        assert IndexSpec(kind, **index.defaults).kind is kind
+    assert IndexSpec("maas", maas_variant="base10_a_squared").label() \
+        == "maas[base10_a_squared]"
 
 
 SCALAR_FUNCTIONS = {

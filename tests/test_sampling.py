@@ -91,7 +91,7 @@ def test_block_draw_is_the_sequential_stream():
     for size, blocks in ((300, (40,)), (300, (1024, 1024, 952)), (7, (1, 2, 3))):
         seq, blk = np.random.default_rng(5), np.random.default_rng(5)
         want = [seq.permutation(size)[:size - 1] for _ in range(sum(blocks))]
-        got = [sampling_mod._random_draw(size - 1, False, blk, np.arange(size), b)
+        got = [sampling_mod._permutations(blk, size, b)[:, :size - 1]
                for b in blocks]
         assert np.array_equal(np.concatenate(got), want)
         assert blk.bit_generator.state == seq.bit_generator.state
@@ -610,25 +610,32 @@ def count_block_samples(rng, arr, m, iterations):
         yield [np.repeat(np.arange(len(population)), row) for row in rows]
 
 
-def position_block_samples(rng, arr, config, c):
-    """Stream layout 3 of a position-drawn cell: the samples of each block
-    of `_BLOCK` iterations, one permutation per random sample and one
-    dealing per alternating iteration, all drawn before any is scored."""
+def dealt_block_samples(rng, arr, config, k):
+    """Stream layout 3 of an alternating cell: the samples of each block of
+    `_BLOCK` iterations, one dealing per iteration, all drawn before any is
+    scored."""
+    n_snippets = config.truncate_to // k
+    grid = arr[: n_snippets * k].reshape(n_snippets, k)
     for start in range(0, config.iterations, sampling_mod._BLOCK):
         block = []
         for _ in range(min(sampling_mod._BLOCK, config.iterations - start)):
-            if config.method == "alternating":
-                n_snippets = config.truncate_to // c
-                grid = arr[: n_snippets * c].reshape(n_snippets, c)
-                perm = rng.permuted(np.tile(np.arange(c), (n_snippets, 1)), axis=1)
-                shuffled = grid[np.arange(n_snippets)[:, None], perm]
-                block += [shuffled[:, j] for j in range(c)]
-            else:
-                idx = rng.permutation(config.truncate_to)[:c]
-                if config.method == "ordered_random":
-                    idx = np.sort(idx)
-                block.append(arr[idx])
+            perm = rng.permuted(np.tile(np.arange(k), (n_snippets, 1)), axis=1)
+            shuffled = grid[np.arange(n_snippets)[:, None], perm]
+            block += [shuffled[:, j] for j in range(k)]
         yield block
+
+
+def shared_samples(text, arr, config):
+    """Stream layout 9 of a position-drawn random or ordered-random cell:
+    the m-samples of every length m, iteration i taking the first m
+    positions of the i-th permutation of the text's stream ("random",),
+    sorted under ordered random."""
+    rng = np.random.default_rng(stream_seed(config.master_seed, text.id,
+                                            "random"))
+    perms = [rng.permutation(config.truncate_to)
+             for _ in range(config.iterations)]
+    ordered = config.method == "ordered_random"
+    return lambda m: [arr[np.sort(p[:m]) if ordered else p[:m]] for p in perms]
 
 
 # The (method, kind) pairs whose sampled cells hold their exact mean
@@ -712,12 +719,17 @@ def exact_cell(arr, method, c, spec):
 
 def reference_row(text, config, spec):
     """The engine as a per-sample loop: an exact pair's sampled cell from
-    its closed form, and every other sampled cell from blocks of samples
-    drawn as in stream layout 4, each sample then scored by `evaluate` in
-    turn (so MTTRRS and MTTRSS draw from the stream sample by sample), and
-    the cell mean taken with `math.fsum`."""
+    its closed form, and every other sampled cell from samples drawn as in
+    stream layout 9 (count blocks for an order-free random cell, one
+    permutation per iteration shared by every length for the other random
+    cells, dealing blocks for alternating), each sample then scored by
+    `evaluate` in turn with the cell's own stream (so MTTRRS and MTTRSS
+    draw from it sample by sample), and the cell mean taken with
+    `math.fsum`."""
     arr = _encode(text.tokens[:config.truncate_to])
     order_free = INDEXES[spec.kind].counts is not None
+    if config.method != "alternating" and not order_free:
+        shared = shared_samples(text, arr, config)
     out = []
     for c in config.conditions:
         if config.method == "alternating":
@@ -736,10 +748,12 @@ def reference_row(text, config, spec):
         if spec.kind in EXACT_KINDS[config.method]:
             out.append(exact_cell(arr, config.method, c, spec))
             continue
-        if config.method != "alternating" and order_free:
+        if config.method == "alternating":
+            blocks = dealt_block_samples(rng, arr, config, c)
+        elif order_free:
             blocks = count_block_samples(rng, arr, c, config.iterations)
         else:
-            blocks = position_block_samples(rng, arr, config, c)
+            blocks = [shared(c)]
         scores = [evaluate(sample, spec, rng=rng)[0]
                   for block in blocks for sample in block]
         out.append(math.fsum(scores) / len(scores))
@@ -820,6 +834,103 @@ def test_current_stream_layout_is_documented():
     assert f"- Layout {layout}: as layout {layout - 1}" in sampling_mod.__doc__
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert re.search(rf"\blayout {layout}\b", readme)
+
+
+# The pairs that draw token positions from one stream per text (layout 9).
+SHARED_PAIRS = (
+    ("random", IndexSpec(IndexKind.MATTR, n=10)),
+    ("random", IndexSpec(IndexKind.MSTTR, n=10)),
+    ("random", IndexSpec(IndexKind.MTTRSS, n=10, s=3)),
+    ("random", IndexSpec(IndexKind.MTTRRS, n=10, s=3)),
+    ("random", MTLD_SPEC),
+    ("ordered_random", IndexSpec(IndexKind.MSTTR, n=10)),
+    ("ordered_random", IndexSpec(IndexKind.MTTRRS, n=10, s=3)),
+    ("ordered_random", MTLD_SPEC),
+)
+
+
+def test_shared_samples_are_prefixes_across_lengths(monkeypatch, numbers_text):
+    """On the 1..303 pseudo-text, whose codes are its positions, iteration
+    i of a shorter random sample is a prefix of iteration i of a longer
+    one, and the ordered sample of each length is its random sample
+    sorted: one permutation per (text, iteration) serves every length."""
+    seen = capture_samples(monkeypatch)
+    lengths, iterations = (200, 151, 40), 6
+    samples = {}
+    for method in ("random", "ordered_random"):
+        seen.clear()
+        run_method(Corpus((numbers_text,)), SamplingConfig(
+            method, 303, (303, *lengths), iterations, master_seed=9),
+            IndexSpec(IndexKind.MSTTR, n=10))
+        for m in lengths:
+            samples[method, m] = [x for x in seen if len(x) == m]
+            assert len(samples[method, m]) == iterations
+    for i in range(iterations):
+        longest = samples["random", lengths[0]][i]
+        for m in lengths:
+            assert np.array_equal(samples["random", m][i], longest[:m])
+            assert np.array_equal(samples["ordered_random", m][i],
+                                  np.sort(longest[:m]))
+
+
+def test_shared_cells_ignore_budget_block_and_threads(small_corpus,
+                                                      monkeypatch):
+    """A text draws its permutations in runs that fit the position budget,
+    and each length's rows reach the kernel in packed calls of at most
+    ``_BLOCK``; neither, nor the split of the texts across workers,
+    changes a byte.  11 iterations at a budget of 3 rows, or of less than
+    one row, draw in runs of 3 or of 1, and blocks of 4 or 5 rows cut each
+    length's packed calls across texts and runs."""
+    config = small_config("random", iterations=11)
+    wanted = {}
+    for method, spec in SHARED_PAIRS:
+        config = replace(config, method=method)
+        wanted[method, spec] = run_method(small_corpus, config, spec).values
+        threaded = run_method(small_corpus, config, spec, threads=2).values
+        assert threaded.tobytes() == wanted[method, spec].tobytes(), spec
+    for budget, block in ((3 * 280, 4), (100, 1024), (3 * 280 + 5, 5)):
+        monkeypatch.setattr(sampling_mod, "_POSITION_BUDGET", budget)
+        monkeypatch.setattr(sampling_mod, "_BLOCK", block)
+        for (method, spec), want in wanted.items():
+            got = run_method(small_corpus, replace(config, method=method), spec)
+            assert got.values.tobytes() == want.tobytes(), (spec, budget)
+
+
+def test_shared_cells_ignore_the_other_lengths(small_corpus):
+    """A length's column depends only on the text's permutations, not on
+    which other lengths the run samples."""
+    for method, spec in SHARED_PAIRS:
+        full = run_method(small_corpus, small_config(
+            method, conditions=(280, 200, 140, 70)), spec)
+        part = run_method(small_corpus, small_config(
+            method, conditions=(70, 140)), spec)
+        assert full.values[:, 3].tobytes() == part.values[:, 0].tobytes()
+        assert full.values[:, 2].tobytes() == part.values[:, 1].tobytes()
+
+
+def test_shared_cells_match_independent_draws():
+    """Every cell that shares its text's permutations lies within 4
+    standard errors of a mean over independently drawn samples of
+    300-token Zipf texts: the sharing moves no expectation."""
+    corpus = make_zipf_corpus(2, 300, 300, seed=5)
+    iterations, lengths = 2000, (200, 100, 40)
+    for method, spec in SHARED_PAIRS:
+        matrix = run_method(corpus, SamplingConfig(
+            method, 300, (300, *lengths), iterations, master_seed=2), spec)
+        rng = np.random.default_rng(77)
+        for t, text in enumerate(corpus):
+            arr = _encode(text.tokens[:300])
+            for j, m in enumerate(lengths, start=1):
+                positions = np.argsort(rng.random((iterations, 300)),
+                                       axis=1)[:, :m]
+                if method == "ordered_random":
+                    positions.sort(axis=1)
+                scores = np.array(evaluate_specs(arr[positions], [spec],
+                                                 [rng])[0])
+                se = scores.std(ddof=1) / math.sqrt(iterations)
+                # both the cell and the estimate carry Monte Carlo noise
+                assert abs(matrix.values[t, j] - scores.mean()) <= (
+                    4 * math.sqrt(2) * se + 1e-12), (method, spec, m)
 
 
 EXACT_SPECS = (TTR_SPEC, IndexSpec(IndexKind.GUIRAUD_R),
@@ -965,10 +1076,11 @@ def test_exact_cells_ignore_seed_iterations_and_threads(small_corpus, method):
 def test_estimators_say_how_each_column_was_made(small_corpus, monkeypatch,
                                                  method):
     """``monte_carlo`` labels exactly the columns that drew their samples
-    (``_drawn_column``), ``single_draw`` exactly the columns of MTTRRS and
-    MTTRSS scored once (``_fixed_column``), and ``exact`` every other: a
-    fixed score of an index that draws nothing, or an exact cell.  The
-    run-level word is ``monte_carlo`` where any column is."""
+    (``_drawn_column``, or ``_shared_columns`` for each of its lengths),
+    ``single_draw`` exactly the columns of MTTRRS and MTTRSS scored once
+    (``_fixed_column``), and ``exact`` every other: a fixed score of an
+    index that draws nothing, or an exact cell.  The run-level word is
+    ``monte_carlo`` where any column is."""
     made = {}
     for name in ("_drawn_column", "_fixed_column"):
         def spy(arrs, seeds, key, *args, _name=name,
@@ -976,6 +1088,12 @@ def test_estimators_say_how_each_column_was_made(small_corpus, monkeypatch,
             made.setdefault(key[1], []).append(_name)
             return _original(arrs, seeds, key, *args)
         monkeypatch.setattr(sampling_mod, name, spy)
+
+    def shared_spy(arrs, sizes, *args, _original=sampling_mod._shared_columns):
+        for m in sizes:
+            made.setdefault(m, []).append("_drawn_column")
+        return _original(arrs, sizes, *args)
+    monkeypatch.setattr(sampling_mod, "_shared_columns", shared_spy)
     config = small_config(method, iterations=2,
                           **({"conditions": (1, 2, 4, 8)}
                              if method in ("parallel", "alternating") else {}))
@@ -1168,7 +1286,8 @@ def test_parameter_sweep_matches_per_value_scoring(kind, texts, data):
     matrix = parameter_sweep(corpus, kind, values, master_seed=3, s=3)
     for i, text in enumerate(corpus):
         for j, p in enumerate(values):
-            spec = IndexSpec(kind, s=3, **{index.sweep: p})
+            fixed = {"s": 3} if "s" in index.defaults else {}
+            spec = IndexSpec(kind, **fixed, **{index.sweep: p})
             seed = stream_seed(3, text.id, "sweep", str(p))
             want = evaluate_specs(_encode(text.tokens)[None], [spec],
                                   [seed])[0][0]
@@ -1360,6 +1479,20 @@ def test_parameter_sweep_checks_every_value_before_scoring(small_corpus,
         parameter_sweep(small_corpus, IndexKind.MATTR, [10, 0])
     with pytest.raises(SamplingError, match="param_values required"):
         parameter_sweep(small_corpus, IndexKind.MATTR, [])
+
+
+def test_parameter_sweep_applies_s_only_where_the_kind_draws_segments(
+        small_corpus):
+    """``s`` is the segment count of an MTTRRS or MTTRSS sweep: it shapes
+    their scores, and a kind that draws no segments scores as without it."""
+    for kind, values in ((IndexKind.MATTR, [10, 20]), (IndexKind.HDD, [10, 20]),
+                         (IndexKind.MTLD, None)):
+        with_s = parameter_sweep(small_corpus, kind, values, master_seed=1, s=7)
+        plain = parameter_sweep(small_corpus, kind, values, master_seed=1)
+        assert with_s.values.tobytes() == plain.values.tobytes()
+    a = parameter_sweep(small_corpus, IndexKind.MTTRSS, [20], master_seed=1, s=2)
+    b = parameter_sweep(small_corpus, IndexKind.MTTRSS, [20], master_seed=1, s=7)
+    assert a.values.tobytes() != b.values.tobytes()
 
 
 def test_parameter_sweep_rejects_unparameterized(small_corpus):
