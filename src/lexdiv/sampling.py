@@ -13,22 +13,23 @@ How a cell turns its stream into samples is the stream layout, recorded as
 ``parameter_sweep``.  README's "Sampling methods" describes it and tells
 how each layout differs from the one before; the current one is
 
-- Layout 9: as layout 8, with every random and ordered-random cell that
-  draws token positions (MATTR, MSTTR, MTTRRS, MTTRSS and MTLD under
-  random; MSTTR, MTTRRS and MTLD under ordered random) taking them from
-  one stream per text, ("random",), whose i-th permutation gives
-  iteration i of every sampled length its first m positions
-  (``_shared_columns``).  MTTRRS and MTTRSS draw their segments from the
-  cell's stream ("random", m), and every other cell is as layout 8 has
-  it.
+- Layout 10: as layout 9, with MTTRRS and MTTRSS drawing the segments of
+  every cell, scored once or sampled, from the cell's own stream (stream,
+  condition, "segments"), never from the stream its samples come from.
+  Every cell of the other eight kinds is as layout 9 has it: each random
+  and ordered-random cell that draws token positions takes them from one
+  stream per text, ("random",), whose i-th permutation gives iteration i
+  of every sampled length its first m positions.
 
-Scoring is packed across texts, and changes no byte: the blocks of
-every text's cell at one condition go to the index's kernel together, in
-corpus order, whole where they fit, at most ``_BLOCK`` rows per call
-(``_Packer``).  Rows score independently, and MTTRRS and MTTRSS draw each
-cell's rows from that cell's own stream (``_Streams``), so a packed call
-scores each cell as a call of its rows alone would, and the bytes do not
-depend on how ``threads`` splits the corpus.
+A ``Method`` scores each condition once, or takes its exact cells, or
+draws it; every drawn column goes through ``_monte_carlo``, where each
+text draws from its stream in blocks of at most ``_BLOCK`` iterations.
+The rows of every text's cell at one condition go to the index's kernel
+together, in corpus order, whole where they fit, at most ``_BLOCK`` rows
+per call (``_Packer``).  Rows score independently, and each cell's
+segments come from its own stream, so a packed call scores each cell as a
+call of its rows alone would, and the bytes do not depend on how
+``threads`` splits the corpus.
 
 The exact cells are the table ``Method.exact``.  These stay Monte Carlo:
 
@@ -79,15 +80,14 @@ from .indices import (
 DEFAULT_ITERATIONS = 10_000
 
 # The layout of the sampling streams (see the module docstring).
-STREAM_LAYOUT = 9
+STREAM_LAYOUT = 10
 
-# Samples per draw; bounds the draw's memory to about this many rows of L.
-# Part of the stream layout: layout 2's count draws depend on the block
-# size, and so does layout 3's order of sample and position draws.
+# Iterations per draw; bounds the draw's memory to about this many rows of
+# L.  Part of the stream layout: layout 2's count draws depend on it.
 _BLOCK = 1024
 
-# Most token positions ``_shared_columns`` draws at once (8 MB of int64);
-# a text with more iterations draws them in runs.
+# Most token positions ``_shared_draw`` draws at once (8 MB of int64); a
+# block with more draws them in runs.
 _POSITION_BUDGET = 1 << 20
 
 
@@ -206,39 +206,33 @@ def stream_seed(master_seed: int, *key) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
-class _Streams:
-    """The streams of one packed kernel call.  MTTRRS and MTTRSS draw while
-    they score, through ``integers``, which draws each cell's rows from
-    that cell's own stream, cells in row order, so every stream gives what
-    a call of its rows alone would draw.  ``gens[cell]`` is a Generator or
-    a seed, which becomes a Generator at the cell's first draw."""
+class _Packer:
+    """Rows of many cells scored in packed calls: ``score(rows, [spec],
+    [self])``, in ``IndexDef.rows``'s form, at most ``_BLOCK`` rows per
+    call, rows in the order they are added.  Rows score independently, so
+    a cell's scores do not depend on the rows packed with it.  The packer
+    is also the call's rng: MTTRRS and MTTRSS draw through ``integers``,
+    which draws each cell's rows from that cell's segment stream,
+    ``seeds[cell](*key)``, cells in row order, so every stream gives what a
+    call of its rows alone would draw.  A stream is seeded at its cell's
+    first draw, so a kind that draws nothing seeds none."""
 
-    def __init__(self, gens: list, parts: list):
-        self.gens, self.parts = gens, parts  # parts: (cell, rows) in row order
+    def __init__(self, seeds: list, key: tuple, spec: IndexSpec, score):
+        self.seeds, self.key, self.spec, self.score = seeds, key, spec, score
+        self.streams = {}  # cell -> its segment Generator
+        self.scores = [[] for _ in seeds]
+        self.queue = []  # (cell, rows) waiting to be scored
+        self.queued = 0
 
     def integers(self, low, high, size):
         drawn = []
-        for cell, rows in self.parts:
-            if not isinstance(self.gens[cell], np.random.Generator):
-                self.gens[cell] = np.random.default_rng(self.gens[cell])
-            drawn.append(self.gens[cell].integers(low, high,
-                                                  size=(rows, *size[1:])))
+        for cell, rows in self.queue:
+            if cell not in self.streams:
+                self.streams[cell] = np.random.default_rng(
+                    self.seeds[cell](*self.key))
+            drawn.append(self.streams[cell].integers(
+                low, high, size=(len(rows), *size[1:])))
         return np.concatenate(drawn)
-
-
-class _Packer:
-    """Rows of many cells scored in packed calls: ``score(rows, [spec],
-    [streams])``, in ``IndexDef.rows``'s form, at most ``_BLOCK`` rows per
-    call, rows in the order they are added; ``streams`` (``_Streams``)
-    draws each cell's rows from ``gens[cell]``.  Rows score
-    independently, so a cell's scores do not depend on the rows packed
-    with it."""
-
-    def __init__(self, gens: list, spec: IndexSpec, score):
-        self.gens, self.spec, self.score = gens, spec, score
-        self.scores = [[] for _ in gens]
-        self.queue = []  # (cell, rows) waiting to be scored
-        self.queued = 0
 
     def add(self, cell: int, rows) -> None:
         for part in range(0, len(rows), _BLOCK):
@@ -253,8 +247,7 @@ class _Packer:
         blocks = [rows for _, rows in self.queue]
         out = self.score(
             blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
-            [self.spec], [_Streams(self.gens, [(cell, len(rows)) for
-                                               cell, rows in self.queue])])[0]
+            [self.spec], [self])[0]
         first = 0
         for cell, rows in self.queue:
             self.scores[cell].extend(out[first:first + len(rows)])
@@ -269,97 +262,73 @@ class _Packer:
         return [math.fsum(s) / len(s) for s in self.scores]
 
 
-def _packed_means(cells: list, spec: IndexSpec, score) -> list:
-    """The mean score under ``spec`` over the rows of each cell.  A cell
-    ``(draw, iterations, rng)`` draws blocks of up to ``_BLOCK``
-    iterations, each ``draw(b)`` giving a block's rows, which go to a
-    ``_Packer`` in cell order; the kernel draws each cell's rows from its
-    ``rng``.  A cell draws a block only once its earlier rows are scored,
-    so every stream meets the draws of a one-cell run in the same order."""
-    packer = _Packer([rng for _, _, rng in cells], spec, score)
-    for cell, (draw, iterations, _) in enumerate(cells):
-        for start in range(0, iterations, _BLOCK):
-            if packer.queue and packer.queue[-1][0] == cell:
-                packer.flush()
-            block = draw(min(_BLOCK, iterations - start))
-            # an alternating block holds k rows per iteration
-            packer.add(cell, block)
-            # only the queue may hold drawn rows, so that the next draw
-            # does not find the last block still alive
-            del block
+def _fixed_column(rows, seeds, key, spec) -> list:
+    """Each text's cell scored once: the mean score of its ``rows``, whose
+    segments come from the stream under ``key``."""
+    packer = _Packer(seeds, key, spec, evaluate_specs)
+    for text, cell_rows in enumerate(rows):
+        packer.add(text, cell_rows)
     return packer.means()
 
 
-def _fixed_rows(rows, b):
-    """The rows of a cell that draws nothing."""
-    return rows
-
-
-def _fixed_column(rows, seeds, key, spec) -> list:
-    """Each text's cell that draws nothing: its ``rows`` scored once, with
-    the stream under ``key`` for the kernel."""
-    cells = [(partial(_fixed_rows, r), 1, seed(*key))
-             for r, seed in zip(rows, seeds)]
-    return _packed_means(cells, spec, evaluate_specs)
-
-
-def _drawn_column(arrs, seeds, key, iterations, draw, spec, score) -> list:
-    """Each text's Monte Carlo cell under ``key``: ``draw(rng, arr, b)``
-    gives b iterations' rows from the cell's stream."""
-    cells = []
-    for arr, seed in zip(arrs, seeds):
-        rng = np.random.default_rng(seed(*key))
-        cells.append((partial(draw, rng, arr), iterations, rng))
-    return _packed_means(cells, spec, score)
-
-
-def _parallel_columns(arrs, conditions, iterations, spec, seeds, cells):
-    columns = []
-    for d in conditions:
-        seg_len = len(arrs[0]) // d
-        segments = [arr[:d * seg_len].reshape(d, seg_len) for arr in arrs]
-        columns.append(_fixed_column(segments, seeds, ("parallel", d), spec))
-    return columns
-
-
-def _permutations(rng, big_l: int, b: int) -> np.ndarray:
-    """b fresh permutations of range(L), one row each: numpy fills the rows
-    of one ``permuted`` call with the draws of successive ``permutation``
-    calls, so they do not depend on b."""
-    positions = np.tile(np.arange(big_l), (b, 1))
-    rng.permuted(positions, axis=1, out=positions)
-    return positions
-
-
-def _shared_columns(arrs, sizes, iterations, spec, seeds, ordered) -> list:
-    """Layout 9: the Monte Carlo cell of every text at each sample length m
-    of ``sizes`` (each below L), ``out[j][t]``.  Text t draws its
-    permutations from its stream ("random",); iteration i of every m takes
-    the first m positions of the i-th, restored to text order when
-    ``ordered``, so a text's cells share their draws across lengths.  A
-    text draws at most ``_POSITION_BUDGET`` positions at once, and each
-    length's rows go to its own ``_Packer``; MTTRRS and MTTRSS draw each
-    cell's rows from the cell's stream ("random", m)."""
-    big_l = len(arrs[0])
-    packers = [_Packer([seed("random", m) for seed in seeds], spec,
-                       evaluate_specs) for m in sizes]
-    per_draw = max(1, _POSITION_BUDGET // big_l)
+def _monte_carlo(arrs, seeds, key, sizes, iterations, spec, score,
+                 draw) -> list:
+    """The Monte Carlo cell of every text at each condition of ``sizes``,
+    ``out[j][t]``.  Text t draws from its stream under ``key`` in blocks of
+    at most ``_BLOCK`` iterations: ``draw(rng, arr, b)`` yields a block's
+    rows as ``(j, rows)`` for the ``_Packer`` of ``sizes[j]``, which scores
+    them with ``score`` and draws their segments from (``key[0]``,
+    ``sizes[j]``, "segments")."""
+    packers = [_Packer(seeds, (key[0], size, "segments"), spec, score)
+               for size in sizes]
     for text, (arr, seed) in enumerate(zip(arrs, seeds)):
-        rng = np.random.default_rng(seed("random"))
-        for start in range(0, iterations, per_draw):
-            positions = _permutations(rng, big_l,
-                                      min(per_draw, iterations - start))
-            for m, packer in zip(sizes, packers):
-                for part in range(0, len(positions), _BLOCK):
-                    rows = positions[part:part + _BLOCK, :m]
-                    packer.add(text, arr[np.sort(rows) if ordered else rows])
-            del positions
+        rng = np.random.default_rng(seed(*key))
+        for start in range(0, iterations, _BLOCK):
+            for j, rows in draw(rng, arr, min(_BLOCK, iterations - start)):
+                packers[j].add(text, rows)
     return [packer.means() for packer in packers]
 
 
+def _shared_draw(ordered: bool, sizes, rng, arr, b):
+    """Layout 9: b iterations of every sample length m of ``sizes``, each
+    iteration's m-samples the first m positions of one fresh permutation,
+    restored to text order when ``ordered``.  The permutations are drawn in
+    runs of at most ``_POSITION_BUDGET`` positions: numpy fills the rows of
+    one ``permuted`` call with the draws of successive ``permutation``
+    calls, so they do not depend on the run."""
+    per_draw = max(1, _POSITION_BUDGET // len(arr))
+    for start in range(0, b, per_draw):
+        positions = np.tile(np.arange(len(arr)), (min(per_draw, b - start), 1))
+        rng.permuted(positions, axis=1, out=positions)
+        for j, m in enumerate(sizes):
+            rows = positions[:, :m]
+            yield j, arr[np.sort(rows) if ordered else rows]
+
+
 def _count_draw(m, rng, population, b):
-    return rng.multivariate_hypergeometric(population, m, size=b,
-                                           method="count")
+    """Layout 2: the type counts of b m-samples of a text's ``population``."""
+    yield 0, rng.multivariate_hypergeometric(population, m, size=b,
+                                             method="count")
+
+
+def _random_draw(ordered: bool, arrs, sizes, spec, seeds, iterations) -> list:
+    """The Monte Carlo columns of random or ordered-random sample lengths
+    ``sizes``: one call that shares each text's permutations across them
+    all, or, for an order-free score, which reads only the sample's type
+    counts, one call of count draws per length.  Every text then gets as
+    many count columns as the one with the most types, so that its rows
+    stack with theirs; no color is drawn from those empty columns."""
+    counts = INDEXES[spec.kind].counts
+    if counts is None:
+        return _monte_carlo(arrs, seeds, ("random",), sizes, iterations, spec,
+                            evaluate_specs, partial(_shared_draw, ordered,
+                                                    sizes))
+    width = max(arr.max() for arr in arrs) + 1
+    populations = [np.bincount(arr, minlength=width) for arr in arrs]
+    return [_monte_carlo(
+        populations, seeds, ("random", m), [m], iterations, spec,
+        lambda rows, specs, rngs, m=m: counts(rows, m, specs),
+        partial(_count_draw, m))[0] for m in sizes]
 
 
 def _missed_table(big_l: int, m: int, n: int, most: int) -> np.ndarray:
@@ -527,38 +496,6 @@ def _expected_cells(formula, arrs, sizes, spec) -> list:
     return [[formula(t, m) for t in col] for m, col in zip(sizes, expected)]
 
 
-def _random_columns(arrs, conditions, iterations, spec, seeds, cells,
-                    ordered: bool):
-    big_l = len(arrs[0])
-    columns = {}
-    if big_l in conditions:
-        # full extract: a single deterministic score, no permutation
-        columns[big_l] = _fixed_column([arr[None] for arr in arrs], seeds,
-                                       ("random", big_l, "full"), spec)
-    sizes = [m for m in dict.fromkeys(conditions) if m < big_l]
-    counts = INDEXES[spec.kind].counts
-    if not sizes:
-        drawn = []
-    elif cells:
-        drawn = cells(arrs, sizes, spec)
-    elif counts is None:
-        drawn = _shared_columns(arrs, sizes, iterations, spec, seeds, ordered)
-    else:
-        # layout 2: an order-free score reads only the sample's type
-        # counts.  Every text gets as many count columns as the one with
-        # the most types, so that its rows stack with theirs; no color is
-        # drawn from those empty columns.
-        width = max(arr.max() for arr in arrs) + 1
-        populations = [np.bincount(arr, minlength=width) for arr in arrs]
-        drawn = [_drawn_column(
-            populations, seeds, ("random", m), iterations,
-            partial(_count_draw, m), spec,
-            lambda rows, specs, rngs, m=m: counts(rows, m, specs))
-            for m in sizes]
-    columns.update(zip(sizes, drawn))
-    return [columns[m] for m in conditions]
-
-
 def _alternating_types(arrs, k: int, n: int, step: int) -> list:
     """The expected type count of each text's alternating sample, which
     takes one uniform token from each k-token snippet independently,
@@ -619,14 +556,24 @@ def _alternating_types(arrs, k: int, n: int, step: int) -> list:
     return totals
 
 
-def _dealt_draw(k, n_snippets, rng, arr, b):
+def _dealt_draw(k, rng, arr, b):
     """The k samples of each of b iterations, iteration by iteration: the
     k-token snippets of ``arr`` are permuted within, and sample j takes the
     j-th token of every permuted snippet."""
-    perm = np.tile(np.arange(k), (b * n_snippets, 1))
-    rng.permuted(perm, axis=1, out=perm)
-    positions = perm.reshape(b, n_snippets, k) + np.arange(n_snippets)[:, None] * k
-    return arr[positions.transpose(0, 2, 1).reshape(b * k, n_snippets)]
+    n_snippets = len(arr) // k
+    positions = np.tile(np.arange(k), (b * n_snippets, 1))
+    rng.permuted(positions, axis=1, out=positions)
+    positions = (positions.reshape(b, n_snippets, k)
+                 + np.arange(n_snippets)[:, None] * k)
+    yield 0, arr[positions.transpose(0, 2, 1).reshape(b * k, n_snippets)]
+
+
+def _dealt_columns(arrs, ks, spec, seeds, iterations) -> list:
+    """The Monte Carlo columns of alternating conditions ``ks``, each
+    dealing from its stream ("alternating", k)."""
+    return [_monte_carlo(arrs, seeds, ("alternating", k), [k], iterations,
+                         spec, evaluate_specs, partial(_dealt_draw, k))[0]
+            for k in ks]
 
 
 def _alternating_cells(formula, windows, arrs, ks, spec) -> list:
@@ -645,35 +592,28 @@ def _alternating_cells(formula, windows, arrs, ks, spec) -> list:
     return columns
 
 
-def _alternating_columns(arrs, conditions, iterations, spec, seeds, cells):
-    columns = []
-    for k in conditions:
-        if k == 1:
-            columns.append(_fixed_column([arr[None] for arr in arrs], seeds,
-                                         ("alternating", k, "full"), spec))
-        elif cells:
-            columns.extend(cells(arrs, [k], spec))
-        else:
-            columns.append(_drawn_column(
-                arrs, seeds, ("alternating", k), iterations,
-                partial(_dealt_draw, k, len(arrs[0]) // k), spec,
-                evaluate_specs))
-    return columns
-
-
 @dataclass(frozen=True)
 class Method:
-    """One length-reduction method.  ``columns(arrs, conditions,
-    iterations, spec, seeds, cells)`` scores every encoded L-truncation of
-    ``arrs`` under each condition and returns one list of scores per
-    condition, where ``seeds[i](*key)`` is the seed of text i's RNG stream
-    for that key.  A condition d of a ``divides`` method names samples of
-    floor(L/d) tokens; otherwise the condition is the sample length itself.
-    ``exact`` maps a kind to ``cells(arrs, conditions, spec)``, the exact
-    columns of sampled conditions, which ``columns`` draws without one."""
+    """One length-reduction method, as data.  A condition c of a
+    ``divides`` method names samples of floor(L/c) tokens; otherwise c is
+    the sample length itself.  ``columns`` scores each condition in one of
+    three ways:
 
-    columns: Callable
+    - once (``scored_once``), where the method has no ``draw`` or the
+      sample is the whole truncation: the mean score of its c segments of
+      floor(L/c) tokens under parallel, of the truncation otherwise
+      (``_fixed_column``);
+    - exactly, where ``exact`` maps the index kind to ``cells(arrs,
+      conditions, spec)``;
+    - by ``draw(arrs, conditions, spec, seeds, iterations)``, Monte Carlo
+      means (``_monte_carlo``).
+
+    The first two draw no samples.  MTTRRS and MTTRSS draw the segments of
+    condition c from the stream (``stream``, c, "segments")."""
+
+    stream: str
     divides: bool
+    draw: Optional[Callable]
     exact: dict
 
     def sample_length(self, truncate_to: int, condition: int) -> int:
@@ -683,20 +623,47 @@ class Method:
         """Samples of L, L/2, L/3 and L/4 tokens."""
         return tuple(d if self.divides else truncate_to // d for d in (1, 2, 3, 4))
 
+    def scored_once(self, truncate_to: int, condition: int) -> bool:
+        return (self.draw is None
+                or self.sample_length(truncate_to, condition) == truncate_to)
+
+    def columns(self, arrs, conditions, iterations, spec, seeds) -> list:
+        """One list of scores per condition for the encoded L-truncations
+        ``arrs``, where ``seeds[t](*key)`` seeds text t's stream under
+        ``key``."""
+        big_l = len(arrs[0])
+        columns, sampled = {}, []
+        for c in dict.fromkeys(conditions):
+            if not self.scored_once(big_l, c):
+                sampled.append(c)
+                continue
+            d = c if self.divides else 1
+            columns[c] = _fixed_column(
+                [arr[:big_l // d * d].reshape(d, -1) for arr in arrs], seeds,
+                (self.stream, c, "segments"), spec)
+        if sampled and spec.kind in self.exact:
+            columns.update(zip(sampled,
+                               self.exact[spec.kind](arrs, sampled, spec)))
+        elif sampled:
+            columns.update(zip(sampled, self.draw(arrs, sampled, spec, seeds,
+                                                  iterations)))
+        return [columns[c] for c in conditions]
+
 
 # The table of exact cells (layouts 5, 7 and 8).  TTR and Guiraud are linear
 # in the type count; MTTRSS draws its starts uniformly: its mean is MATTR's.
 _EXPECTED_CELLS = {IndexKind.TTR: partial(_expected_cells, _ttr),
                    IndexKind.GUIRAUD_R: partial(_expected_cells, _guiraud_r)}
 METHODS = {
-    "parallel": Method(_parallel_columns, divides=True, exact={}),
-    "random": Method(partial(_random_columns, ordered=False), divides=False,
-                     exact=_EXPECTED_CELLS),
+    "parallel": Method("parallel", divides=True, draw=None, exact={}),
+    "random": Method("random", divides=False,
+                     draw=partial(_random_draw, False), exact=_EXPECTED_CELLS),
     "ordered_random": Method(
-        partial(_random_columns, ordered=True), divides=False,
+        "random", divides=False, draw=partial(_random_draw, True),
         exact={**_EXPECTED_CELLS, IndexKind.MATTR: _ordered_window_cells,
                IndexKind.MTTRSS: _ordered_window_cells}),
-    "alternating": Method(_alternating_columns, divides=True, exact={
+    "alternating": Method("alternating", divides=True, draw=_dealt_columns,
+                          exact={
         IndexKind.TTR: partial(_alternating_cells, _ttr, "whole"),
         IndexKind.GUIRAUD_R: partial(_alternating_cells, _guiraud_r, "whole"),
         IndexKind.MATTR: partial(_alternating_cells, _ttr, "sliding"),
@@ -705,7 +672,7 @@ METHODS = {
 }
 
 
-def _scored_once(kind: IndexKind) -> str:
+def _once_estimator(kind: IndexKind) -> str:
     """A cell scored once is one draw of a kind that draws s segments."""
     return "single_draw" if "s" in INDEXES[kind].defaults else "exact"
 
@@ -748,9 +715,8 @@ def _score_texts(texts, method: str, truncate_to: int, conditions,
     seeds = [partial(stream_seed, master_seed,
                      text.id if isinstance(text, Text) else None)
              for text in texts]
-    chosen = METHODS[method]
-    columns = chosen.columns(arrs, conditions, iterations, spec, seeds,
-                             chosen.exact.get(spec.kind))
+    columns = METHODS[method].columns(arrs, conditions, iterations, spec,
+                                      seeds)
     return np.array(columns, dtype=float).reshape(len(conditions), len(arrs)).T
 
 
@@ -821,12 +787,12 @@ def run_method(
             values = np.concatenate(list(pool.map(score, runs)))
     else:
         values = score(texts)
-    sampled = ("exact" if spec.kind in METHODS[config.method].exact
-               else "monte_carlo")
-    # parallel and full-extract columns are scored once
-    estimators = [_scored_once(spec.kind) if config.method == "parallel"
-                  or int(length) == config.truncate_to else sampled
-                  for length in config.col_labels()]
+    method = METHODS[config.method]
+    estimators = [
+        _once_estimator(spec.kind)
+        if method.scored_once(config.truncate_to, c)
+        else "exact" if spec.kind in method.exact else "monte_carlo"
+        for c in config.conditions]
     return ScoreMatrix(
         row_ids=[t.id for t in corpus],
         col_labels=config.col_labels(),
@@ -905,6 +871,6 @@ def parameter_sweep(
             "param_values": [float(p) for p in param_values],
             "master_seed": master_seed,
             "stream_layout": STREAM_LAYOUT,
-            "estimators": [_scored_once(kind)] * len(param_values),
+            "estimators": [_once_estimator(kind)] * len(param_values),
         },
     )

@@ -321,7 +321,7 @@ def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_pat
     assert set(meta["versions"]) == {"lexdiv", "numpy", "python"}
     assert meta["versions"]["numpy"] == np.__version__
     assert meta["config"]["threads"] == 1
-    assert meta["matrix_meta"]["stream_layout"] == 9
+    assert meta["matrix_meta"]["stream_layout"] == 10
     assert meta["matrix_meta"]["estimator"] == "exact"  # random TTR
 
 

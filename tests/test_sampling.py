@@ -87,13 +87,16 @@ def test_block_draw_is_the_sequential_stream():
     rows of one `integers` call with the values of successive smaller
     calls, leaving the generator in the same state.  A numpy release that
     changes this changes every score sampled from positions, and every
-    MTTRRS and MTTRSS score, so it must fail here."""
+    MTTRRS and MTTRSS score, so it must fail here.  Each draw yields a
+    block's rows as ``(j, rows)`` for the length ``sizes[j]``; on texts
+    whose codes are their positions, the rows are the positions."""
     for size, blocks in ((300, (40,)), (300, (1024, 1024, 952)), (7, (1, 2, 3))):
         seq, blk = np.random.default_rng(5), np.random.default_rng(5)
         want = [seq.permutation(size)[:size - 1] for _ in range(sum(blocks))]
-        got = [sampling_mod._permutations(blk, size, b)[:, :size - 1]
-               for b in blocks]
-        assert np.array_equal(np.concatenate(got), want)
+        drawn = [part for b in blocks for part in sampling_mod._shared_draw(
+            False, [size - 1], blk, np.arange(size), b)]
+        assert {j for j, _ in drawn} == {0}
+        assert np.array_equal(np.concatenate([rows for _, rows in drawn]), want)
         assert blk.bit_generator.state == seq.bit_generator.state
 
     k, n_snippets, blocks = 3, 100, (5, 2)
@@ -103,9 +106,10 @@ def test_block_draw_is_the_sequential_stream():
         perm = seq.permuted(np.tile(np.arange(k), (n_snippets, 1)), axis=1)
         positions = perm + np.arange(n_snippets)[:, None] * k
         want += [positions[:, j] for j in range(k)]
-    got = [sampling_mod._dealt_draw(k, n_snippets, blk, np.arange(k * n_snippets), b)
-           for b in blocks]
-    assert np.array_equal(np.concatenate(got), want)
+    drawn = [part for b in blocks for part in sampling_mod._dealt_draw(
+        k, blk, np.arange(k * n_snippets), b)]
+    assert {j for j, _ in drawn} == {0}
+    assert np.array_equal(np.concatenate([rows for _, rows in drawn]), want)
     assert blk.bit_generator.state == seq.bit_generator.state
 
     # MTTRRS and MTTRSS draw a block's positions or starts in one
@@ -127,7 +131,8 @@ def test_block_draw_is_the_sequential_stream():
         seq, blk = np.random.default_rng(seed), np.random.default_rng(seed)
         want = seq.multivariate_hypergeometric(population, m, size=b, method="count")
         padded = np.append(population, np.zeros(int(own.integers(1, 20)), np.int64))
-        got = blk.multivariate_hypergeometric(padded, m, size=b, method="count")
+        (j, got), = sampling_mod._count_draw(m, blk, padded, b)
+        assert j == 0
         assert np.array_equal(got[:, :len(population)], want)
         assert not got[:, len(population):].any()
         assert blk.bit_generator.state == seq.bit_generator.state
@@ -641,6 +646,7 @@ def shared_samples(text, arr, config):
 # The (method, kind) pairs whose sampled cells hold their exact mean
 # (stream layouts 5, 7 and 8).
 EXACT_KINDS = {
+    "parallel": set(),
     "random": {IndexKind.TTR, IndexKind.GUIRAUD_R},
     "ordered_random": {IndexKind.TTR, IndexKind.GUIRAUD_R, IndexKind.MATTR,
                        IndexKind.MTTRSS},
@@ -720,41 +726,46 @@ def exact_cell(arr, method, c, spec):
 def reference_row(text, config, spec):
     """The engine as a per-sample loop: an exact pair's sampled cell from
     its closed form, and every other sampled cell from samples drawn as in
-    stream layout 9 (count blocks for an order-free random cell, one
+    stream layout 10 (count blocks for an order-free random cell, one
     permutation per iteration shared by every length for the other random
     cells, dealing blocks for alternating), each sample then scored by
-    `evaluate` in turn with the cell's own stream (so MTTRRS and MTTRSS
-    draw from it sample by sample), and the cell mean taken with
-    `math.fsum`."""
+    `evaluate` in turn with the cell's segment stream (stream, c,
+    "segments"), so MTTRRS and MTTRSS draw from it sample by sample, and
+    the cell mean taken with `math.fsum`.  A full extract is one sample,
+    and a parallel cell its d segments, scored with the same stream."""
     arr = _encode(text.tokens[:config.truncate_to])
     order_free = INDEXES[spec.kind].counts is not None
-    if config.method != "alternating" and not order_free:
+    alternating = config.method == "alternating"
+    if config.method in ("random", "ordered_random") and not order_free:
         shared = shared_samples(text, arr, config)
+
+    def stream(*key):
+        name = {"ordered_random": "random"}.get(config.method, config.method)
+        return np.random.default_rng(stream_seed(
+            config.master_seed, text.id, name, *key))
+
     out = []
     for c in config.conditions:
-        if config.method == "alternating":
-            full = c == 1
-            rng = np.random.default_rng(stream_seed(
-                config.master_seed, text.id, "alternating", c,
-                *(("full",) if full else ())))
-        else:
-            full = c == config.truncate_to
-            rng = np.random.default_rng(stream_seed(
-                config.master_seed, text.id, "random", c,
-                *(("full",) if full else ())))
-        if full:
-            out.append(evaluate(arr, spec, rng=rng)[0])
+        segments = stream(c, "segments")
+        if config.method == "parallel":
+            length = config.truncate_to // c
+            scores = [evaluate(arr[i * length:(i + 1) * length], spec,
+                               rng=segments)[0] for i in range(c)]
+            out.append(math.fsum(scores) / c)
+            continue
+        if c == (1 if alternating else config.truncate_to):
+            out.append(evaluate(arr, spec, rng=segments)[0])
             continue
         if spec.kind in EXACT_KINDS[config.method]:
             out.append(exact_cell(arr, config.method, c, spec))
             continue
-        if config.method == "alternating":
-            blocks = dealt_block_samples(rng, arr, config, c)
+        if alternating:
+            blocks = dealt_block_samples(stream(c), arr, config, c)
         elif order_free:
-            blocks = count_block_samples(rng, arr, c, config.iterations)
+            blocks = count_block_samples(stream(c), arr, c, config.iterations)
         else:
             blocks = [shared(c)]
-        scores = [evaluate(sample, spec, rng=rng)[0]
+        scores = [evaluate(sample, spec, rng=segments)[0]
                   for block in blocks for sample in block]
         out.append(math.fsum(scores) / len(scores))
     return out
@@ -798,9 +809,9 @@ def test_run_method_matches_per_sample_loop(data):
         Text(id=f"t{i}", tokens=tuple(data.draw(
             st.lists(token, min_size=size, max_size=size + 5))))
         for i in range(data.draw(st.integers(2, 4), label="texts"))))
-    method = data.draw(st.sampled_from(["random", "ordered_random",
+    method = data.draw(st.sampled_from(["parallel", "random", "ordered_random",
                                         "alternating"]))
-    if method == "alternating":
+    if method in ("parallel", "alternating"):
         condition = st.integers(1, size // 3)
     else:
         condition = st.integers(3, size)
@@ -811,8 +822,9 @@ def test_run_method_matches_per_sample_loop(data):
         iterations=data.draw(st.integers(1, 7)),
         master_seed=data.draw(st.integers(0, 2**32)),
     )
-    sampled = any(sampling_mod.METHODS[method].sample_length(size, c) < size
-                  for c in config.conditions)
+    sampled = method != "parallel" and any(
+        sampling_mod.METHODS[method].sample_length(size, c) < size
+        for c in config.conditions)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling_mod, "_BLOCK", 3)
         for spec in ALL_KIND_SPECS:
@@ -873,39 +885,127 @@ def test_shared_samples_are_prefixes_across_lengths(monkeypatch, numbers_text):
                                   np.sort(longest[:m]))
 
 
+# The pairs that draw type counts per (text, length) (layout 2), and the
+# pairs that deal from a stream per (text, k) (layout 3): with
+# SHARED_PAIRS, every pair that draws.
+COUNT_PAIRS = tuple(
+    (method, spec) for method in ("random", "ordered_random")
+    for spec in (HDD_SPEC, IndexSpec(IndexKind.HERDAN_C),
+                 IndexSpec(IndexKind.MAAS_A),
+                 IndexSpec(IndexKind.MAAS_A, maas_variant="base10_a_squared")))
+DEALT_PAIRS = tuple(("alternating", spec) for spec in (
+    HDD_SPEC, IndexSpec(IndexKind.HERDAN_C), IndexSpec(IndexKind.MAAS_A),
+    MTLD_SPEC, IndexSpec(IndexKind.MTTRRS, n=10, s=3)))
+
+
 def test_shared_cells_ignore_budget_block_and_threads(small_corpus,
                                                       monkeypatch):
-    """A text draws its permutations in runs that fit the position budget,
-    and each length's rows reach the kernel in packed calls of at most
-    ``_BLOCK``; neither, nor the split of the texts across workers,
-    changes a byte.  11 iterations at a budget of 3 rows, or of less than
-    one row, draw in runs of 3 or of 1, and blocks of 4 or 5 rows cut each
-    length's packed calls across texts and runs."""
-    config = small_config("random", iterations=11)
+    """No drawn cell depends on the split of the texts across workers.  A
+    text draws its permutations in runs that fit the position budget, and
+    each length's rows reach the kernel in packed calls of at most
+    ``_BLOCK``; neither changes a byte of a position-drawn or dealt cell
+    (a count draw depends on the block by design).  11 iterations at a
+    budget of 3 rows, or of less than one row, draw in runs of 3 or of 1,
+    and blocks of 4 or 5 rows cut each length's packed calls across texts
+    and runs."""
     wanted = {}
-    for method, spec in SHARED_PAIRS:
-        config = replace(config, method=method)
+    for method, spec in SHARED_PAIRS + COUNT_PAIRS + DEALT_PAIRS:
+        config = small_config(method, iterations=11)
         wanted[method, spec] = run_method(small_corpus, config, spec).values
         threaded = run_method(small_corpus, config, spec, threads=2).values
         assert threaded.tobytes() == wanted[method, spec].tobytes(), spec
     for budget, block in ((3 * 280, 4), (100, 1024), (3 * 280 + 5, 5)):
         monkeypatch.setattr(sampling_mod, "_POSITION_BUDGET", budget)
         monkeypatch.setattr(sampling_mod, "_BLOCK", block)
-        for (method, spec), want in wanted.items():
-            got = run_method(small_corpus, replace(config, method=method), spec)
-            assert got.values.tobytes() == want.tobytes(), (spec, budget)
+        for method, spec in SHARED_PAIRS + DEALT_PAIRS:
+            got = run_method(small_corpus, small_config(method, iterations=11),
+                             spec)
+            assert got.values.tobytes() == wanted[method, spec].tobytes(), (
+                method, spec, budget)
 
 
 def test_shared_cells_ignore_the_other_lengths(small_corpus):
-    """A length's column depends only on the text's permutations, not on
-    which other lengths the run samples."""
-    for method, spec in SHARED_PAIRS:
-        full = run_method(small_corpus, small_config(
-            method, conditions=(280, 200, 140, 70)), spec)
-        part = run_method(small_corpus, small_config(
-            method, conditions=(70, 140)), spec)
-        assert full.values[:, 3].tobytes() == part.values[:, 0].tobytes()
-        assert full.values[:, 2].tobytes() == part.values[:, 1].tobytes()
+    """A drawn column depends only on its own condition, not on which
+    other conditions the run samples: a length's column only on the
+    text's permutations or its own count draws, a k's only on its own
+    dealing."""
+    for method, spec in SHARED_PAIRS + COUNT_PAIRS + DEALT_PAIRS:
+        whole, part = (((1, 2, 3, 4), (4, 3)) if method == "alternating"
+                       else ((280, 200, 140, 70), (70, 140)))
+        full = run_method(small_corpus, small_config(method, conditions=whole),
+                          spec)
+        some = run_method(small_corpus, small_config(method, conditions=part),
+                          spec)
+        assert full.values[:, 3].tobytes() == some.values[:, 0].tobytes(), (
+            method, spec)
+        assert full.values[:, 2].tobytes() == some.values[:, 1].tobytes(), (
+            method, spec)
+
+
+# The kinds whose drawn cells score token samples: under random and
+# ordered random the order-free kinds draw type counts instead.
+SAMPLE_KINDS = {
+    "random": {IndexKind.MATTR, IndexKind.MSTTR, IndexKind.MTTRSS,
+               IndexKind.MTTRRS, IndexKind.MTLD},
+    "ordered_random": {IndexKind.MSTTR, IndexKind.MTTRRS, IndexKind.MTLD},
+    "alternating": {IndexKind.HDD, IndexKind.HERDAN_C, IndexKind.MAAS_A,
+                    IndexKind.MTTRRS, IndexKind.MTLD},
+}
+
+
+@pytest.mark.parametrize("method", ["random", "ordered_random", "alternating"])
+def test_every_drawing_kind_scores_the_same_samples(small_corpus, monkeypatch,
+                                                    method):
+    """Every kind that draws in a (text, condition) cell scores the same
+    samples, in blocks of 3 that cut 7 iterations in three draws: a cell's
+    samples come from its sample stream alone, and MTTRRS and MTTRSS draw
+    their segments from a stream of their own."""
+    monkeypatch.setattr(sampling_mod, "_BLOCK", 3)
+    seen = capture_samples(monkeypatch)
+    corpus = Corpus(small_corpus.texts[:3])
+    config = small_config(method, iterations=7)
+    samples = {}
+    for spec in ALL_KIND_SPECS:
+        seen.clear()
+        run_method(corpus, config, spec)
+        drawn = [x for x in seen if len(x) < config.truncate_to]
+        if drawn:
+            samples[spec] = drawn
+    assert {spec.kind for spec in samples} == SAMPLE_KINDS[method]
+    first = next(iter(samples.values()))
+    for spec, drawn in samples.items():
+        assert len(drawn) == len(first), spec
+        assert all(np.array_equal(x, y) for x, y in zip(drawn, first)), spec
+
+
+@pytest.mark.parametrize("method", ["parallel", "random", "ordered_random",
+                                    "alternating"])
+def test_segment_streams_are_seeded_only_where_a_kernel_draws(
+        small_corpus, monkeypatch, method):
+    """A cell's segment stream (stream, condition, "segments") is seeded at
+    its kernel's first draw: once per text in each column of MTTRRS and
+    MTTRSS that is not exact, and never for a kind that draws nothing."""
+    keys = []
+    original = sampling_mod.stream_seed
+
+    def spy(master_seed, *key):
+        keys.append(key[1:])
+        return original(master_seed, *key)
+
+    monkeypatch.setattr(sampling_mod, "stream_seed", spy)
+    config = small_config(method, iterations=3)
+    stream = sampling_mod.METHODS[method].stream
+    for spec in ALL_KIND_SPECS:
+        keys.clear()
+        matrix = run_method(small_corpus, config, spec)
+        seeded = [key for key in keys if key[-1] == "segments"]
+        want = []
+        if spec.kind in (IndexKind.MTTRRS, IndexKind.MTTRSS):
+            want = [(stream, c, "segments")
+                    for c, label in zip(config.conditions,
+                                        matrix.meta["estimators"])
+                    if label != "exact"] * len(small_corpus)
+        assert sorted(seeded) == sorted(want), (spec, seeded)
 
 
 def test_shared_cells_match_independent_draws():
@@ -1076,24 +1176,25 @@ def test_exact_cells_ignore_seed_iterations_and_threads(small_corpus, method):
 def test_estimators_say_how_each_column_was_made(small_corpus, monkeypatch,
                                                  method):
     """``monte_carlo`` labels exactly the columns that drew their samples
-    (``_drawn_column``, or ``_shared_columns`` for each of its lengths),
-    ``single_draw`` exactly the columns of MTTRRS and MTTRSS scored once
+    (``_monte_carlo``, for each of its conditions), ``single_draw``
+    exactly the columns of MTTRRS and MTTRSS scored once
     (``_fixed_column``), and ``exact`` every other: a fixed score of an
     index that draws nothing, or an exact cell.  The run-level word is
     ``monte_carlo`` where any column is."""
     made = {}
-    for name in ("_drawn_column", "_fixed_column"):
-        def spy(arrs, seeds, key, *args, _name=name,
-                _original=getattr(sampling_mod, name)):
-            made.setdefault(key[1], []).append(_name)
-            return _original(arrs, seeds, key, *args)
-        monkeypatch.setattr(sampling_mod, name, spy)
 
-    def shared_spy(arrs, sizes, *args, _original=sampling_mod._shared_columns):
-        for m in sizes:
-            made.setdefault(m, []).append("_drawn_column")
-        return _original(arrs, sizes, *args)
-    monkeypatch.setattr(sampling_mod, "_shared_columns", shared_spy)
+    def fixed_spy(rows, seeds, key, *args,
+                  _original=sampling_mod._fixed_column):
+        made.setdefault(key[1], []).append("_fixed_column")
+        return _original(rows, seeds, key, *args)
+
+    def drawn_spy(arrs, seeds, key, sizes, *args,
+                  _original=sampling_mod._monte_carlo):
+        for c in sizes:
+            made.setdefault(c, []).append("_monte_carlo")
+        return _original(arrs, seeds, key, sizes, *args)
+    monkeypatch.setattr(sampling_mod, "_fixed_column", fixed_spy)
+    monkeypatch.setattr(sampling_mod, "_monte_carlo", drawn_spy)
     config = small_config(method, iterations=2,
                           **({"conditions": (1, 2, 4, 8)}
                              if method in ("parallel", "alternating") else {}))
@@ -1104,7 +1205,7 @@ def test_estimators_say_how_each_column_was_made(small_corpus, monkeypatch,
         assert len(labels) == len(config.conditions)
         for c, label in zip(config.conditions, labels):
             kernels = made.get(c, [])
-            if kernels == ["_drawn_column"]:
+            if kernels == ["_monte_carlo"]:
                 want = "monte_carlo"
             elif kernels == ["_fixed_column"] and spec.kind in (
                     IndexKind.MTTRRS, IndexKind.MTTRSS):
