@@ -79,7 +79,7 @@ class RunConfig:
     n: Optional[int] = None
     s: Optional[int] = None
     factor: Optional[float] = None
-    maas_variant: str = "natural_log_a"
+    maas_variant: Optional[str] = None
     method: Optional[str] = None
     truncate_to: Optional[int] = None
     conditions: Optional[list] = None
@@ -252,7 +252,7 @@ def cmd_evaluate_length(args):
 def cmd_evaluate_parameter(args):
     corpus = _load_corpus(args)
     kind = args.index
-    IndexSpec(kind, s=args.s)  # refuses an --s that the kind does not use
+    spec = IndexSpec(kind, s=args.s)  # refuses an --s the kind does not use
     seed = _resolve_seed(args)
     params = _parse_conditions(args.params, cast=INDEXES[kind].sweep_type)
     check_unique_labels("column labels", params or ())
@@ -264,7 +264,7 @@ def cmd_evaluate_parameter(args):
         subcommand="evaluate-parameter",
         corpus_dir=args.corpus, case_policy=args.case,
         min_length=args.min_length,
-        index=kind.value, s=args.s, params=matrix.meta["param_values"],
+        index=kind.value, s=spec.s, params=matrix.meta["param_values"],
         master_seed=seed,
         outputs={"scores": str(args.out)},
     )
@@ -388,7 +388,7 @@ def _add_spec_args(p):
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--factor", type=float, default=None)
     p.add_argument("--maas-variant", dest="maas_variant",
-                   choices=MAAS_VARIANTS, default=MAAS_VARIANTS[0])
+                   choices=MAAS_VARIANTS)
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (default {DEFAULT_SEED}, or LEXDIV_SEED)")
 

@@ -69,35 +69,31 @@ class IndexSpec:
     n: Optional[int] = None
     s: Optional[int] = None
     factor: Optional[float] = None
-    maas_variant: str = "natural_log_a"
+    maas_variant: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", index_kind(self.kind))
-        for name, value in INDEXES[self.kind].defaults.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
-        for name in ("n", "s"):
+        defaults = INDEXES[self.kind].defaults
+        unused = []
+        for name in ("n", "s", "factor", "maas_variant"):
             value = getattr(self, name)
             if value is None:
-                continue
+                object.__setattr__(self, name, defaults.get(name))
+            elif name == "factor" and not 0.0 < value < 1.0:
+                raise IndexError_(f"factor must be in (0, 1), got {value}")
+            elif name == "maas_variant" and value not in MAAS_VARIANTS:
+                raise IndexError_(f"unknown maas variant {value!r}")
             # a bool is an int to Python, but no length
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            elif name in ("n", "s") and (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
                 raise IndexError_(f"{name} must be an integer, got {value!r}")
-            if value < 1:
+            elif name in ("n", "s") and value < 1:
                 raise IndexError_(f"{name} must be >= 1, got {value}")
-        if self.factor is not None and not (0.0 < self.factor < 1.0):
-            raise IndexError_(f"factor must be in (0, 1), got {self.factor}")
-        if self.maas_variant not in MAAS_VARIANTS:
-            raise IndexError_(f"unknown maas variant {self.maas_variant!r}")
-        # a parameter the kind does not use would shape no score, yet a
-        # sidecar would record it
-        unused = [f"{name}={getattr(self, name)!r}"
-                  for name in ("n", "s", "factor")
-                  if name not in INDEXES[self.kind].defaults
-                  and getattr(self, name) is not None]
-        if (self.kind is not IndexKind.MAAS_A
-                and self.maas_variant != MAAS_VARIANTS[0]):
-            unused.append(f"maas_variant={self.maas_variant!r}")
+            # a parameter the kind does not use would shape no score, yet a
+            # sidecar would record it
+            elif name not in defaults:
+                unused.append(f"{name}={value!r}")
         if unused:
             raise IndexError_(f"{self.kind.value} does not take "
                               f"{', '.join(unused)}")
@@ -112,7 +108,7 @@ class IndexSpec:
 
     def label(self) -> str:
         # the default Maas variant goes unnamed, so default labels stay short
-        variant = ("" if self.maas_variant == MAAS_VARIANTS[0]
+        variant = ("" if self.maas_variant in (None, MAAS_VARIANTS[0])
                    else f"[{self.maas_variant}]")
         return INDEXES[self.kind].label.format(
             kind=self.kind.value, n=self.n, s=self.s, factor=self.factor,
@@ -591,12 +587,11 @@ def _mtld_lanes(codes, lengths, factors: list) -> list:
 
 def _mtld_rows(codes, factors: list) -> list:
     """Bidirectional MTLD of each row of a code matrix, or of a list of code
-    rows of any lengths, under each factor: ``out[j][b]`` is row b's
-    ``(score, flags)`` under ``factors[j]``.  The rows are scored in
-    passes of whole rows (``_mtld_lanes``), each of at most
-    ``_PASS_POSITIONS`` chunk positions over both directions (one row
-    alone where it does not fit), which bounds a pass's memory; a lane
-    scores the same in any pass."""
+    rows of any lengths, under each factor: ``out[j][b]`` is row b's score
+    under ``factors[j]``.  The rows are scored in passes of whole rows
+    (``_mtld_lanes``), each of at most ``_PASS_POSITIONS`` chunk positions
+    over both directions (one row alone where it does not fit), which
+    bounds a pass's memory; a lane scores the same in any pass."""
     if isinstance(codes, np.ndarray):
         lengths = np.full(len(codes), codes.shape[1])
     else:
@@ -614,16 +609,10 @@ def _mtld_rows(codes, factors: list) -> list:
             ahead[j] += lanes[:hi - lo]
             back[j] += lanes[hi - lo:]
         lo = hi
-    out = []
-    for forward, backward in zip(ahead, back):
-        scored = []
-        for a, b, m in zip(forward, backward, lengths.tolist()):
-            # a pass that counts no factor at all scores the text length
-            score = ((m / a if a else float(m)) + (m / b if b else float(m))) / 2.0
-            flags = () if a and b else ("undefined_factors",)
-            scored.append((score, flags))
-        out.append(scored)
-    return out
+    # a pass that counts no factor at all scores the text length
+    return [[((m / a if a else float(m)) + (m / b if b else float(m))) / 2.0
+             for a, b, m in zip(forward, backward, lengths.tolist())]
+            for forward, backward in zip(ahead, back)]
 
 
 # ------------------------------------------------------- scalar functions
@@ -669,9 +658,10 @@ def mtld_detailed(text, factor: float = 0.72):
     The forward pass grows a segment token by token and counts a full
     factor each time the running TTR drops below ``factor``; the tail
     contributes a partial factor of (1 - TTR) / (1 - factor).  The same is
-    done on the reversed sequence and the two lengths are averaged.  When
-    the TTR never drops in either direction the score is the text length,
-    flagged ``undefined_factors``.
+    done on the reversed sequence and the two lengths are averaged.  A
+    pass that counts no factor scores the text length, which happens
+    exactly when no token repeats; the score is then flagged
+    ``undefined_factors``.
     """
     return evaluate(text, IndexSpec(IndexKind.MTLD, factor=factor))
 
@@ -720,17 +710,18 @@ class IndexDef:
     ``rows`` does (HD-D finds the counts-of-counts and the presences of
     all its sample sizes at once); its ``rows`` is derived here as that
     kernel applied to the count matrix of the code rows, so random
-    sampling can hand it drawn type counts directly.  ``score(codes,
-    spec, rng)`` giving ``(score, flags)`` for a one-row code matrix is
-    the one override, for MTLD, whose ``evaluate`` reports flags.
-    ``label`` is formatted with the spec's kind, n, s, factor and variant
-    (the non-default Maas variant); ``min_tokens`` is a count or "n";
-    ``weights(n_tokens, n)`` gives per-position weights.
+    sampling can hand it drawn type counts directly.  ``flags(codes)``,
+    a property of a one-row code matrix and no scorer, gives the flags
+    ``evaluate`` reports beside its score (MTLD's ``undefined_factors``).
+    ``defaults`` holds each parameter the kind takes, as ``IndexSpec``
+    fills it in.  ``label`` is formatted with the spec's kind, n, s,
+    factor and variant (the non-default Maas variant); ``min_tokens`` is a
+    count or "n"; ``weights(n_tokens, n)`` gives per-position weights.
     """
 
     rows: Optional[Callable] = None
     counts: Optional[Callable] = None
-    score: Optional[Callable] = None
+    flags: Callable = lambda codes: ()
     label: str = "{kind}"
     min_tokens: Union[int, str] = 1
     defaults: dict = field(default_factory=dict)
@@ -770,7 +761,8 @@ INDEXES = {
         counts=lambda counts, length, specs: [
             _type_count_scores(partial(_maas_a, variant=spec.maas_variant),
                                counts, length) for spec in specs],
-        label="{kind}{variant}", min_tokens=2),
+        label="{kind}{variant}", min_tokens=2,
+        defaults={"maas_variant": MAAS_VARIANTS[0]}),
     IndexKind.MTTRRS: IndexDef(
         rows=lambda codes, specs, rngs: [
             _mttrrs_rows(codes, spec.n, spec.s, rng)
@@ -798,10 +790,13 @@ INDEXES = {
         weights=lambda big_n, n: [min(i, n, big_n - n + 1, big_n - i + 1)
                                   / (big_n - n + 1) for i in range(1, big_n + 1)]),
     IndexKind.MTLD: IndexDef(
-        rows=lambda codes, specs, rngs: [
-            [score for score, _ in scored]
-            for scored in _mtld_rows(codes, [spec.factor for spec in specs])],
-        score=lambda codes, spec, rng: _mtld_rows(codes, [spec.factor])[0][0],
+        rows=lambda codes, specs, rngs: _mtld_rows(
+            codes, [spec.factor for spec in specs]),
+        # a pass counts no factor exactly when no token repeats: with a
+        # repeat the text's TTR is below 1, so a factor ends or the tail's
+        # partial factor is positive
+        flags=lambda codes: (() if np.unique(codes).size < codes.size
+                             else ("undefined_factors",)),
         label="{kind}[factor={factor}]", defaults={"factor": 0.72},
         sweep="factor", sweep_values=MTLD_FACTOR_SWEEP, ragged=True),
 }
@@ -830,17 +825,15 @@ def token_weights(kind: IndexKind, n_tokens: int, n: Optional[int] = None):
 
 
 def evaluate(text, spec: IndexSpec, rng=None):
-    """Score a text under a spec.  Returns ``(score, flags)``.
+    """Score a text, as a one-row code matrix, through ``evaluate_specs``.
+    Returns ``(score, flags)``, the flags from ``IndexDef.flags``.
 
     ``rng``, a seed or a Generator, drives the stochastic indices, which
     lets a sampling harness hand each evaluation its own derived stream.
     """
     codes = _codes_row(text)
-    spec.validate(codes.shape[1])
-    index = INDEXES[spec.kind]
-    if index.score is not None:
-        return index.score(codes, spec, rng)
-    return index.rows(codes, [spec], [rng])[0][0], ()
+    score = evaluate_specs(codes, [spec], [rng])[0][0]
+    return score, INDEXES[spec.kind].flags(codes)
 
 
 def evaluate_specs(codes, specs, rngs) -> list:

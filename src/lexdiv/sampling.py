@@ -106,6 +106,9 @@ class SamplingConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise SamplingError(f"unknown method {self.method!r}")
+        if self.truncate_to < 1:  # before default conditions are made of it
+            raise SamplingError(
+                f"truncation length must be >= 1, got {self.truncate_to}")
         if self.conditions is None:
             defaults = METHODS[self.method].default_conditions(self.truncate_to)
             object.__setattr__(self, "conditions", defaults)
@@ -679,10 +682,12 @@ def _once_estimator(kind: IndexKind) -> str:
 
 def _check(texts, method: str, truncate_to: int, conditions,
            iterations: int, spec: IndexSpec) -> None:
-    """Refuse, once for a run, iterations below 1 and a condition below 1
-    or whose samples are longer than the truncation or shorter than the
-    index minimum; then refuse a text shorter than the truncation, naming
-    it."""
+    """Refuse, once for a run, a truncation or iterations below 1 and a
+    condition below 1 or whose samples are longer than the truncation or
+    shorter than the index minimum; then refuse a text shorter than the
+    truncation, naming it."""
+    if truncate_to < 1:
+        raise SamplingError(f"truncation length must be >= 1, got {truncate_to}")
     if iterations < 1:
         raise SamplingError(f"iterations must be >= 1, got {iterations}")
     needed = min_tokens_required(spec)

@@ -81,8 +81,8 @@ def test_evaluate_parameter_scores_only_inside_parameter_sweep(
         tmp_path, monkeypatch, index, params):
     """``launch.py`` times an ``evaluate-parameter`` command's scoring as
     the time inside its ``parameter_sweep`` call, so the command must call
-    no index kernel (an ``IndexDef``'s ``rows``, ``counts`` or ``score``)
-    outside it, whatever outputs it writes."""
+    no index kernel (an ``IndexDef``'s ``rows`` or ``counts``) outside it,
+    whatever outputs it writes."""
     import lexdiv.cli
     from lexdiv.indices import INDEXES
 
@@ -94,10 +94,9 @@ def test_evaluate_parameter_scores_only_inside_parameter_sweep(
         (corpus / f"t{i}.txt").write_text(" ".join(tokens), encoding="utf-8")
     calls, inside = [], [False]
     for kind, entry in INDEXES.items():
-        spied = {name: _counted(getattr(entry, name), calls, inside)
-                 for name in ("counts", "score") if getattr(entry, name)}
-        if entry.counts is None:  # a count kernel's rows are derived from it
-            spied["rows"] = _counted(entry.rows, calls, inside)
+        # a count kernel's rows are derived from it
+        name = "rows" if entry.counts is None else "counts"
+        spied = {name: _counted(getattr(entry, name), calls, inside)}
         monkeypatch.setitem(INDEXES, kind, replace(entry, **spied))
     sweep = lexdiv.cli.parameter_sweep
 

@@ -314,6 +314,19 @@ def test_evaluate_length_sidecar_records_maas_variant(corpus_dir, tmp_path):
         assert meta["matrix_meta"]["index"] == label
 
 
+@pytest.mark.parametrize("truncate, extra", [
+    ("0", []), ("-4", ["--conditions", "1,2"])])
+def test_truncation_below_one_is_refused_by_name(
+        corpus_dir, tmp_path, capsys, truncate, extra):
+    out = tmp_path / "scores.csv"
+    rc = main(["evaluate-length", "--corpus", str(corpus_dir), "--index",
+               "ttr", "--method", "random", "--truncate", truncate,
+               "--out", str(out), *extra])
+    assert_one_line_error(
+        rc, capsys, f"error: truncation length must be >= 1, got {truncate}\n")
+    assert list(tmp_path.glob("scores.csv*")) == []
+
+
 def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_path):
     out = tmp_path / "scores.csv"
     assert evaluate_length(corpus_dir, out) == 0
@@ -321,6 +334,7 @@ def test_evaluate_length_sidecar_records_versions_and_layout(corpus_dir, tmp_pat
     assert set(meta["versions"]) == {"lexdiv", "numpy", "python"}
     assert meta["versions"]["numpy"] == np.__version__
     assert meta["config"]["threads"] == 1
+    assert meta["config"]["maas_variant"] is None  # shaped no TTR score
     assert meta["matrix_meta"]["stream_layout"] == 10
     assert meta["matrix_meta"]["estimator"] == "exact"  # random TTR
 
@@ -568,6 +582,22 @@ def test_evaluate_parameter_and_stats(corpus_dir, tmp_path, scores_csv, capsys):
     comp = json.loads(capsys.readouterr().out)
     assert comp["r_large"] >= comp["r_small"]
     assert comp["df"] == 3
+
+
+@pytest.mark.parametrize("index, extra, s", [
+    ("mttrss", [], 10), ("mttrss", ["--s", "4"], 4), ("mttrrs", [], 10),
+    ("mattr", [], None)])
+def test_evaluate_parameter_sidecar_records_the_segment_count(
+        corpus_dir, tmp_path, index, extra, s):
+    """A sweep's sidecar records the s that scored its cells: the given
+    one, else the kind's default, and none for a kind without segments."""
+    out = tmp_path / "sweep.csv"
+    rc = main(["evaluate-parameter", "--corpus", str(corpus_dir), "--index",
+               index, "--params", "3,4", *extra, "--out", str(out)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+    assert meta["config"]["s"] == s
+    assert meta["config"]["maas_variant"] is None
 
 
 def test_evaluate_parameter_sidecar_records_layout(corpus_dir, tmp_path):

@@ -616,6 +616,19 @@ def test_mtld_all_distinct_flags_undefined():
     assert flags == ("undefined_factors",)
 
 
+def test_mtld_flags_exactly_the_texts_without_a_repeat():
+    """The flag is a property of the text: a repeat-free text is flagged,
+    and a text with a repeat is not, even where its running TTR never
+    falls below the factor (the tail's partial factor is positive)."""
+    for route in (lambda toks: mtld_detailed(toks, 0.72),
+                  lambda toks: evaluate(toks, IndexSpec(IndexKind.MTLD))):
+        score, flags = route("a b c d a".split())
+        assert score == pytest.approx(7.0)
+        assert flags == ()
+        assert route([f"w{i}" for i in range(12)]) == (
+            12.0, ("undefined_factors",))
+
+
 def test_mtld_factor_domain():
     with pytest.raises(IndexError_):
         mtld(["a", "b"], 1.0)
@@ -765,6 +778,8 @@ def test_spec_refuses_parameters_its_kind_does_not_use():
             ({"kind": "hdd", "factor": 0.5}, "hdd does not take factor=0.5"),
             ({"kind": "hdd", "maas_variant": "base10_a_squared"},
              "hdd does not take maas_variant='base10_a_squared'"),
+            ({"kind": "mtld", "maas_variant": "natural_log_a"},
+             "mtld does not take maas_variant='natural_log_a'"),
             ({"kind": "guiraud", "n": 2, "s": 3},
              "guiraud does not take n=2, s=3")):
         with pytest.raises(IndexError_) as excinfo:
@@ -810,11 +825,11 @@ def test_every_door_rejects_bad_input(kind):
     for route in routes:
         with pytest.raises(IndexError_, match="needs at least"):
             route(text[:min_tokens_required(spec) - 1], spec)
-    bad = {"n": 0, "s": 0, "factor": 1.0}
-    cases = [({name: bad[name]}, f"{name} must")
+    bad = {"n": (0, "n must"), "s": (0, "s must"),
+           "factor": (1.0, "factor must"),
+           "maas_variant": ("nope", "unknown maas variant")}
+    cases = [({name: bad[name][0]}, bad[name][1])
              for name in INDEXES[kind].defaults]
-    if kind == IndexKind.MAAS_A:
-        cases.append(({"maas_variant": "nope"}, "variant"))
     for params, message in cases:
         with pytest.raises(IndexError_, match=message):
             IndexSpec(kind, **params)

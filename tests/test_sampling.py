@@ -166,6 +166,15 @@ def test_parallel_rejects_short_text():
         parallel_sampling(text, 10, (1, 2), TTR_SPEC)
 
 
+def test_truncation_below_one_is_refused_by_name(reference):
+    for truncate in (0, -4):
+        message = f"truncation length must be >= 1, got {truncate}"
+        with pytest.raises(SamplingError, match=message):
+            random_sampling(reference, truncate, (1, 2), 5, 0, TTR_SPEC)
+        with pytest.raises(SamplingError, match=message):
+            SamplingConfig("random", truncate)
+
+
 def test_parallel_rejects_segment_below_minimum(reference):
     with pytest.raises(SamplingError, match="minimum"):
         parallel_sampling(reference, 160, (1, 4), HDD_SPEC)
