@@ -82,7 +82,7 @@ class RunConfig:
     maas_variant: Optional[str] = None
     method: Optional[str] = None
     truncate_to: Optional[int] = None
-    conditions: Optional[list] = None
+    conditions: Optional[tuple] = None
     params: Optional[list] = None
     iterations: Optional[int] = None  # a parameter sweep draws no iterations
     master_seed: int = DEFAULT_SEED
@@ -222,12 +222,10 @@ def cmd_evaluate_length(args):
     corpus = _load_corpus(args)
     spec = _spec_from(args)
     seed = _resolve_seed(args)
-    method = _METHOD_ALIASES[args.method]
-    conditions = _parse_conditions(args.conditions)
     config = SamplingConfig(
-        method=method,
+        method=_METHOD_ALIASES[args.method],
         truncate_to=args.truncate,
-        conditions=None if conditions is None else tuple(conditions),
+        conditions=_parse_conditions(args.conditions),
         iterations=args.iters,
         master_seed=seed,
     )
@@ -240,10 +238,8 @@ def cmd_evaluate_length(args):
         corpus_dir=args.corpus, case_policy=args.case,
         min_length=args.min_length,
         index=spec.kind.value, n=spec.n, s=spec.s, factor=spec.factor,
-        maas_variant=spec.maas_variant, method=method,
-        truncate_to=args.truncate, conditions=list(config.conditions),
-        iterations=args.iters, master_seed=seed, threads=args.threads,
-        outputs={"scores": str(args.out)},
+        maas_variant=spec.maas_variant, **asdict(config),
+        threads=args.threads, outputs={"scores": str(args.out)},
     )
     _emit_experiment(matrix, args, run_config, icc_mode="agreement")
     return 0

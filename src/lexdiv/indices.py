@@ -58,6 +58,16 @@ def index_kind(name) -> IndexKind:
                           f"{', '.join(k.value for k in IndexKind)}") from None
 
 
+def check_count(name: str, value, error=IndexError_, below=None) -> None:
+    """Refuse, as ``error``, a ``value`` that is not an integer >= 1, the
+    message ``below`` for one below 1 where it is given."""
+    # a bool is an int to Python, but no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(below or f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class IndexSpec:
     """An index kind (or its name) and its parameters, complete and checked
@@ -79,20 +89,16 @@ class IndexSpec:
             value = getattr(self, name)
             if value is None:
                 object.__setattr__(self, name, defaults.get(name))
+                continue
+            if name in ("n", "s"):
+                check_count(name, value)
             elif name == "factor" and not 0.0 < value < 1.0:
                 raise IndexError_(f"factor must be in (0, 1), got {value}")
             elif name == "maas_variant" and value not in MAAS_VARIANTS:
                 raise IndexError_(f"unknown maas variant {value!r}")
-            # a bool is an int to Python, but no length
-            elif name in ("n", "s") and (
-                    isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
-                raise IndexError_(f"{name} must be an integer, got {value!r}")
-            elif name in ("n", "s") and value < 1:
-                raise IndexError_(f"{name} must be >= 1, got {value}")
             # a parameter the kind does not use would shape no score, yet a
             # sidecar would record it
-            elif name not in defaults:
+            if name not in defaults:
                 unused.append(f"{name}={value!r}")
         if unused:
             raise IndexError_(f"{self.kind.value} does not take "

@@ -72,6 +72,7 @@ from .indices import (
     _expected_types,
     _guiraud_r,
     _ttr,
+    check_count,
     evaluate_specs,
     index_kind,
     min_tokens_required,
@@ -97,25 +98,38 @@ class SamplingError(Exception):
 
 @dataclass(frozen=True)
 class SamplingConfig:
+    """A length run: a method, a truncation L, one or more conditions (left
+    out, the method's ``Method.default_conditions``), the iterations and a
+    seed, complete and checked when made.  An unknown method, or a
+    truncation, iteration count or condition that is not an integer >= 1
+    or gives samples longer than L, is a ``SamplingError``."""
+
     method: str
     truncate_to: int
-    conditions: Optional[tuple] = None  # None: the method's default_conditions
+    conditions: Optional[tuple] = None
     iterations: int = DEFAULT_ITERATIONS
     master_seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise SamplingError(f"unknown method {self.method!r}")
-        if self.truncate_to < 1:  # before default conditions are made of it
-            raise SamplingError(
-                f"truncation length must be >= 1, got {self.truncate_to}")
-        if self.conditions is None:
-            defaults = METHODS[self.method].default_conditions(self.truncate_to)
-            object.__setattr__(self, "conditions", defaults)
-        if self.iterations < 1:
-            raise SamplingError("iterations must be >= 1")
-        if len(self.conditions) < 2:
-            raise SamplingError("need at least two conditions")
+        method = METHODS[self.method]
+        # the truncation before default conditions are made of it
+        check_count("truncation length", self.truncate_to, SamplingError)
+        check_count("iterations", self.iterations, SamplingError)
+        object.__setattr__(self, "conditions", tuple(
+            method.default_conditions(self.truncate_to)
+            if self.conditions is None else self.conditions))
+        if not self.conditions:
+            raise SamplingError("need at least one condition")
+        for c in self.conditions:
+            check_count("condition", c, SamplingError,
+                        below=f"condition {c} must be >= 1")
+            length = method.sample_length(self.truncate_to, c)
+            if length > self.truncate_to:
+                raise SamplingError(
+                    f"sample length {length} exceeds truncation "
+                    f"{self.truncate_to}")
 
     def col_labels(self) -> list:
         """The sample length of each condition: ``run_method``'s columns."""
@@ -680,24 +694,12 @@ def _once_estimator(kind: IndexKind) -> str:
     return "single_draw" if "s" in INDEXES[kind].defaults else "exact"
 
 
-def _check(texts, method: str, truncate_to: int, conditions,
-           iterations: int, spec: IndexSpec) -> None:
-    """Refuse, once for a run, a truncation or iterations below 1 and a
-    condition below 1 or whose samples are longer than the truncation or
-    shorter than the index minimum; then refuse a text shorter than the
-    truncation, naming it."""
-    if truncate_to < 1:
-        raise SamplingError(f"truncation length must be >= 1, got {truncate_to}")
-    if iterations < 1:
-        raise SamplingError(f"iterations must be >= 1, got {iterations}")
+def _check(texts, config: SamplingConfig, spec: IndexSpec) -> None:
+    """Refuse a sample length below the index minimum, then a text shorter
+    than the truncation, naming it; the config checked the rest."""
     needed = min_tokens_required(spec)
-    for c in conditions:
-        if c < 1:
-            raise SamplingError(f"condition {c} must be >= 1")
-        length = METHODS[method].sample_length(truncate_to, c)
-        if length > truncate_to:
-            raise SamplingError(
-                f"sample length {length} exceeds truncation {truncate_to}")
+    for c in config.conditions:
+        length = METHODS[config.method].sample_length(config.truncate_to, c)
         if length < needed:
             raise SamplingError(
                 f"condition {c}: sample length {length} below the "
@@ -705,53 +707,51 @@ def _check(texts, method: str, truncate_to: int, conditions,
             )
     for text in texts:
         n_tokens = len(tokens_of(text))
-        if truncate_to > n_tokens:
+        if config.truncate_to > n_tokens:
             name = f"text {text.id!r}: " if isinstance(text, Text) else ""
             raise SamplingError(f"{name}text shorter than truncation length "
-                                f"({n_tokens} < {truncate_to})")
+                                f"({n_tokens} < {config.truncate_to})")
 
 
-def _score_texts(texts, method: str, truncate_to: int, conditions,
-                 iterations: int, master_seed: int,
-                 spec: IndexSpec) -> np.ndarray:
+def _score_texts(texts, config: SamplingConfig, spec: IndexSpec) -> np.ndarray:
     """The scores of checked texts, a row per text and a column per
     condition."""
-    arrs = [_encode(tokens_of(text)[:truncate_to]) for text in texts]
-    seeds = [partial(stream_seed, master_seed,
+    arrs = [_encode(tokens_of(text)[:config.truncate_to]) for text in texts]
+    seeds = [partial(stream_seed, config.master_seed,
                      text.id if isinstance(text, Text) else None)
              for text in texts]
-    columns = METHODS[method].columns(arrs, conditions, iterations, spec,
-                                      seeds)
-    return np.array(columns, dtype=float).reshape(len(conditions), len(arrs)).T
+    columns = METHODS[config.method].columns(
+        arrs, config.conditions, config.iterations, spec, seeds)
+    return np.array(columns, dtype=float).reshape(len(columns), len(arrs)).T
 
 
-def _row(text, method: str, truncate_to: int, conditions, iterations: int,
-         master_seed: int, spec: IndexSpec) -> list:
-    """One text's score under each condition of a method.  Every condition
-    must be >= 1 and give samples between the index minimum and the
-    truncation in length."""
-    _check([text], method, truncate_to, conditions, iterations, spec)
-    return _score_texts([text], method, truncate_to, conditions, iterations,
-                        master_seed, spec)[0].tolist()
+def _row(text, config: SamplingConfig, spec: IndexSpec) -> list:
+    """``run_method``'s row of one text, checked as it checks a corpus."""
+    _check([text], config, spec)
+    return _score_texts([text], config, spec)[0].tolist()
 
 
 def parallel_sampling(text, truncate_to: int, divisors, spec: IndexSpec,
                       master_seed: int = 0):
     """Score the L-token truncation against means over its d-way contiguous
-    splits (segment length floor(L/d), trailing remainder dropped)."""
-    return _row(text, "parallel", truncate_to, divisors, 1, master_seed, spec)
+    splits (segment length floor(L/d), trailing remainder dropped), as
+    ``run_method`` checks and scores it."""
+    return _row(text, SamplingConfig("parallel", truncate_to, divisors, 1,
+                                     master_seed), spec)
 
 
 def random_sampling(text, truncate_to, lengths, iterations, master_seed, spec):
-    """Mean score of the first m tokens of fresh uniform permutations."""
-    return _row(text, "random", truncate_to, lengths, iterations, master_seed,
-                spec)
+    """Mean score of the first m tokens of fresh uniform permutations, as
+    ``run_method`` checks and scores it."""
+    return _row(text, SamplingConfig("random", truncate_to, lengths,
+                                     iterations, master_seed), spec)
 
 
 def ordered_random_sampling(text, truncate_to, lengths, iterations, master_seed, spec):
-    """Same samples as random_sampling, restored to original text order."""
-    return _row(text, "ordered_random", truncate_to, lengths, iterations,
-                master_seed, spec)
+    """Same samples as random_sampling, restored to original text order, as
+    ``run_method`` checks and scores it."""
+    return _row(text, SamplingConfig("ordered_random", truncate_to, lengths,
+                                     iterations, master_seed), spec)
 
 
 def alternating_sampling(text, truncate_to, k_values, iterations, master_seed, spec):
@@ -759,27 +759,23 @@ def alternating_sampling(text, truncate_to, k_values, iterations, master_seed, s
     order-preserving samples; average over samples and iterations.
 
     Each condition k uses the first floor(L/k)*k tokens so that all its
-    samples have exactly floor(L/k) tokens.
+    samples have exactly floor(L/k) tokens, as in ``run_method``.
     """
-    return _row(text, "alternating", truncate_to, k_values, iterations,
-                master_seed, spec)
+    return _row(text, SamplingConfig("alternating", truncate_to, k_values,
+                                     iterations, master_seed), spec)
 
 
 def run_method(
     corpus: Corpus, config: SamplingConfig, spec: IndexSpec, threads: int = 1
 ) -> ScoreMatrix:
     """Apply one evaluation method to every text: rows = texts, columns =
-    conditions.  Every text and condition is checked before any is scored;
+    conditions.  ``threads`` (an integer >= 1), every text and every sample
+    length against the index minimum are checked before any is scored;
     ``threads > 1`` scores contiguous runs of texts in worker processes,
     each packed as one corpus would be."""
-    if threads < 1:
-        raise SamplingError(f"threads must be >= 1, got {threads}")
-    _check(corpus, config.method, config.truncate_to, config.conditions,
-           config.iterations, spec)
-    score = partial(_score_texts, method=config.method,
-                    truncate_to=config.truncate_to,
-                    conditions=config.conditions, iterations=config.iterations,
-                    master_seed=config.master_seed, spec=spec)
+    check_count("threads", threads, SamplingError)
+    _check(corpus, config, spec)
+    score = partial(_score_texts, config=config, spec=spec)
     texts = list(corpus)
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -829,7 +825,8 @@ def parameter_sweep(
     MTLD sweeps the TTR factor (default 0.66..0.75); the other indices
     sweep the sample/segment/window length.  ``s`` is the segment count of
     an MTTRRS or MTTRSS sweep, and a kind that draws no segments does not
-    use it.  Every value is checked before any text is scored.  A text is
+    use it.  Each value of ``param_values``, any sequence, makes its
+    ``IndexSpec`` uncast, so all are checked before any text is scored.  A text is
     scored under all the values in one call (``indices.evaluate_specs``),
     which does its value-independent work once; each (text, value) still
     has its own stream.  A ``ragged`` kind (MTLD), which draws nothing,
@@ -841,12 +838,11 @@ def parameter_sweep(
         raise SamplingError(f"{kind.value} has no parameter to sweep")
     if param_values is None:
         param_values = index.sweep_values
-    if not param_values:
+    if len(param_values) == 0:
         raise SamplingError("param_values required for this index")
 
     fixed = {"s": s} if "s" in index.defaults else {}
-    specs = [IndexSpec(kind, **fixed, **{index.sweep: index.sweep_type(p)})
-             for p in param_values]
+    specs = [IndexSpec(kind, **fixed, **{index.sweep: p}) for p in param_values]
     needed = [min_tokens_required(spec) for spec in specs]
     too_big = [p for p, need in zip(param_values, needed)
                if need > corpus.min_text_length]

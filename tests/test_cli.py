@@ -301,6 +301,30 @@ def test_evaluate_length_rejects_negative_condition(corpus_dir, tmp_path, capsys
     assert not out.exists()
 
 
+def test_evaluate_length_runs_one_condition(corpus_dir, tmp_path, capsys,
+                                            monkeypatch):
+    """One condition writes one column and its sidecar, as
+    evaluate-parameter writes one value; with --icc-out, whose ICC needs
+    two columns, it is one error line before any scoring, and nothing is
+    written."""
+    out = tmp_path / "one.csv"
+    assert evaluate_length(corpus_dir, out, extra=["--conditions", "100"]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 1 + 6 and {r[1] for r in rows[1:]} == {"100"}
+    meta = json.loads((tmp_path / "one.csv.meta.json").read_text())
+    assert meta["config"]["conditions"] == [100]
+    assert meta["matrix_meta"]["conditions"] == [100]
+
+    refuse_library_calls(monkeypatch)
+    out, icc = tmp_path / "icc-run.csv", tmp_path / "icc.json"
+    rc = evaluate_length(corpus_dir, out,
+                         extra=["--conditions", "100", "--icc-out", str(icc)])
+    assert_one_line_error(rc, capsys,
+                          "error: need at least 2 rows and 2 columns\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "one.csv", "one.csv.meta.json", "texts"]
+
+
 def test_evaluate_length_sidecar_records_maas_variant(corpus_dir, tmp_path):
     for variant, label in (("natural_log_a", "maas"),
                            ("base10_a_squared", "maas[base10_a_squared]")):

@@ -38,11 +38,13 @@ def test_readme_cites_only_existing_private_names():
 
 
 def test_readme_cites_only_existing_attributes():
-    """Every `IndexDef.x`, `IndexSpec.x`, `Method.x` and `ScoreMatrix.x`
-    README cites is a field, method or property of that class."""
+    """Every `IndexDef.x`, `IndexSpec.x`, `Method.x`, `SamplingConfig.x`
+    and `ScoreMatrix.x` README cites is a field, method or property of that
+    class."""
     classes = {"IndexDef": indices_mod.IndexDef,
                "IndexSpec": indices_mod.IndexSpec,
                "Method": sampling_mod.Method,
+               "SamplingConfig": sampling_mod.SamplingConfig,
                "ScoreMatrix": sampling_mod.ScoreMatrix}
     cited = set(re.findall(rf"`({'|'.join(classes)})\.(\w+)", README))
     assert {cls for cls, _ in cited} == set(classes)

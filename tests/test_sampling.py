@@ -591,10 +591,76 @@ def test_config_default_conditions():
 def test_config_validation():
     with pytest.raises(SamplingError, match="unknown method"):
         SamplingConfig(method="bogus", truncate_to=100)
-    with pytest.raises(SamplingError, match="two conditions"):
-        SamplingConfig(method="random", truncate_to=100, conditions=(50,))
+    with pytest.raises(SamplingError, match="need at least one condition"):
+        SamplingConfig(method="random", truncate_to=100, conditions=())
     with pytest.raises(SamplingError, match="iterations"):
         SamplingConfig(method="random", truncate_to=100, iterations=0)
+    with pytest.raises(SamplingError, match="sample length 120 exceeds "
+                                            "truncation 100"):
+        SamplingConfig(method="random", truncate_to=100, conditions=(50, 120))
+
+
+def test_one_condition_is_a_run(small_corpus):
+    """A run of one condition scores one column, as the wrappers always
+    could; the config keeps its conditions as a tuple."""
+    config = SamplingConfig("random", 280, [140], iterations=5, master_seed=3)
+    assert config.conditions == (140,)
+    matrix = run_method(small_corpus, config, TTR_SPEC)
+    assert matrix.col_labels == ["140"]
+    assert matrix.values[:, 0].tolist() == [
+        random_sampling(text, 280, (140,), 5, 3, TTR_SPEC)[0]
+        for text in small_corpus]
+
+
+WRAPPERS = {"parallel": parallel_sampling, "random": random_sampling,
+            "ordered_random": ordered_random_sampling,
+            "alternating": alternating_sampling}
+
+
+@pytest.mark.parametrize("method", list(WRAPPERS))
+@pytest.mark.parametrize("bad, message", [
+    ({"iterations": 2.5}, "iterations must be an integer, got 2.5"),
+    ({"iterations": True}, "iterations must be an integer, got True"),
+    ({"truncate_to": 100.0}, "truncation length must be an integer, got 100.0"),
+    ({"conditions": (2, 12.5)}, "condition must be an integer, got 12.5"),
+])
+def test_run_values_must_be_integers(small_corpus, monkeypatch, method, bad,
+                                     message):
+    """A run value that is not an integer is one ``SamplingError`` naming
+    it, raised before any kernel call, whether the run is made as a
+    ``SamplingConfig``, handed to ``run_method`` or made by the method's
+    wrapper (parallel's takes no iterations)."""
+    calls = spy_on_kernels(monkeypatch)
+    run = {"truncate_to": 100, "conditions": (2, 4), "iterations": 3,
+           "master_seed": 1, **bad}
+    text = small_corpus.texts[0]
+    doors = [lambda: SamplingConfig(method, **run),
+             lambda: run_method(small_corpus, SamplingConfig(method, **run),
+                                TTR_SPEC)]
+    if method != "parallel":
+        doors.append(lambda: WRAPPERS[method](
+            text, run["truncate_to"], run["conditions"], run["iterations"],
+            run["master_seed"], TTR_SPEC))
+    elif "iterations" not in bad:
+        doors.append(lambda: parallel_sampling(
+            text, run["truncate_to"], run["conditions"], TTR_SPEC,
+            run["master_seed"]))
+    for door in doors:
+        with pytest.raises(SamplingError) as excinfo:
+            door()
+        assert str(excinfo.value) == message
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads", [2.5, True])
+def test_run_method_refuses_threads_that_are_not_integers(
+        small_corpus, monkeypatch, threads):
+    calls = spy_on_kernels(monkeypatch)
+    with pytest.raises(SamplingError) as excinfo:
+        run_method(small_corpus, small_config("random"), TTR_SPEC,
+                   threads=threads)
+    assert str(excinfo.value) == f"threads must be an integer, got {threads!r}"
+    assert calls == []
 
 
 ALL_KIND_SPECS = (
@@ -1356,6 +1422,26 @@ def test_parameter_sweep_window_lengths(small_corpus):
     assert matrix.values.shape == (len(small_corpus), 3)
     # larger windows can only lower or keep the mean TTR of these texts
     assert np.all(matrix.values[:, 0] >= matrix.values[:, 2])
+
+
+def test_parameter_sweep_refuses_a_value_it_cannot_score(small_corpus,
+                                                         monkeypatch):
+    """Each value makes its ``IndexSpec`` uncast: a length of 2.5 is
+    refused, not scored as 2 under the label 2.5."""
+    calls = spy_on_kernels(monkeypatch)
+    with pytest.raises(IndexError_) as excinfo:
+        parameter_sweep(small_corpus, "hdd", [2.5, 10])
+    assert str(excinfo.value) == "n must be an integer, got 2.5"
+    assert calls == []
+
+
+def test_parameter_sweep_takes_any_sequence(small_corpus):
+    want = parameter_sweep(small_corpus, IndexKind.HDD, [10, 20, 30])
+    got = parameter_sweep(small_corpus, IndexKind.HDD, np.arange(10, 31, 10))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.col_labels, got.meta) == (want.col_labels, want.meta)
+    with pytest.raises(SamplingError, match="param_values required"):
+        parameter_sweep(small_corpus, IndexKind.HDD, np.array([], dtype=int))
 
 
 def test_parameter_sweep_mtld_default_factors(small_corpus):
