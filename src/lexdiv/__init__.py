@@ -1,9 +1,8 @@
 """lexdiv: lexical-diversity indices and a length-sensitivity evaluation
 harness (sampling methods, parameter sweeps, agreement statistics)."""
 
-from .corpus import Corpus, CorpusError, Text, attach_scores, load_corpus, truncate
+from .corpus import Corpus, CorpusError, Text, load_corpus
 from .indices import (
-    FrequencySpectrum,
     IndexKind,
     IndexSpec,
     evaluate,
@@ -15,10 +14,8 @@ from .indices import (
     mattr,
     msttr,
     mtld,
-    mtld_detailed,
     mttrrs,
     mttrss,
-    spectrum,
     token_weights,
     ttr,
 )

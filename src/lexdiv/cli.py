@@ -34,6 +34,7 @@ from .numerics import NumericsError
 from .profiles import (
     ProfilesError,
     center_columns,
+    check_columns,
     emit_plot_data,
     hdd_presence_curves,
     select_profiles,
@@ -232,6 +233,8 @@ def cmd_evaluate_length(args):
     check_unique_labels("column labels", config.col_labels())
     if args.icc_out:  # refused before any cell is scored
         check_shape(len(corpus), len(config.conditions))
+    if args.profiles_out:
+        check_columns(len(config.conditions))
     matrix = run_method(corpus, config, spec, threads=args.threads)
     run_config = RunConfig(
         subcommand="evaluate-length",
@@ -255,6 +258,8 @@ def cmd_evaluate_parameter(args):
     columns = params if params is not None else INDEXES[kind].sweep_values
     if args.icc_out and columns:  # refused before any value is scored
         check_shape(len(corpus), len(columns))
+    if args.profiles_out and columns:
+        check_columns(len(columns))
     matrix = parameter_sweep(corpus, kind, params, master_seed=seed, s=args.s)
     run_config = RunConfig(
         subcommand="evaluate-parameter",
@@ -313,7 +318,9 @@ def cmd_stats(args):
                 if label not in matrix.col_labels:
                     raise CliError(f"no column {label!r}; the columns are "
                                    f"{', '.join(matrix.col_labels)}")
-            ja, jb = (matrix.col_labels.index(label) for label in picked)
+            # the labels follow the correlations, as ``r_large`` does
+            ja, jb = sorted((matrix.col_labels.index(label) for label in picked),
+                            key=lambda j: -pearson(matrix.values[:, j], y))
         else:
             corrs = [pearson(matrix.values[:, j], y)
                      for j in range(len(matrix.col_labels))]

@@ -7,9 +7,9 @@ import io
 import logging
 import os
 import secrets
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 log = logging.getLogger(__name__)
 
@@ -77,11 +77,10 @@ def write_atomic(path, text: str) -> None:
 
 @dataclass(frozen=True)
 class Text:
-    """An identified, ordered token sequence with an optional quality score."""
+    """An identified, ordered token sequence."""
 
     id: str
     tokens: tuple[str, ...]
-    score: Optional[float] = None
 
     def __post_init__(self):
         if not self.tokens:
@@ -111,22 +110,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.texts)
 
-    def get(self, text_id: str) -> Text:
-        for t in self.texts:
-            if t.id == text_id:
-                return t
-        raise KeyError(text_id)
-
-    @property
-    def min_text_length(self) -> int:
-        return min(len(t) for t in self.texts)
-
-
-def _tokenize(raw: str, case_policy: str) -> tuple[str, ...]:
-    if case_policy == "fold":
-        raw = raw.lower()
-    return tuple(raw.split())
-
 
 def load_corpus(dir_path, case_policy: str = "fold", min_length: int = 0) -> Corpus:
     """Load one text per file from a directory of whitespace-tokenized UTF-8 files.
@@ -154,7 +137,7 @@ def load_corpus(dir_path, case_policy: str = "fold", min_length: int = 0) -> Cor
         if text_id in seen:
             raise CorpusError(f"duplicate id {text_id!r}: {seen[text_id]} and {path}")
         seen[text_id] = path
-        tokens = _tokenize(raw, case_policy)
+        tokens = tuple((raw.lower() if case_policy == "fold" else raw).split())
         if not tokens:
             log.warning("excluding empty file %s", path)
             continue
@@ -184,36 +167,6 @@ def read_scores(csv_path) -> dict:
             raise CorpusError(
                 f"{csv_path}:{lineno}: non-numeric score {raw!r}") from None
     return scores
-
-
-def attach_scores(corpus: Corpus, csv_path) -> Corpus:
-    """Attach quality scores from a CSV with header ``id,score``.
-
-    Unmatched CSV rows are reported with a warning; texts without a row
-    keep ``score=None``.
-    """
-    scores = read_scores(csv_path)
-    known = {t.id for t in corpus.texts}
-    unmatched = sorted(set(scores) - known)
-    if unmatched:
-        log.warning("%d unmatched score row(s): %s", len(unmatched), unmatched)
-
-    texts = tuple(
-        replace(t, score=scores[t.id]) if t.id in scores else t for t in corpus.texts
-    )
-    return replace(corpus, texts=texts)
-
-
-def truncate(text: Text, length: int) -> Text:
-    """Return a Text holding the first ``length`` tokens, same id."""
-    if length < 1:
-        raise CorpusError(f"truncation length must be >= 1, got {length}")
-    if length > len(text):
-        raise CorpusError(
-            f"text {text.id!r} shorter than truncation length "
-            f"({len(text)} < {length})"
-        )
-    return replace(text, tokens=text.tokens[:length])
 
 
 def tokens_of(text_or_tokens) -> Sequence:

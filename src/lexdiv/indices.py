@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Union
@@ -58,14 +57,16 @@ def index_kind(name) -> IndexKind:
                           f"{', '.join(k.value for k in IndexKind)}") from None
 
 
-def check_count(name: str, value, error=IndexError_, below=None) -> None:
-    """Refuse, as ``error``, a ``value`` that is not an integer >= 1, the
-    message ``below`` for one below 1 where it is given."""
-    # a bool is an int to Python, but no count
+def check_count(name: str, value, error=IndexError_, below=None,
+                least=1) -> int:
+    """``value`` as a Python int; one that is not an integer >= ``least``
+    (None: any) is an ``error``, the message ``below`` for one below it."""
+    # a bool is an int to Python, but no number
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise error(below or f"{name} must be >= 1, got {value}")
+    if least is not None and value < least:
+        raise error(below or f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class IndexSpec:
                 object.__setattr__(self, name, defaults.get(name))
                 continue
             if name in ("n", "s"):
-                check_count(name, value)
+                object.__setattr__(self, name, check_count(name, value))
             elif name == "factor" and not 0.0 < value < 1.0:
                 raise IndexError_(f"factor must be in (0, 1), got {value}")
             elif name == "maas_variant" and value not in MAAS_VARIANTS:
@@ -119,21 +120,6 @@ class IndexSpec:
         return INDEXES[self.kind].label.format(
             kind=self.kind.value, n=self.n, s=self.s, factor=self.factor,
             variant=variant)
-
-
-@dataclass(frozen=True)
-class FrequencySpectrum:
-    counts: dict
-    n_tokens: int
-    n_types: int
-
-
-def spectrum(text) -> FrequencySpectrum:
-    toks = tokens_of(text)
-    if len(toks) < 1:
-        raise IndexError_("empty token sequence")
-    counts = Counter(toks)
-    return FrequencySpectrum(dict(counts), len(toks), len(counts))
 
 
 def _ttr(v: int, n: int) -> float:
@@ -655,21 +641,11 @@ def msttr(text, n: int) -> float:
 
 
 def mtld(text, factor: float = 0.72) -> float:
+    """Bidirectional MTLD: the mean over the forward and reversed passes of
+    the text length over the factors, a factor ending each time a growing
+    segment's TTR drops below ``factor``, the tail adding (1 - TTR) / (1 -
+    factor).  A pass with no factor scores the text length (flagged)."""
     return evaluate(text, IndexSpec(IndexKind.MTLD, factor=factor))[0]
-
-
-def mtld_detailed(text, factor: float = 0.72):
-    """Bidirectional MTLD.  Returns ``(score, flags)``.
-
-    The forward pass grows a segment token by token and counts a full
-    factor each time the running TTR drops below ``factor``; the tail
-    contributes a partial factor of (1 - TTR) / (1 - factor).  The same is
-    done on the reversed sequence and the two lengths are averaged.  A
-    pass that counts no factor scores the text length, which happens
-    exactly when no token repeats; the score is then flagged
-    ``undefined_factors``.
-    """
-    return evaluate(text, IndexSpec(IndexKind.MTLD, factor=factor))
 
 
 def mttrrs(text, n: int = 50, s: int = 10, seed=None) -> float:
@@ -806,11 +782,6 @@ INDEXES = {
         label="{kind}[factor={factor}]", defaults={"factor": 0.72},
         sweep="factor", sweep_values=MTLD_FACTOR_SWEEP, ragged=True),
 }
-
-# Indices invariant under any permutation of the tokens: those with a
-# count kernel.
-GLOBAL_KINDS = frozenset(kind for kind, index in INDEXES.items()
-                         if index.counts is not None)
 
 
 def token_weights(kind: IndexKind, n_tokens: int, n: Optional[int] = None):

@@ -83,11 +83,6 @@ def _betacf(x: float, a: float, b: float) -> float:
     raise NumericsError(f"incomplete beta did not converge for x={x}, a={a}, b={b}")
 
 
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    return _reg_inc_beta(x, 1.0 - x, a, b)
-
-
 def _reg_inc_beta(x: float, y: float, a: float, b: float) -> float:
     """I_x(a, b) given y = 1 - x as well, so that a caller that can form
     1 - x without cancellation keeps its accuracy where x rounds to 1."""

@@ -42,6 +42,12 @@ def _extreme_counts(matrix: ScoreMatrix, top: int = 4):
     return large, small
 
 
+def check_columns(n_cols: int):
+    """Profiles compare pairs of columns, so they need at least 2."""
+    if n_cols < 2:
+        raise ProfilesError(f"profiles need at least 2 columns, got {n_cols}")
+
+
 def select_profiles(matrix: ScoreMatrix, count: int = 12) -> ProfileSelection:
     """Pick the texts with the most extreme between-condition differences.
 
@@ -53,6 +59,7 @@ def select_profiles(matrix: ScoreMatrix, count: int = 12) -> ProfileSelection:
     """
     if count < 1:
         raise ProfilesError(f"profile count must be >= 1, got {count}")
+    check_columns(len(matrix.col_labels))
     n_rows = len(matrix.row_ids)
     large, small = _extreme_counts(matrix)
     trace = {

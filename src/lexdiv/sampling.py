@@ -35,9 +35,9 @@ The exact cells are the table ``Method.exact``.  These stay Monte Carlo:
 
 - HD-D under random and ordered random, and MATTR, MSTTR and MTTRSS under
   random: each exact cell is HD-D(n) of the truncation in every column, so
-  the rows are constant and the ICC's error variance is 0.
-  ``IccResult.zero_error_variance`` says so, but the benchmark's ICC
-  reference has no bounds for such a matrix.
+  the rows are constant and the ICC's error variance is 0.  HD-D's wait on
+  the benchmark's ICC reference, which has no bounds for such a matrix;
+  the others, which no workload runs, wait on ROADMAP item 2 alone.
 - Herdan and Maas: the distribution of the type count needs a dynamic
   programme of about 5 ms per (text, m), slower than sampling below about
   1,600 iterations.
@@ -100,9 +100,10 @@ class SamplingError(Exception):
 class SamplingConfig:
     """A length run: a method, a truncation L, one or more conditions (left
     out, the method's ``Method.default_conditions``), the iterations and a
-    seed, complete and checked when made.  An unknown method, or a
-    truncation, iteration count or condition that is not an integer >= 1
-    or gives samples longer than L, is a ``SamplingError``."""
+    seed, complete, checked and made Python ints (the stream keys) when
+    made.  An unknown method, a seed that is not an integer, or a
+    truncation, iteration count or condition that is not one >= 1 or gives
+    samples longer than L is a ``SamplingError``."""
 
     method: str
     truncate_to: int
@@ -115,16 +116,19 @@ class SamplingConfig:
             raise SamplingError(f"unknown method {self.method!r}")
         method = METHODS[self.method]
         # the truncation before default conditions are made of it
-        check_count("truncation length", self.truncate_to, SamplingError)
-        check_count("iterations", self.iterations, SamplingError)
+        for name, label, least in (("truncate_to", "truncation length", 1),
+                                   ("iterations", "iterations", 1),
+                                   ("master_seed", "master seed", None)):
+            object.__setattr__(self, name, check_count(
+                label, getattr(self, name), SamplingError, least=least))
         object.__setattr__(self, "conditions", tuple(
-            method.default_conditions(self.truncate_to)
-            if self.conditions is None else self.conditions))
+            check_count("condition", c, SamplingError,
+                        below=f"condition {c} must be >= 1")
+            for c in (method.default_conditions(self.truncate_to)
+                      if self.conditions is None else self.conditions)))
         if not self.conditions:
             raise SamplingError("need at least one condition")
         for c in self.conditions:
-            check_count("condition", c, SamplingError,
-                        below=f"condition {c} must be >= 1")
             length = method.sample_length(self.truncate_to, c)
             if length > self.truncate_to:
                 raise SamplingError(
@@ -834,6 +838,8 @@ def parameter_sweep(
     """
     kind = index_kind(kind)
     index = INDEXES[kind]
+    master_seed = check_count("master seed", master_seed, SamplingError,
+                              least=None)
     if index.sweep is None:
         raise SamplingError(f"{kind.value} has no parameter to sweep")
     if param_values is None:
@@ -844,8 +850,8 @@ def parameter_sweep(
     fixed = {"s": s} if "s" in index.defaults else {}
     specs = [IndexSpec(kind, **fixed, **{index.sweep: p}) for p in param_values]
     needed = [min_tokens_required(spec) for spec in specs]
-    too_big = [p for p, need in zip(param_values, needed)
-               if need > corpus.min_text_length]
+    shortest = min(map(len, corpus))
+    too_big = [p for p, need in zip(param_values, needed) if need > shortest]
     if too_big:
         bad = [t.id for t in corpus if len(t) < max(needed)]
         raise SamplingError(

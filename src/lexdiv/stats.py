@@ -245,15 +245,10 @@ def compare_correlations(scores_a, scores_b, criterion) -> CorrComparison:
     b = np.asarray(scores_b, dtype=float)
     y = np.asarray(criterion, dtype=float)
     n = len(y)
-    r_a = pearson(a, y)
-    r_b = pearson(b, y)
-    if r_a >= r_b:
-        r_large, r_small = r_a, r_b
-        x_large, x_small = a, b
-    else:
-        r_large, r_small = r_b, r_a
-        x_large, x_small = b, a
-    r_between = pearson(x_large, x_small)
+    r_large, r_small = pearson(a, y), pearson(b, y)
+    if r_large < r_small:
+        a, b, r_large, r_small = b, a, r_small, r_large
+    r_between = pearson(a, b)
     t, df, p = steiger_t(r_large, r_small, r_between, n)
     low, high = zou_ci(r_large, r_small, r_between, n)
     return CorrComparison(

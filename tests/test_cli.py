@@ -13,7 +13,7 @@ import pytest
 from lexdiv.cli import DEFAULT_SEED, CliError, _parse_conditions, main
 from lexdiv.indices import IndexKind, IndexSpec, evaluate
 from lexdiv.sampling import STREAM_LAYOUT, ScoreMatrix, stream_seed
-from lexdiv.stats import compare_correlations
+from lexdiv.stats import compare_correlations, pearson
 
 pytestmark = pytest.mark.usefixtures("clean_seed_env")
 
@@ -757,8 +757,31 @@ def test_stats_compare_corr_compares_named_columns(tmp_path, corpus_dir,
     values = ScoreMatrix.from_long_csv(out).values
     y = [2.0 + 0.4 * i for i in range(6)]
     want = asdict(compare_correlations(values[:, 2], values[:, 1], y))
-    assert result == dict(want, col_large_candidate="60",
-                          col_small_candidate="40")
+    # column 40 correlates more with the criterion here, so its r is r_large
+    assert want["r_large"] == pearson(values[:, 1], y)
+    assert result == dict(want, col_large_candidate="40",
+                          col_small_candidate="60")
+
+
+def test_stats_compare_corr_labels_follow_the_correlations(tmp_path, capsys):
+    """``col_large_candidate`` names the column of ``r_large`` whichever
+    order the columns are given in."""
+    scores, crit = tmp_path / "scores.csv", tmp_path / "crit.csv"
+    weak, strong, y = [3, 1, 4, 1, 5], [1.1, 2.0, 2.9, 4.2, 5.0], [1, 2, 3, 4, 5]
+    scores.write_text("text_id,condition,score\n" + "".join(
+        f"t{i},{col},{v}\n" for i in range(5)
+        for col, v in (("X", weak[i]), ("Y", strong[i]))))
+    crit.write_text("id,score\n" + "".join(f"t{i},{y[i]}\n" for i in range(5)))
+    results = []
+    for a, b in (("X", "Y"), ("Y", "X")):
+        assert main(["stats", "compare-corr", "--from", str(scores),
+                     "--criterion", str(crit), "--col-a", a, "--col-b", b]) == 0
+        results.append(capsys.readouterr().out)
+    assert results[0] == results[1]
+    result = json.loads(results[0])
+    assert result["r_large"] == compare_correlations(strong, weak, y).r_large
+    assert (result["col_large_candidate"], result["col_small_candidate"]) == (
+        "Y", "X")
 
 
 # ------------------------------------------------------------------- others
@@ -774,6 +797,30 @@ def test_profiles_subcommand(corpus_dir, tmp_path):
     ys = [float(r[2]) for r in rows[1:]]
     assert len(rows) > 1
     assert abs(sum(ys)) < 1e-9  # centered columns sum to ~0
+
+
+def test_profiles_of_one_column_refused(corpus_dir, tmp_path, capsys,
+                                        monkeypatch):
+    """Profiles compare pairs of columns: ``profiles`` refuses a one-column
+    score file, and an experiment of one column refuses --profiles-out
+    before it scores anything; nothing is written."""
+    one = tmp_path / "one.csv"
+    assert evaluate_length(corpus_dir, one, extra=["--conditions", "70"]) == 0
+    made = sorted(p.name for p in tmp_path.iterdir())
+    message = "profiles need at least 2 columns, got 1"
+    prof = tmp_path / "profiles.csv"
+    rc = main(["profiles", "--from", str(one), "--out", str(prof)])
+    assert_one_line_error(rc, capsys, message)
+    refuse_library_calls(monkeypatch)
+    out = tmp_path / "scores.csv"
+    for argv in (
+            ["evaluate-length", "--index", "ttr", "--method", "random",
+             "--truncate", "280", "--conditions", "70"],
+            ["evaluate-parameter", "--index", "mattr", "--params", "20"]):
+        rc = main([*argv, "--corpus", str(corpus_dir), "--out", str(out),
+                   "--profiles-out", str(prof)])
+        assert_one_line_error(rc, capsys, message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == made
 
 
 @pytest.mark.parametrize("command", ["stats", "profiles"])

@@ -6,11 +6,9 @@ from lexdiv.corpus import (
     Corpus,
     CorpusError,
     Text,
-    attach_scores,
     load_corpus,
     read_scores,
     tokens_of,
-    truncate,
     write_atomic,
 )
 
@@ -27,13 +25,13 @@ def corpus_dir(tmp_path):
 
 def test_load_folds_case_by_default(corpus_dir):
     corpus = load_corpus(corpus_dir)
-    assert corpus.get("alpha").tokens == ("the", "cat", "sat", "on", "the", "mat")
+    assert corpus.texts[0].tokens == ("the", "cat", "sat", "on", "the", "mat")
 
 
 def test_load_preserve_case(corpus_dir):
     corpus = load_corpus(corpus_dir, case_policy="preserve")
-    assert corpus.get("alpha").tokens[0] == "The"
-    assert corpus.get("alpha").tokens[2] == "SAT"
+    assert corpus.texts[0].tokens[0] == "The"
+    assert corpus.texts[0].tokens[2] == "SAT"
 
 
 def test_filename_stem_is_id(corpus_dir):
@@ -119,60 +117,22 @@ def test_write_atomic_gives_the_mode_open_gives(tmp_path):
             == (tmp_path / "plain.txt").stat().st_mode)
 
 
-def test_attach_scores(corpus_dir, tmp_path):
-    corpus = load_corpus(corpus_dir)
-    csv_path = tmp_path / "scores.csv"
-    csv_path.write_text("id,score\nalpha,3.5\nbeta,2.0\n")
-    scored = attach_scores(corpus, csv_path)
-    assert scored.get("alpha").score == 3.5
-    assert scored.get("tiny").score is None
-
-
-def test_attach_scores_bad_header(corpus_dir, tmp_path):
-    corpus = load_corpus(corpus_dir)
+def test_read_scores_bad_header(tmp_path):
     csv_path = tmp_path / "scores.csv"
     for content in ("text,quality\nalpha,3.5\n",
                     "id,score,note\nalpha,3.5,x\n"):
         csv_path.write_text(content)
         error = re.escape(f"{csv_path}: expected header")
         with pytest.raises(CorpusError, match=error):
-            attach_scores(corpus, csv_path)
+            read_scores(csv_path)
 
 
-def test_attach_scores_non_numeric_reports_line(corpus_dir, tmp_path):
-    corpus = load_corpus(corpus_dir)
-    csv_path = tmp_path / "scores.csv"
-    csv_path.write_text("id,score\nalpha,3.5\nbeta,high\n")
-    with pytest.raises(CorpusError, match=":3"):
-        attach_scores(corpus, csv_path)
-
-
-def test_attach_scores_refuses_duplicate_id(corpus_dir, tmp_path):
-    corpus = load_corpus(corpus_dir)
+def test_read_scores_refuses_duplicate_id(tmp_path):
     csv_path = tmp_path / "scores.csv"
     csv_path.write_text("id,score\nalpha,3.5\nbeta,2.0\nalpha,5.0\n")
     with pytest.raises(CorpusError, match=re.escape(
             f"{csv_path}:4: duplicate id 'alpha'")):
-        attach_scores(corpus, csv_path)
-
-
-def test_attach_scores_unmatched_row_warns(corpus_dir, tmp_path, caplog):
-    corpus = load_corpus(corpus_dir)
-    csv_path = tmp_path / "scores.csv"
-    csv_path.write_text("id,score\nghost,1.0\n")
-    with caplog.at_level("WARNING"):
-        attach_scores(corpus, csv_path)
-    assert any("unmatched" in r.message for r in caplog.records)
-
-
-def test_truncate():
-    t = Text(id="t", tokens=("a", "b", "c", "d"))
-    assert truncate(t, 2).tokens == ("a", "b")
-    assert truncate(t, 2).id == "t"
-    with pytest.raises(CorpusError):
-        truncate(t, 5)
-    with pytest.raises(CorpusError):
-        truncate(t, 0)
+        read_scores(csv_path)
 
 
 def test_text_invariants():

@@ -50,6 +50,16 @@ def test_select_profiles_trace_covers_all_rows():
     assert large_total == small_total == 6 * 4
 
 
+def test_select_profiles_refuses_one_column():
+    """With no pair of columns nothing is tallied, so any rows would be
+    called the most extreme."""
+    matrix = matrix_with_extremes()
+    one = ScoreMatrix(matrix.row_ids, ["240"], matrix.values[:, :1])
+    with pytest.raises(ProfilesError,
+                       match="profiles need at least 2 columns, got 1"):
+        select_profiles(one)
+
+
 def test_select_profiles_small_matrix_selects_all(caplog):
     matrix = matrix_with_extremes(n_rows=5)
     with caplog.at_level("WARNING"):

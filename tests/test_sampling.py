@@ -2,6 +2,7 @@
 ordered-random, alternating partitions, and convergence to closed forms."""
 
 import itertools
+import json
 import math
 import re
 from dataclasses import replace
@@ -650,6 +651,47 @@ def test_run_values_must_be_integers(small_corpus, monkeypatch, method, bad,
             door()
         assert str(excinfo.value) == message
     assert calls == []
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "x"])
+def test_master_seed_must_be_an_integer(small_corpus, monkeypatch, seed):
+    """A seed that is not an integer is one ``SamplingError``, for a length
+    run and for a sweep, before any kernel call; a negative one is a
+    seed."""
+    calls = spy_on_kernels(monkeypatch)
+    for door in (lambda: SamplingConfig("random", 100, master_seed=seed),
+                 lambda: parameter_sweep(small_corpus, "mattr", (10,),
+                                         master_seed=seed)):
+        with pytest.raises(SamplingError) as excinfo:
+            door()
+        assert str(excinfo.value) == (
+            f"master seed must be an integer, got {seed!r}")
+    assert calls == []
+    assert SamplingConfig("random", 100, master_seed=-3).master_seed == -3
+
+
+@pytest.mark.parametrize("spec", [
+    HDD_SPEC, MTLD_SPEC, IndexSpec(IndexKind.MTTRRS, n=20, s=3)],
+    ids=lambda spec: spec.kind.value)
+def test_numpy_integers_key_the_streams_as_python_ints(small_corpus, spec):
+    """The streams are keyed by the repr of their key, so a run or a sweep
+    given numpy integers must score and record what the equal Python ints
+    give (``json.dumps`` refuses a numpy integer in the meta)."""
+    config = SamplingConfig("random", np.int64(280), np.array([50, 60]),
+                            np.int64(20), np.int64(7))
+    assert {type(v) for v in (config.truncate_to, *config.conditions,
+                              config.iterations, config.master_seed)} == {int}
+    got = run_method(small_corpus, config, spec)
+    want = run_method(small_corpus, SamplingConfig("random", 280, (50, 60),
+                                                   20, 7), spec)
+    assert got.values.tolist() == want.values.tolist()
+    assert json.dumps(got.meta) == json.dumps(want.meta)
+    if INDEXES[spec.kind].sweep == "n":
+        got = parameter_sweep(small_corpus, spec.kind, np.array([20, 30]),
+                              master_seed=np.int64(7))
+        want = parameter_sweep(small_corpus, spec.kind, (20, 30), master_seed=7)
+        assert got.values.tolist() == want.values.tolist()
+        assert json.dumps(got.meta) == json.dumps(want.meta)
 
 
 @pytest.mark.parametrize("threads", [2.5, True])
@@ -1704,6 +1746,6 @@ def test_parameter_sweep_rejects_unknown_kind_listing_the_kinds(small_corpus):
 
 
 def test_parameter_sweep_rejects_oversized_window(small_corpus):
-    too_big = small_corpus.min_text_length + 1
+    too_big = min(map(len, small_corpus)) + 1
     with pytest.raises(SamplingError, match="exceed"):
         parameter_sweep(small_corpus, IndexKind.MATTR, [10, too_big])
