@@ -44,7 +44,6 @@ from .stats import (
     zou_ci,
 )
 from .profiles import (
-    ProfileSelection,
     center_columns,
     emit_plot_data,
     hdd_presence_curves,

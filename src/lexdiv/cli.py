@@ -56,7 +56,6 @@ from .stats import (
     check_shape,
     compare_correlations,
     icc_2_1,
-    pearson,
     rm_anova,
 )
 
@@ -85,7 +84,7 @@ class RunConfig:
     truncate_to: Optional[int] = None
     conditions: Optional[tuple] = None
     params: Optional[list] = None
-    iterations: Optional[int] = None  # a parameter sweep draws no iterations
+    iterations: Optional[int] = None  # None where no column is drawn
     master_seed: int = DEFAULT_SEED
     threads: int = 1
     outputs: dict = field(default_factory=dict)
@@ -241,7 +240,8 @@ def cmd_evaluate_length(args):
         corpus_dir=args.corpus, case_policy=args.case,
         min_length=args.min_length,
         index=spec.kind.value, n=spec.n, s=spec.s, factor=spec.factor,
-        maas_variant=spec.maas_variant, **asdict(config),
+        maas_variant=spec.maas_variant,
+        **dict(asdict(config), iterations=matrix.meta["iterations"]),
         threads=args.threads, outputs={"scores": str(args.out)},
     )
     _emit_experiment(matrix, args, run_config, icc_mode="agreement")
@@ -305,33 +305,12 @@ def cmd_stats(args):
     else:  # compare-corr
         if not args.criterion:
             raise CliError("compare-corr needs --criterion CSV (id,score)")
-        crit = read_scores(args.criterion)
-        missing = [rid for rid in matrix.row_ids if rid not in crit]
-        if missing:
-            raise CliError(f"criterion missing for texts: {missing}")
-        y = [crit[rid] for rid in matrix.row_ids]
         picked = (args.col_a, args.col_b)
         if picked.count(None) == 1:
             raise CliError("--col-a and --col-b go together: give both or neither")
-        if None not in picked:
-            for label in picked:
-                if label not in matrix.col_labels:
-                    raise CliError(f"no column {label!r}; the columns are "
-                                   f"{', '.join(matrix.col_labels)}")
-            # the labels follow the correlations, as ``r_large`` does
-            ja, jb = sorted((matrix.col_labels.index(label) for label in picked),
-                            key=lambda j: -pearson(matrix.values[:, j], y))
-        else:
-            corrs = [pearson(matrix.values[:, j], y)
-                     for j in range(len(matrix.col_labels))]
-            ja = corrs.index(max(corrs))
-            jb = corrs.index(min(corrs))
-        comparison = compare_correlations(
-            matrix.values[:, ja], matrix.values[:, jb], y
-        )
-        result = asdict(comparison)
-        result["col_large_candidate"] = matrix.col_labels[ja]
-        result["col_small_candidate"] = matrix.col_labels[jb]
+        result = asdict(compare_correlations(
+            matrix, read_scores(args.criterion),
+            None if None in picked else picked))
 
     _write_or_print(args.out, json.dumps(result, indent=2))
     return 0

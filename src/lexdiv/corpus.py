@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import os
 import secrets
 from dataclasses import dataclass
@@ -155,7 +156,8 @@ def load_corpus(dir_path, case_policy: str = "fold", min_length: int = 0) -> Cor
 
 def read_scores(csv_path) -> dict:
     """Scores by text id from a CSV with header ``id,score`` and one
-    ``id,score`` row per text; a malformed row is an error naming its line."""
+    ``id,score`` row per text; a malformed row or a score that is not a
+    finite number is an error naming its line."""
     scores = {}
     for lineno, (text_id, raw) in read_rows(csv_path, ["id", "score"],
                                             "header 'id,score'"):
@@ -166,6 +168,8 @@ def read_scores(csv_path) -> dict:
         except ValueError:
             raise CorpusError(
                 f"{csv_path}:{lineno}: non-numeric score {raw!r}") from None
+        if not math.isfinite(scores[text_id]):
+            raise CorpusError(f"{csv_path}:{lineno}: non-finite score {raw!r}")
     return scores
 
 

@@ -163,10 +163,3 @@ def norm_isf(p: float) -> float:
     from statistics import NormalDist
 
     return -NormalDist().inv_cdf(p)
-
-
-def fisher_z(r: float) -> float:
-    """Fisher's z transform, atanh(r)."""
-    if not (-1.0 < r < 1.0):
-        raise NumericsError(f"|r| must be < 1, got {r}")
-    return math.atanh(r)

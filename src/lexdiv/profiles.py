@@ -4,7 +4,7 @@ curves, and plain CSV/SVG emission."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from html import escape
 from itertools import combinations
 from typing import Optional
@@ -22,14 +22,9 @@ class ProfilesError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ProfileSelection:
-    selected_ids: tuple
-    # per text: (#times in a pair's top-4 largest, #times in its top-4 smallest)
-    trace: dict
-
-
 def _extreme_counts(matrix: ScoreMatrix, top: int = 4):
+    """Per row, in how many column pairs' ``top`` largest and smallest
+    differences it falls."""
     values = matrix.values
     n_rows = values.shape[0]
     large = np.zeros(n_rows, dtype=int)
@@ -48,8 +43,8 @@ def check_columns(n_cols: int):
         raise ProfilesError(f"profiles need at least 2 columns, got {n_cols}")
 
 
-def select_profiles(matrix: ScoreMatrix, count: int = 12) -> ProfileSelection:
-    """Pick the texts with the most extreme between-condition differences.
+def select_profiles(matrix: ScoreMatrix, count: int = 12) -> tuple:
+    """Ids of the texts with the most extreme between-condition differences.
 
     For every condition pair, the four texts with the largest differences
     and the four with the smallest are tallied.  Selection is then: four
@@ -61,16 +56,11 @@ def select_profiles(matrix: ScoreMatrix, count: int = 12) -> ProfileSelection:
         raise ProfilesError(f"profile count must be >= 1, got {count}")
     check_columns(len(matrix.col_labels))
     n_rows = len(matrix.row_ids)
-    large, small = _extreme_counts(matrix)
-    trace = {
-        rid: (int(large[i]), int(small[i]))
-        for i, rid in enumerate(matrix.row_ids)
-    }
     if n_rows <= count:
         if n_rows < count:
             log.warning("only %d rows available, selecting all", n_rows)
-        return ProfileSelection(tuple(matrix.row_ids), trace)
-
+        return tuple(matrix.row_ids)
+    large, small = _extreme_counts(matrix)
     ids = list(matrix.row_ids)
     remaining = set(range(n_rows))
     per_round = count // 3
@@ -84,7 +74,7 @@ def select_profiles(matrix: ScoreMatrix, count: int = 12) -> ProfileSelection:
     picked = take(large, per_round)
     picked += take(small, per_round)
     picked += take(large + small, count - 2 * per_round)
-    return ProfileSelection(tuple(ids[i] for i in picked), trace)
+    return tuple(ids[i] for i in picked)
 
 
 def center_columns(matrix: ScoreMatrix) -> ScoreMatrix:
@@ -134,14 +124,11 @@ def _series_of(data):
     raise ProfilesError(f"cannot emit {type(data).__name__}")
 
 
-def subset_rows(matrix: ScoreMatrix, selection: ProfileSelection) -> ScoreMatrix:
+def subset_rows(matrix: ScoreMatrix, ids) -> ScoreMatrix:
+    """The rows of ``ids``, in that order."""
     index = {rid: i for i, rid in enumerate(matrix.row_ids)}
-    rows = [index[rid] for rid in selection.selected_ids]
-    return replace(
-        matrix,
-        row_ids=list(selection.selected_ids),
-        values=matrix.values[rows],
-    )
+    return replace(matrix, row_ids=list(ids),
+                   values=matrix.values[[index[rid] for rid in ids]])
 
 
 def emit_plot_data(data, path, format: str = "csv"):

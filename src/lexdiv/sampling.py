@@ -798,6 +798,7 @@ def run_method(
         if method.scored_once(config.truncate_to, c)
         else "exact" if spec.kind in method.exact else "monte_carlo"
         for c in config.conditions]
+    drawn = "monte_carlo" in estimators
     return ScoreMatrix(
         row_ids=[t.id for t in corpus],
         col_labels=config.col_labels(),
@@ -807,12 +808,11 @@ def run_method(
             "index": spec.label(),
             "truncate_to": config.truncate_to,
             "conditions": list(config.conditions),
-            "iterations": config.iterations,
+            "iterations": config.iterations if drawn else None,
             "master_seed": config.master_seed,
             "stream_layout": STREAM_LAYOUT,
             "estimators": estimators,
-            "estimator": ("monte_carlo" if "monte_carlo" in estimators
-                          else "exact"),
+            "estimator": "monte_carlo" if drawn else "exact",
         },
     )
 

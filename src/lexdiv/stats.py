@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import f_isf, f_sf, fisher_z, norm_isf, t_sf_two_sided
+from .numerics import f_isf, f_sf, norm_isf, t_sf_two_sided
 
 
 class StatsError(Exception):
@@ -60,6 +60,8 @@ class CorrComparison:
     p: float
     zou_low: float
     zou_high: float
+    col_large_candidate: str
+    col_small_candidate: str
 
 
 def _mean_squares(values: np.ndarray):
@@ -185,16 +187,21 @@ def spearman_brown(r: float) -> float:
     return 2.0 * r / (1.0 + r)
 
 
+def _check_correlations(n: int, *rs):
+    """Williams' t and Zou's interval need n >= 4 and every r in (-1, 1)."""
+    if n < 4:
+        raise StatsError("need n >= 4")
+    for r in rs:
+        if not (-1.0 < r < 1.0):
+            raise StatsError(f"correlations must be in (-1, 1), got {r}")
+
+
 def steiger_t(r_jk: float, r_jh: float, r_kh: float, n: int):
     """Williams' t for two dependent correlations sharing variable j.
 
     Returns ``(t, df, p)`` with df = n - 3 and a two-sided p.
     """
-    if n < 4:
-        raise StatsError("need n >= 4")
-    for r in (r_jk, r_jh, r_kh):
-        if not (-1.0 < r < 1.0):
-            raise StatsError(f"correlations must be in (-1, 1), got {r}")
+    _check_correlations(n, r_jk, r_jh, r_kh)
     det = 1.0 - r_jk**2 - r_jh**2 - r_kh**2 + 2.0 * r_jk * r_jh * r_kh
     rbar = 0.5 * (r_jk + r_jh)
     radicand = 2.0 * ((n - 1) / (n - 3)) * det + rbar**2 * (1.0 - r_kh) ** 3
@@ -205,26 +212,18 @@ def steiger_t(r_jk: float, r_jh: float, r_kh: float, n: int):
     return t, df, t_sf_two_sided(t, df)
 
 
-def _corr_of_correlations(r_jk, r_jh, r_kh):
-    """Correlation between the two sample correlations (overlapping case)."""
-    num = (r_kh - 0.5 * r_jk * r_jh) * (1.0 - r_jk**2 - r_jh**2 - r_kh**2) + r_kh**3
-    return num / ((1.0 - r_jk**2) * (1.0 - r_jh**2))
-
-
 def zou_ci(r_jk: float, r_jh: float, r_kh: float, n: int, alpha: float = 0.05):
     """Zou's (2007) confidence interval for r_jk - r_jh, overlapping case."""
-    if n < 4:
-        raise StatsError("need n >= 4")
-    for r in (r_jk, r_jh, r_kh):
-        if not (-1.0 < r < 1.0):
-            raise StatsError(f"correlations must be in (-1, 1), got {r}")
+    _check_correlations(n, r_jk, r_jh, r_kh)
     zc = norm_isf(alpha / 2.0)
     se = 1.0 / math.sqrt(n - 3)
-    l1 = math.tanh(fisher_z(r_jk) - zc * se)
-    u1 = math.tanh(fisher_z(r_jk) + zc * se)
-    l2 = math.tanh(fisher_z(r_jh) - zc * se)
-    u2 = math.tanh(fisher_z(r_jh) + zc * se)
-    c = _corr_of_correlations(r_jk, r_jh, r_kh)
+    l1 = math.tanh(math.atanh(r_jk) - zc * se)
+    u1 = math.tanh(math.atanh(r_jk) + zc * se)
+    l2 = math.tanh(math.atanh(r_jh) - zc * se)
+    u2 = math.tanh(math.atanh(r_jh) + zc * se)
+    # the correlation between the two sample correlations
+    c = (((r_kh - 0.5 * r_jk * r_jh) * (1.0 - r_jk**2 - r_jh**2 - r_kh**2) + r_kh**3)
+         / ((1.0 - r_jk**2) * (1.0 - r_jh**2)))
     diff = r_jk - r_jh
     low = diff - math.sqrt(
         (r_jk - l1) ** 2 + (u2 - r_jh) ** 2 - 2.0 * c * (r_jk - l1) * (u2 - r_jh)
@@ -235,23 +234,47 @@ def zou_ci(r_jk: float, r_jh: float, r_kh: float, n: int, alpha: float = 0.05):
     return low, high
 
 
-def compare_correlations(scores_a, scores_b, criterion) -> CorrComparison:
-    """Compare two index score vectors against a shared criterion.
-
-    ``r_large`` is the larger of the two criterion correlations, matching
-    the largest-vs-smallest comparisons this harness reports.
-    """
-    a = np.asarray(scores_a, dtype=float)
-    b = np.asarray(scores_b, dtype=float)
-    y = np.asarray(criterion, dtype=float)
+def compare_correlations(matrix, criterion: dict, columns=None) -> CorrComparison:
+    """Williams' t and Zou's interval for two columns of a ``ScoreMatrix``
+    against a criterion, ``criterion[row_id]``: the pair of labels
+    ``columns``, else the columns of the largest and the smallest
+    correlation.  ``r_large`` and ``col_large_candidate`` belong to the
+    larger.  A row id without a criterion, an unknown or repeated label, a
+    single column, columns that all correlate alike and a perfectly
+    correlated pair are refused."""
+    missing = [rid for rid in matrix.row_ids if rid not in criterion]
+    if missing:
+        raise StatsError(f"criterion missing for texts: {missing}")
+    labels = list(matrix.col_labels)
+    if len(labels) < 2:
+        raise StatsError(f"only one column, {labels[0]!r}: nothing to compare")
+    unknown = [label for label in columns or () if label not in labels]
+    if unknown:
+        raise StatsError(f"no column {unknown[0]!r}; the columns are "
+                         f"{', '.join(labels)}")
+    if columns and columns[0] == columns[1]:
+        raise StatsError(f"column {columns[0]!r} given twice: name two columns")
+    y = [criterion[rid] for rid in matrix.row_ids]
+    picked = [labels.index(c) for c in columns] if columns else range(len(labels))
+    r = {j: pearson(matrix.values[:, j], y) for j in picked}
+    if columns:  # the larger first; on a tie, the order given
+        ja, jb = sorted(r, key=lambda j: -r[j])
+    else:
+        ja, jb = max(r, key=r.get), min(r, key=r.get)
+        if ja == jb:
+            raise StatsError(f"columns {', '.join(labels)} all correlate "
+                             f"{r[ja]!r} with the criterion: no largest and "
+                             f"smallest to compare")
+    r_between = pearson(matrix.values[:, ja], matrix.values[:, jb])
+    if math.isclose(abs(r_between), 1.0):
+        raise StatsError(f"columns {labels[ja]!r} and {labels[jb]!r} are "
+                         f"perfectly correlated (r = {r_between!r}): Williams' "
+                         f"t and Zou's interval are undefined")
     n = len(y)
-    r_large, r_small = pearson(a, y), pearson(b, y)
-    if r_large < r_small:
-        a, b, r_large, r_small = b, a, r_small, r_large
-    r_between = pearson(a, b)
-    t, df, p = steiger_t(r_large, r_small, r_between, n)
-    low, high = zou_ci(r_large, r_small, r_between, n)
+    t, df, p = steiger_t(r[ja], r[jb], r_between, n)
+    low, high = zou_ci(r[ja], r[jb], r_between, n)
     return CorrComparison(
-        r_large=r_large, r_small=r_small, r_between=r_between,
+        r_large=r[ja], r_small=r[jb], r_between=r_between,
         n=n, t=t, df=df, p=p, zou_low=low, zou_high=high,
+        col_large_candidate=labels[ja], col_small_candidate=labels[jb],
     )

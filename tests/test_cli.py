@@ -381,6 +381,22 @@ def test_evaluate_length_sidecar_records_estimator(corpus_dir, tmp_path):
     assert meta["matrix_meta"]["estimators"] == ["single_draw"] + ["exact"] * 3
 
 
+@pytest.mark.parametrize("index, method, iterations", [
+    ("hdd", "parallel", None), ("ttr", "random", None), ("hdd", "random", 7)])
+def test_sidecar_records_iterations_only_where_drawn(corpus_dir, tmp_path,
+                                                     index, method, iterations):
+    """The iteration count shapes the scores only where some column is a
+    Monte Carlo mean, so only there is it recorded."""
+    out = tmp_path / "scores.csv"
+    rc = main(["evaluate-length", "--corpus", str(corpus_dir), "--index", index,
+               "--method", method, "--truncate", "280", "--iters", "7",
+               "--out", str(out)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "scores.csv.meta.json").read_text())
+    assert meta["config"]["iterations"] == iterations
+    assert meta["matrix_meta"]["iterations"] == iterations
+
+
 def test_evaluate_length_thread_count_invariant(corpus_dir, tmp_path):
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     assert evaluate_length(corpus_dir, out1, threads="1") == 0
@@ -667,6 +683,9 @@ def test_stats_compare_corr_requires_criterion(tmp_path, corpus_dir, capsys):
 @pytest.mark.parametrize("row, message", [
     ("text00,abc", "non-numeric score 'abc'"),
     ("text00", "malformed row"),
+    ("text00,nan", "non-finite score 'nan'"),
+    ("text00,inf", "non-finite score 'inf'"),
+    ("text00,-Infinity", "non-finite score '-Infinity'"),
 ])
 def test_stats_compare_corr_checks_criterion_rows(tmp_path, corpus_dir, capsys,
                                                   row, message):
@@ -754,13 +773,14 @@ def test_stats_compare_corr_compares_named_columns(tmp_path, corpus_dir,
                "--col-b", "40"])
     assert rc == 0
     result = json.loads(capsys.readouterr().out)
-    values = ScoreMatrix.from_long_csv(out).values
+    matrix = ScoreMatrix.from_long_csv(out)
     y = [2.0 + 0.4 * i for i in range(6)]
-    want = asdict(compare_correlations(values[:, 2], values[:, 1], y))
     # column 40 correlates more with the criterion here, so its r is r_large
-    assert want["r_large"] == pearson(values[:, 1], y)
-    assert result == dict(want, col_large_candidate="40",
-                          col_small_candidate="60")
+    assert result["r_large"] == pearson(matrix.values[:, 1], y)
+    assert result == asdict(compare_correlations(
+        matrix, dict(zip(matrix.row_ids, y)), ("60", "40")))
+    assert (result["col_large_candidate"], result["col_small_candidate"]) == (
+        "40", "60")
 
 
 def test_stats_compare_corr_labels_follow_the_correlations(tmp_path, capsys):
@@ -779,9 +799,38 @@ def test_stats_compare_corr_labels_follow_the_correlations(tmp_path, capsys):
         results.append(capsys.readouterr().out)
     assert results[0] == results[1]
     result = json.loads(results[0])
-    assert result["r_large"] == compare_correlations(strong, weak, y).r_large
+    assert result["r_large"] == pearson(strong, y)
     assert (result["col_large_candidate"], result["col_small_candidate"]) == (
         "Y", "X")
+
+
+SCORES = [0.61, 0.72, 0.55, 0.83, 0.69, 0.77]
+
+
+@pytest.mark.parametrize("columns, picked, message", [
+    ({"X": SCORES}, [], "only one column, 'X': nothing to compare"),
+    ({"X": SCORES, "Y": SCORES[::-1]}, ["--col-a", "X", "--col-b", "X"],
+     "column 'X' given twice: name two columns"),
+    ({"X": SCORES, "Y": SCORES}, ["--col-a", "X", "--col-b", "Y"],
+     "columns 'X' and 'Y' are perfectly correlated (r = "),
+    ({"X": SCORES, "Y": [-v for v in SCORES]}, [],
+     "columns 'X' and 'Y' are perfectly correlated (r = -1"),
+    ({"X": SCORES, "Y": SCORES, "Z": SCORES}, [],
+     "columns X, Y, Z all correlate "),
+])
+def test_stats_compare_corr_refuses_degenerate_columns(tmp_path, capsys,
+                                                       columns, picked, message):
+    """One column, one column named twice, a pair whose Williams' t and
+    Zou's interval are undefined, and columns that all correlate alike
+    each get a message naming the columns."""
+    scores, crit = tmp_path / "scores.csv", tmp_path / "crit.csv"
+    scores.write_text("text_id,condition,score\n" + "".join(
+        f"t{i},{label},{values[i]}\n" for i in range(6)
+        for label, values in columns.items()))
+    crit.write_text("id,score\n" + "".join(f"t{i},{i}\n" for i in range(6)))
+    rc = main(["stats", "compare-corr", "--from", str(scores),
+               "--criterion", str(crit), *picked])
+    assert_one_line_error(rc, capsys, message)
 
 
 # ------------------------------------------------------------------- others

@@ -13,7 +13,6 @@ from lexdiv.numerics import (
     _reg_inc_beta,
     f_isf,
     f_sf,
-    fisher_z,
     hypergeom_presence,
     norm_isf,
     t_sf_two_sided,
@@ -135,12 +134,6 @@ def test_f_quantile_matches_scipy(p, df1, df2):
 @settings(max_examples=200)
 def test_norm_quantile_matches_scipy(p):
     assert norm_isf(p) == pytest.approx(float(stats.norm.isf(p)), abs=1e-9)
-
-
-def test_fisher_z():
-    assert fisher_z(0.5) == pytest.approx(math.atanh(0.5))
-    with pytest.raises(NumericsError):
-        fisher_z(1.0)
 
 
 @given(st.floats(0.01, 0.99), st.floats(1.0, 50.0), st.floats(1.0, 50.0))

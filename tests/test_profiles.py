@@ -9,6 +9,7 @@ import pytest
 from lexdiv.numerics import hypergeom_presence
 from lexdiv.profiles import (
     ProfilesError,
+    _extreme_counts,
     center_columns,
     emit_plot_data,
     hdd_presence_curves,
@@ -33,21 +34,18 @@ def matrix_with_extremes(n_rows=20, seed=2):
 
 def test_select_profiles_finds_extreme_rows():
     matrix = matrix_with_extremes()
-    sel = select_profiles(matrix, count=12)
-    assert len(sel.selected_ids) == 12
-    assert len(set(sel.selected_ids)) == 12
+    ids = select_profiles(matrix, count=12)
+    assert len(ids) == 12
+    assert len(set(ids)) == 12
     # the four planted extreme rows must be selected
-    assert {"t00", "t01", "t02", "t03"} <= set(sel.selected_ids)
+    assert {"t00", "t01", "t02", "t03"} <= set(ids)
 
 
-def test_select_profiles_trace_covers_all_rows():
-    matrix = matrix_with_extremes()
-    sel = select_profiles(matrix, count=12)
-    assert set(sel.trace) == set(matrix.row_ids)
+def test_extreme_counts_tally_every_pair():
+    large, small = _extreme_counts(matrix_with_extremes())
+    assert len(large) == len(small) == 20
     # 6 condition pairs, top-4 each side
-    large_total = sum(v[0] for v in sel.trace.values())
-    small_total = sum(v[1] for v in sel.trace.values())
-    assert large_total == small_total == 6 * 4
+    assert large.sum() == small.sum() == 6 * 4
 
 
 def test_select_profiles_refuses_one_column():
@@ -63,8 +61,8 @@ def test_select_profiles_refuses_one_column():
 def test_select_profiles_small_matrix_selects_all(caplog):
     matrix = matrix_with_extremes(n_rows=5)
     with caplog.at_level("WARNING"):
-        sel = select_profiles(matrix, count=12)
-    assert sel.selected_ids == tuple(matrix.row_ids)
+        ids = select_profiles(matrix, count=12)
+    assert ids == tuple(matrix.row_ids)
     assert any("5 rows" in r.message for r in caplog.records)
 
 
@@ -76,9 +74,7 @@ def test_select_profiles_rejects_count_below_one(count):
 
 def test_select_profiles_deterministic():
     matrix = matrix_with_extremes()
-    a = select_profiles(matrix, count=12)
-    b = select_profiles(matrix, count=12)
-    assert a.selected_ids == b.selected_ids
+    assert select_profiles(matrix, count=12) == select_profiles(matrix, count=12)
 
 
 def test_select_profiles_tie_break_lexicographic():
@@ -87,12 +83,11 @@ def test_select_profiles_tie_break_lexicographic():
     values = np.tile(np.linspace(0.1, 0.9, 9)[:, None], (1, 3))
     matrix = ScoreMatrix([f"r{i}" for i in range(9)], ["a", "b", "c"], values)
     a = select_profiles(matrix, count=6)
-    b = select_profiles(matrix, count=6)
-    assert a.selected_ids == b.selected_ids
-    tallies = {rid: a.trace[rid] for rid in matrix.row_ids}
-    for picked in a.selected_ids:
+    assert a == select_profiles(matrix, count=6)
+    tallies = dict(zip(matrix.row_ids, zip(*_extreme_counts(matrix))))
+    for picked in a:
         for other in matrix.row_ids:
-            if other in a.selected_ids:
+            if other in a:
                 continue
             # any unpicked row with the same tallies must sort after some
             # picked row of that class
@@ -102,9 +97,9 @@ def test_select_profiles_tie_break_lexicographic():
 
 def test_subset_rows_preserves_selection_order():
     matrix = matrix_with_extremes()
-    sel = select_profiles(matrix, count=12)
-    sub = subset_rows(matrix, sel)
-    assert sub.row_ids == list(sel.selected_ids)
+    ids = select_profiles(matrix, count=12)
+    sub = subset_rows(matrix, ids)
+    assert sub.row_ids == list(ids)
     for rid, row in zip(sub.row_ids, sub.values):
         i = matrix.row_ids.index(rid)
         assert np.array_equal(row, matrix.values[i])

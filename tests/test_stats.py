@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexdiv.sampling import ScoreMatrix
 from lexdiv.stats import (
     StatsError,
     compare_correlations,
@@ -260,14 +261,27 @@ def test_zou_ci_brackets_difference(r_jk, r_jh, r_kh, n):
     assert low <= r_jk - r_jh <= high
 
 
+def criterion_matrix(y, **columns):
+    """A matrix of ``columns`` by label, and the criterion ``y`` by its
+    row ids."""
+    ids = [f"t{i}" for i in range(len(y))]
+    matrix = ScoreMatrix(ids, list(columns), np.column_stack(list(columns.values())))
+    return matrix, dict(zip(ids, y))
+
+
 def test_compare_correlations_orients_largest_first():
     rng = np.random.default_rng(21)
     y = rng.normal(size=60)
     a = 0.8 * y + rng.normal(scale=0.6, size=60)   # strong correlate
     b = 0.3 * y + rng.normal(scale=1.0, size=60)   # weak correlate
-    res = compare_correlations(b, a, y)  # order must not matter
+    matrix, criterion = criterion_matrix(y, weak=b, strong=a)
+    res = compare_correlations(matrix, criterion, ("weak", "strong"))
+    # the order given must not matter, nor naming the pair at all
+    assert compare_correlations(matrix, criterion, ("strong", "weak")) == res
+    assert compare_correlations(matrix, criterion) == res
     assert res.r_large >= res.r_small
     assert res.r_large == pytest.approx(pearson(a, y))
+    assert (res.col_large_candidate, res.col_small_candidate) == ("strong", "weak")
     assert res.n == 60
     assert res.df == 57
     assert res.zou_low <= res.r_large - res.r_small <= res.zou_high
@@ -278,7 +292,9 @@ def test_compare_correlations_matches_components():
     y = rng.normal(size=40)
     a = 0.7 * y + rng.normal(scale=0.5, size=40)
     b = 0.5 * y + rng.normal(scale=0.8, size=40)
-    res = compare_correlations(a, b, y)
+    res = compare_correlations(*criterion_matrix(y, a=a, b=b))
+    assert (res.r_large, res.r_small, res.r_between) == (
+        pearson(a, y), pearson(b, y), pearson(a, b))
     t, df, p = steiger_t(res.r_large, res.r_small, res.r_between, 40)
     assert (res.t, res.df, res.p) == (t, df, p)
     assert (res.zou_low, res.zou_high) == zou_ci(
